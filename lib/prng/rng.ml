@@ -17,14 +17,7 @@ let split_n t k = Array.init k (fun _ -> split t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let range = Int64.of_int bound in
-  let top = Int64.div 0x3FFF_FFFF_FFFF_FFFFL range in
-  let limit = Int64.mul top range in
-  let rec draw () =
-    let v = Int64.shift_right_logical (bits64 t) 2 in
-    if v < limit then Int64.to_int (Int64.rem v range) else draw ()
-  in
-  draw ()
+  Xoshiro256.next_in t bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
@@ -34,5 +27,5 @@ let float t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1p-53
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool = Xoshiro256.next_bool
 let bernoulli t p = float t < p

@@ -1,17 +1,24 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The four state words live in 32 bytes of unboxed storage, read and
+   written with the unchecked 64-bit bytes primitives.  Mutable [int64]
+   record fields would box a fresh Int64 on every store.  Under dune's
+   default -opaque build nothing inlines across modules, so the bounded
+   draw and the coin flip step the state here, in the same function
+   that consumes the output: no [int64] crosses a call on those paths,
+   and a draw allocates nothing. *)
+type t = Bytes.t
 
-let rotl x k =
-  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let of_state s0 s1 s2 s3 =
   if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
     invalid_arg "Xoshiro256.of_state: all-zero state";
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 s2;
+  set t 24 s3;
+  t
 
 let create seed =
   let sm = Splitmix64.create seed in
@@ -24,18 +31,43 @@ let create seed =
   if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then of_state 1L 2L 3L 4L
   else of_state s0 s1 s2 s3
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let next t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let[@inline always] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+(* One xoshiro256** step: stores the advanced state and returns the
+   output.  Inlined into each caller below, so the output stays in a
+   register. *)
+let[@inline always] step t =
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set t 0 (Int64.logxor s0 s3);
+  set t 8 (Int64.logxor s1 s2);
+  set t 16 (Int64.logxor s2 tmp);
+  set t 24 (rotl s3 45);
   result
+
+let next t = step t
+
+(* Uniform on [0, bound) from the top 62 bits [v] of one output,
+   rejecting [v >= limit] with [limit = ⌊(2^62 - 1) / bound⌋ · bound]
+   so that every residue is equally likely; test_prng.ml checks it
+   draw for draw against the same rule written on Int64.
+   [limit >= 2^62 - bound], so below that every [v] is accepted without
+   computing [limit]; the division only runs for the top [bound] values.
+   [v] fits a native int (max_int = 2^62 - 1), so the remainder is
+   native too. *)
+let rec next_in t bound =
+  if bound <= 0 then invalid_arg "Xoshiro256.next_in: bound must be positive";
+  let v = Int64.to_int (Int64.shift_right_logical (step t) 2) in
+  if v <= max_int - bound || v < max_int / bound * bound then v mod bound
+  else next_in t bound
+
+let next_bool t = Int64.logand (step t) 1L = 1L
 
 let jump_table =
   [|
@@ -44,20 +76,15 @@ let jump_table =
   |]
 
 let jump t =
-  let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
+  let acc = Bytes.make 32 '\000' in
   Array.iter
     (fun word ->
       for b = 0 to 63 do
-        if Int64.logand word (Int64.shift_left 1L b) <> 0L then begin
-          s0 := Int64.logxor !s0 t.s0;
-          s1 := Int64.logxor !s1 t.s1;
-          s2 := Int64.logxor !s2 t.s2;
-          s3 := Int64.logxor !s3 t.s3
-        end;
-        ignore (next t)
+        if Int64.logand word (Int64.shift_left 1L b) <> 0L then
+          for i = 0 to 3 do
+            set acc (8 * i) (Int64.logxor (get acc (8 * i)) (get t (8 * i)))
+          done;
+        ignore (step t)
       done)
     jump_table;
-  t.s0 <- !s0;
-  t.s1 <- !s1;
-  t.s2 <- !s2;
-  t.s3 <- !s3
+  Bytes.blit acc 0 t 0 32

@@ -5,7 +5,8 @@
     nearby integer seeds still give unrelated streams. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: four 64-bit words held unboxed, so stepping
+    the generator allocates nothing. *)
 
 val create : int -> t
 (** [create seed] seeds the four state words from a SplitMix64 stream. *)
@@ -19,7 +20,17 @@ val copy : t -> t
 (** [copy t] is an independent clone replaying [t]'s future output. *)
 
 val next : t -> int64
-(** [next t] advances the state and returns the next 64-bit output. *)
+(** [next t] advances the state and returns the next 64-bit output.
+    Allocates the boxed result; {!next_in} and {!next_bool} do not. *)
+
+val next_in : t -> int -> int
+(** [next_in t bound] is uniform in [\[0, bound)]: the top 62 bits of
+    one output, rejected and redrawn when they fall in the tail that
+    would bias the remainder.  Allocation-free.
+    @raise Invalid_argument if [bound <= 0]. *)
+
+val next_bool : t -> bool
+(** [next_bool t] is the lowest bit of one output.  Allocation-free. *)
 
 val jump : t -> unit
 (** [jump t] advances the state by 2{^128} steps — equivalent to discarding

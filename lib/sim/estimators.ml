@@ -37,10 +37,16 @@ let diameter_stats_of ~trials per_trial =
     disconnected = !disconnected;
   }
 
+(* At r = 1, uniform_single makes the same draws in the same edge
+   order as uniform_multi, into a flat int array instead of m boxed
+   singleton label sets; every kernel reads both alike. *)
 let temporal_diameter rng g ~a ~r ~trials =
   diameter_stats_of ~trials
     (Runner.map rng ~trials (fun _ trial_rng ->
-         let net = Assignment.uniform_multi trial_rng g ~a ~r in
+         let net =
+           if r = 1 then Assignment.uniform_single trial_rng g ~a
+           else Assignment.uniform_multi trial_rng g ~a ~r
+         in
          Distance.instance_diameter net))
 
 let clique_temporal_diameter rng ~n ~a ~trials =

@@ -489,12 +489,14 @@ let map_batches ?start_time net f =
 
 (* ------------------------------------------------------------------ *)
 (* Scalar escape hatch: one env probe at startup, so CI can byte-diff
-   the batched renders against the per-source path on the same build. *)
+   the batched renders against the per-source path on the same build.
+   Read at module initialisation, not behind a [lazy]: trials on
+   several domains reach their first sweep together, and forcing one
+   lazy from two domains at once raises [CamlinternalLazy.Undefined]. *)
 
 let force_scalar_v =
-  lazy
-    (match Sys.getenv_opt "EPHEMERAL_SCALAR_SWEEPS" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
+  match Sys.getenv_opt "EPHEMERAL_SCALAR_SWEEPS" with
+  | None | Some "" | Some "0" -> false
+  | Some _ -> true
 
-let force_scalar () = Lazy.force force_scalar_v
+let force_scalar () = force_scalar_v

@@ -37,45 +37,68 @@ type t = {
 }
 
 (* Counting sort by label: one pass to histogram labels 1..lifetime,
-   a prefix sum for bucket offsets, then a second emission pass writing
-   each stream entry directly into its final slot.  O(M + a) and
-   deterministic, versus the seed's O(M log M) closure-comparator sort
-   with heapsort-arbitrary tie order and four permutation copies.
-   [iter_labels e f] must present each edge's labels in ascending order
-   (Label.t is sorted; Single is one label) so stability gives the
-   documented tie order. *)
-let build_stream g ~lifetime ~total ~iter_labels =
+   a prefix sum for bucket offsets (its total is the stream length),
+   then a second emission pass writing each stream entry directly into
+   its final slot.  O(M + a) and deterministic, versus the seed's
+   O(M log M) closure-comparator sort with heapsort-arbitrary tie
+   order and four permutation copies.
+   Each edge's labels are visited in ascending order (Label.t is
+   sorted; Single is one label) so stability gives the documented tie
+   order.  The histogram reads the label arrays directly, and the
+   emission pass matches on the labelling once per edge and calls
+   [place] directly: nothing is allocated per edge. *)
+let build_stream g ~lifetime labelling =
   let directions = if Graph.is_directed g then 1 else 2 in
   let m = Graph.m g in
   let counts = Array.make (lifetime + 1) 0 in
-  for e = 0 to m - 1 do
-    iter_labels e (fun l -> counts.(l) <- counts.(l) + directions)
-  done;
+  (match labelling with
+   | Single label ->
+     for e = 0 to m - 1 do
+       let l = label.(e) in
+       counts.(l) <- counts.(l) + directions
+     done
+   | Sets sets ->
+     for e = 0 to m - 1 do
+       let ls = (sets.(e) :> int array) in
+       for i = 0 to Array.length ls - 1 do
+         counts.(ls.(i)) <- counts.(ls.(i)) + directions
+       done
+     done
+   | Derived _ -> assert false (* derived streams build lazily *));
   let sum = ref 0 in
   for l = 1 to lifetime do
     let c = counts.(l) in
     counts.(l) <- !sum;
     sum := !sum + c
   done;
-  assert (!sum = total);
+  let total = !sum in
   let te_src = Array.make total 0 in
   let te_dst = Array.make total 0 in
   let te_label = Array.make total 0 in
   let te_edge = Array.make total 0 in
+  let place e u v l =
+    let pos = counts.(l) in
+    counts.(l) <- pos + directions;
+    te_src.(pos) <- u;
+    te_dst.(pos) <- v;
+    te_label.(pos) <- l;
+    te_edge.(pos) <- e;
+    if directions = 2 then begin
+      te_src.(pos + 1) <- v;
+      te_dst.(pos + 1) <- u;
+      te_label.(pos + 1) <- l;
+      te_edge.(pos + 1) <- e
+    end
+  in
   Graph.iter_edges g (fun e u v ->
-      iter_labels e (fun l ->
-          let pos = counts.(l) in
-          counts.(l) <- pos + directions;
-          te_src.(pos) <- u;
-          te_dst.(pos) <- v;
-          te_label.(pos) <- l;
-          te_edge.(pos) <- e;
-          if directions = 2 then begin
-            te_src.(pos + 1) <- v;
-            te_dst.(pos + 1) <- u;
-            te_label.(pos + 1) <- l;
-            te_edge.(pos + 1) <- e
-          end));
+      match labelling with
+      | Single label -> place e u v label.(e)
+      | Sets sets ->
+        let ls = (sets.(e) :> int array) in
+        for i = 0 to Array.length ls - 1 do
+          place e u v ls.(i)
+        done
+      | Derived _ -> assert false);
   Full { te_src; te_dst; te_label; te_edge }
 
 let create g ~lifetime labels =
@@ -87,14 +110,9 @@ let create g ~lifetime labels =
       if not (Label.within_lifetime ls lifetime) then
         invalid_arg "Tgraph.create: label beyond the lifetime")
     labels;
-  let directions = if Graph.is_directed g then 1 else 2 in
-  let total = ref 0 in
-  Array.iter (fun ls -> total := !total + (directions * Label.size ls)) labels;
-  let stream_rep =
-    build_stream g ~lifetime ~total:!total ~iter_labels:(fun e f ->
-        Array.iter f (labels.(e) :> int array))
-  in
-  { graph = g; lifetime; labelling = Sets labels; stream_rep }
+  let labelling = Sets labels in
+  let stream_rep = build_stream g ~lifetime labelling in
+  { graph = g; lifetime; labelling; stream_rep }
 
 let of_flat_arcs g ~lifetime label =
   if lifetime <= 0 then
@@ -107,12 +125,9 @@ let of_flat_arcs g ~lifetime label =
       if l > lifetime then
         invalid_arg "Tgraph.of_flat_arcs: label beyond the lifetime")
     label;
-  let directions = if Graph.is_directed g then 1 else 2 in
-  let total = directions * Graph.m g in
-  let stream_rep =
-    build_stream g ~lifetime ~total ~iter_labels:(fun e f -> f label.(e))
-  in
-  { graph = g; lifetime; labelling = Single label; stream_rep }
+  let labelling = Single label in
+  let stream_rep = build_stream g ~lifetime labelling in
+  { graph = g; lifetime; labelling; stream_rep }
 
 let of_derived g ~a ~seed ~r =
   let labels = Implicit.Labels.make ~seed ~a ~r in

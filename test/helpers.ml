@@ -25,6 +25,20 @@ let contains haystack needle =
     scan 0
   end
 
+(* [f ()] and the words it allocates on this domain, major-heap blocks
+   included.  The minor heap is emptied first so nothing older is
+   promoted inside the window; the minor count comes from
+   [Gc.minor_words], which is exact on OCaml 5.1 where the minor field
+   of [Gc.counters] is not.  The probe itself costs about ten words. *)
+let allocated_words f =
+  Gc.minor ();
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
 let case name f = Alcotest.test_case name `Quick f
 let qcase ?(count = 100) ?print name gen prop =
   QCheck_alcotest.to_alcotest

@@ -209,6 +209,24 @@ let of_flat_arcs_validates () =
     (Invalid_argument "Tgraph.of_flat_arcs: label beyond the lifetime")
     (fun () -> ignore (Tgraph.of_flat_arcs g ~lifetime:3 [| 1; 4 |]))
 
+(* The counting sort allocates its four stream arrays, the O(lifetime)
+   histogram and a constant: nothing per edge. *)
+let of_flat_arcs_allocates_no_per_edge () =
+  let n = 64 in
+  let g = Sgraph.Gen.clique Directed n in
+  let m = Graph.m g in
+  let labels = Array.init m (fun e -> 1 + (e * 7 mod n)) in
+  let net, words =
+    allocated_words (fun () -> Tgraph.of_flat_arcs g ~lifetime:n labels)
+  in
+  let arrays = float_of_int ((4 * (m + 1)) + (n + 2)) in
+  check_int "stream built" m (Tgraph.time_edge_count net);
+  check_bool
+    (Printf.sprintf "%.0f words for m = %d (stream + histogram = %.0f)" words m
+       arrays)
+    true
+    (words >= arrays && words <= arrays +. 128.)
+
 let scalar_queries_match_label_sets =
   qcase ~count:200 ~print:print_params "scalar edge queries = Label ops"
     gen_params (fun params ->
@@ -330,6 +348,8 @@ let suites =
       [
         of_flat_arcs_matches_create;
         case "of_flat_arcs validations" of_flat_arcs_validates;
+        case "of_flat_arcs allocates nothing per edge"
+          of_flat_arcs_allocates_no_per_edge;
         scalar_queries_match_label_sets;
       ] );
     ( "kernel.foremost",

@@ -211,6 +211,126 @@ let rng_copy_replays () =
   done
 
 (* --------------------------------------------------------------- *)
+(* Pinned streams.  Every table in the repository is a function of
+   these outputs, so any rewrite of the generators' representation must
+   reproduce them exactly. *)
+
+let check_stream msg expected next =
+  Alcotest.(check (list int64)) msg expected
+    (List.init (List.length expected) (fun _ -> next ()))
+
+(* Blackman & Vigna's reference xoshiro256** from state (1, 2, 3, 4). *)
+let xoshiro_known_answer () =
+  let x = Prng.Xoshiro256.of_state 1L 2L 3L 4L in
+  check_stream "published outputs"
+    [ 11520L; 0L; 1509978240L; 1215971899390074240L ]
+    (fun () -> Prng.Xoshiro256.next x)
+
+let xoshiro_jump_pinned () =
+  let x = Prng.Xoshiro256.of_state 1L 2L 3L 4L in
+  Prng.Xoshiro256.jump x;
+  check_stream "jumped (1,2,3,4)"
+    [ -4912596984176294952L; 7126240192422241655L; 3805973808039778091L ]
+    (fun () -> Prng.Xoshiro256.next x);
+  let x = Prng.Xoshiro256.create 42 in
+  Prng.Xoshiro256.jump x;
+  check_stream "jumped seed 42"
+    [ 5766981335298035530L; -5032668395946387709L; 6818771422820058410L ]
+    (fun () -> Prng.Xoshiro256.next x)
+
+let rng_copy_pinned () =
+  let g = Rng.create 42 in
+  check_stream "seed 42"
+    [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L ]
+    (fun () -> Rng.bits64 g);
+  let twin = Rng.copy g in
+  let rest =
+    [ -1389169964527427423L; -151191095644234140L; -4247557243643801032L ]
+  in
+  check_stream "original continues" rest (fun () -> Rng.bits64 g);
+  check_stream "copy replays" rest (fun () -> Rng.bits64 twin)
+
+let rng_split_pinned () =
+  let g = Rng.create 42 in
+  let child = Rng.split g in
+  check_stream "child stream"
+    [ -8150312660505607085L; 1184342940732292706L; 8258043193327897829L ]
+    (fun () -> Rng.bits64 child);
+  check_stream "parent spent one output"
+    [ 6990951692964543102L; -5902157311460992607L ]
+    (fun () -> Rng.bits64 g)
+
+let rng_draws_pinned () =
+  let g = Rng.create 7 in
+  Alcotest.(check (list int)) "int 1000"
+    [ 998; 668; 909; 416; 166; 930; 429; 799; 352; 904 ]
+    (List.init 10 (fun _ -> Rng.int g 1000));
+  Alcotest.(check (list bool)) "bool"
+    (List.map (( = ) 1) [ 1; 0; 1; 1; 0; 1; 1; 0; 1; 1; 1; 0; 1; 0; 0; 0 ])
+    (List.init 16 (fun _ -> Rng.bool g))
+
+(* [Rng.int] and [Rng.bool] transcribed directly on Int64 over raw
+   [bits64] outputs: the reference the allocation-free versions must
+   match draw for draw. *)
+let int_reference g bound =
+  let range = Int64.of_int bound in
+  let limit = Int64.mul (Int64.div 0x3FFF_FFFF_FFFF_FFFFL range) range in
+  let rec draw () =
+    let v = Int64.shift_right_logical (Rng.bits64 g) 2 in
+    if v < limit then Int64.to_int (Int64.rem v range) else draw ()
+  in
+  draw ()
+
+let bool_reference g = Int64.logand (Rng.bits64 g) 1L = 1L
+
+(* Bounds of every magnitude: small ones, any positive int, and ones
+   above 2^61, where about half of all outputs fall in the rejected
+   tail. *)
+let gen_bound =
+  QCheck2.Gen.(
+    map
+      (fun (kind, x) ->
+        match kind with
+        | 0 -> 1 + (x land 1023)
+        | 1 -> max 1 (x land max_int)
+        | _ -> (1 lsl 61) lor (x land ((1 lsl 61) - 1)))
+      (pair (int_range 0 2) int))
+
+let rng_matches_int64_reference =
+  qcase ~count:300 "int and bool = Int64 reference"
+    ~print:(fun (seed, bounds) ->
+      Printf.sprintf "(seed=%d, bounds=[%s])" seed
+        (String.concat "; " (List.map string_of_int bounds)))
+    QCheck2.Gen.(pair int (list_size (int_range 1 20) gen_bound))
+    (fun (seed, bounds) ->
+      let g = Rng.create seed in
+      let twin = Rng.copy g in
+      List.for_all
+        (fun bound ->
+          Rng.int g bound = int_reference twin bound
+          && Rng.bool g = bool_reference twin)
+        bounds
+      && Rng.bits64 g = Rng.bits64 twin)
+
+let rng_draws_allocate_nothing () =
+  let g = rng () in
+  let draws k () =
+    for _ = 1 to k do
+      ignore (Sys.opaque_identity (Rng.int g 1000));
+      ignore (Sys.opaque_identity (Rng.int g ((1 lsl 61) + 1)));
+      ignore (Sys.opaque_identity (Rng.bool g))
+    done
+  in
+  let (), small = allocated_words (draws 1_000) in
+  let (), large = allocated_words (draws 10_000) in
+  check_bool
+    (Printf.sprintf "1k draws: %.0f words (constant)" small)
+    true (small <= 32.);
+  check_bool
+    (Printf.sprintf "10k draws: %.0f words, same as 1k" large)
+    true (large <= small +. 4.)
+
+(* --------------------------------------------------------------- *)
 (* Sample *)
 
 let sorted_copy a =
@@ -403,6 +523,16 @@ let suites =
         case "rng split_n" rng_split_n;
         split_n_interleaving_independent;
         case "rng copy replays" rng_copy_replays;
+      ] );
+    ( "prng.pinned",
+      [
+        case "xoshiro known answer" xoshiro_known_answer;
+        case "xoshiro jump" xoshiro_jump_pinned;
+        case "rng copy" rng_copy_pinned;
+        case "rng split" rng_split_pinned;
+        case "rng int and bool" rng_draws_pinned;
+        rng_matches_int64_reference;
+        case "draws allocate nothing" rng_draws_allocate_nothing;
       ] );
     ( "prng.sample",
       [
