@@ -3,8 +3,11 @@
    [r] uniform draws over {1..a} obtained by hashing [(seed, e, k)]
    with SplitMix64, so every query recomputes its answer in O(r) time
    and O(1) memory.  Same constants and finalizer as [Prng.Splitmix64],
-   but stateless: the whole chain lives in local [Int64]s, which the
-   native compiler unboxes — no per-roll allocation.
+   but stateless: the whole chain lives in local [Int64]s.  The native
+   compiler unboxes those only inside one function body, so [mix64] is
+   [@inline]: called out of line, its [int64] argument and result box
+   on every roll (6 words at [k = 0], 12 at [k >= 1]), and full E23
+   rolls 10^10 labels.
 
    Site-independence contract: roll [k] of edge [e] depends only on
    [(seed, e, k)] — never on query order, domain, or how many other
@@ -16,7 +19,7 @@ let golden = 0x9E3779B97F4A7C15L
 let mix_1 = 0xBF58476D1CE4E5B9L
 let mix_2 = 0x94D049BB133111EBL
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) mix_1 in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) mix_2 in
   Int64.logxor z (Int64.shift_right_logical z 31)

@@ -6,15 +6,11 @@
    (instance, source, deadline) jobs into a bounded admission queue; a
    single dispatcher thread drains it, groups jobs by instance,
    dedupes sources, and computes the missing rows on the global
-   {!Exec.Pool}:
-
-   - dense backend: sources packed {!Temporal.Batch.lane_width} per
-     word-parallel sweep, one pool task over the lane groups;
-   - implicit backend (or [EPHEMERAL_SCALAR_SWEEPS]): one scalar
-     {!Foremost.arrivals_borrowed} per source, pooled per source —
-     batch arrival matrices are O(n * lanes) and would break the
-     implicit backend's O(n)-scratch contract (the same split
-     {!Temporal.Distance} makes).
+   {!Exec.Pool}, sources packed {!Temporal.Batch.arrival_lanes} per
+   word-parallel sweep on either backend — the lane budget keeps a
+   sweep's n * lanes arrival matrix within max(2^20, n) words, so the
+   implicit backend's O(n)-scratch contract holds without asking
+   which backend is in use.
 
    Robustness properties, each load-bearing for the chaos soak:
 
@@ -409,52 +405,36 @@ let store_put t job row =
 (* ------------------------------------------------------------------ *)
 (* Row computation *)
 
-let scalar_only net =
-  Temporal.Batch.force_scalar () || Temporal.Tgraph.is_implicit net
-
-(* Compute rows for [sources] of one instance.  [still_wanted src] is
-   the cooperative-cancellation probe: checked immediately before each
-   sweep, so work for sources whose every waiter has expired is
-   skipped.  Returns [rows.(i) = Some row] in [sources] order. *)
+(* Compute rows for [sources] of one instance, {!Temporal.Batch.arrival_lanes}
+   sources per word-parallel sweep, one pool task per lane group.
+   [still_wanted src] is the cooperative-cancellation probe: checked
+   immediately before each sweep, so a group whose every waiter has
+   expired is skipped.  Returns [rows.(i) = Some row] in [sources]
+   order. *)
 let compute_rows net sources ~still_wanted =
-  let pool = Exec.Pool.global () in
   let n = Temporal.Tgraph.n net in
+  let lanes = Temporal.Batch.arrival_lanes ~n in
   let k = Array.length sources in
   (* Bumped from pool worker domains — must be atomic. *)
   let sweeps = Atomic.make 0 in
-  let rows =
-    if scalar_only net then
-      Exec.Pool.map_range pool ~lo:0 ~hi:k (fun i ->
-          let src = sources.(i) in
-          if not (still_wanted src) then None
-          else begin
-            Atomic.incr sweeps;
-            let arr = Temporal.Foremost.arrivals_borrowed net src in
-            Some (Array.sub arr 0 n)
-          end)
-    else begin
-      let lane_width = Temporal.Batch.lane_width in
-      let groups = (k + lane_width - 1) / lane_width in
-      let per_group =
-        Exec.Pool.map_range pool ~lo:0 ~hi:groups (fun g ->
-            let lo = g * lane_width in
-            let lanes = min lane_width (k - lo) in
-            let srcs = Array.sub sources lo lanes in
-            if not (Array.exists still_wanted srcs) then
-              Array.make lanes None
-            else begin
-              Atomic.incr sweeps;
-              let b = Temporal.Batch.sweep net ~sources:srcs in
-              Array.init lanes (fun lane ->
-                  let row = Array.make n 0 in
-                  Temporal.Batch.arrivals_into b ~lane row;
-                  Some row)
-            end)
-      in
-      Array.concat (Array.to_list per_group)
-    end
+  let per_group =
+    Exec.Pool.map_range (Exec.Pool.global ()) ~lo:0 ~hi:((k + lanes - 1) / lanes)
+      (fun g ->
+        let lo = g * lanes in
+        let srcs = Array.sub sources lo (min lanes (k - lo)) in
+        if not (Array.exists still_wanted srcs) then Array.map (fun _ -> None) srcs
+        else begin
+          Atomic.incr sweeps;
+          let b = Temporal.Batch.sweep net ~sources:srcs in
+          Array.mapi
+            (fun lane _ ->
+              let row = Array.make n 0 in
+              Temporal.Batch.arrivals_into b ~lane row;
+              Some row)
+            srcs
+        end)
   in
-  (rows, Atomic.get sweeps)
+  (Array.concat (Array.to_list per_group), Atomic.get sweeps)
 
 (* One dispatch cycle: drain the queue and answer everything drained.
    Runs in the dispatcher thread (or a test driving the engine

@@ -115,14 +115,6 @@ let check_run_deadline () =
   | Some limit when Obs.Clock.now () > limit -> raise Run_deadline_exceeded
   | _ -> ()
 
-let retried = lazy (Obs.Metrics.counter "trials.retried")
-let failed = lazy (Obs.Metrics.counter "trials.failed")
-
-(* Wall milliseconds of retry attempts (attempt >= 1) — with Obs on,
-   the histogram shows what rerunning trials actually cost a faulted
-   run.  Lazy like the counters: a clean run never registers it. *)
-let retry_ms = lazy (Obs.Metrics.histogram "supervise.retry_ms")
-
 let run_trial ~trial rng0 f =
   let c = Atomic.get cfg in
   let attempt_once k =
@@ -143,9 +135,14 @@ let run_trial ~trial rng0 f =
   let rec go k =
     let timed = k > 0 && Obs.Control.enabled () in
     let t0 = if timed then Obs.Clock.now () else 0L in
+    (* Wall milliseconds of retry attempts (attempt >= 1) — with Obs
+       on, what rerunning trials actually cost a faulted run.  This
+       handle and the two counters below resolve on the retry path
+       itself, so a clean run registers none of them. *)
     let observe_retry () =
       if timed then
-        Obs.Metrics.observe (Lazy.force retry_ms)
+        Obs.Metrics.observe
+          (Obs.Metrics.histogram "supervise.retry_ms")
           (Obs.Clock.ns_to_ms (Obs.Clock.elapsed_ns ~since:t0))
     in
     match attempt_once k with
@@ -155,11 +152,11 @@ let run_trial ~trial rng0 f =
     | exception e ->
       observe_retry ();
       if k < c.max_retries && retryable_exn e then begin
-        Obs.Metrics.incr (Lazy.force retried);
+        Obs.Metrics.incr (Obs.Metrics.counter "trials.retried");
         go (k + 1)
       end
       else begin
-        Obs.Metrics.incr (Lazy.force failed);
+        Obs.Metrics.incr (Obs.Metrics.counter "trials.failed");
         Error { trial; attempts = k + 1; message = Printexc.to_string e }
       end
   in

@@ -97,15 +97,56 @@ let sweeps_c = Obs.Metrics.counter "kernel.batch_sweeps"
 let scanned_c = Obs.Metrics.counter "kernel.batch_edges_scanned"
 let sat_c = Obs.Metrics.counter "kernel.lane_saturations"
 
-let sweep ?(start_time = 1) net ~sources =
-  if start_time < 1 then invalid_arg "Batch.sweep: start_time must be >= 1";
-  let n = Tgraph.n net in
+let check_args name ~start_time ~n sources =
+  if start_time < 1 then invalid_arg (name ^ ": start_time must be >= 1");
   let k = Array.length sources in
   if k < 1 || k > lane_width then
-    invalid_arg "Batch.sweep: need 1 .. lane_width sources";
+    invalid_arg (name ^ ": need 1 .. lane_width sources");
   Array.iter
-    (fun s -> if s < 0 || s >= n then invalid_arg "Batch.sweep: source out of range")
-    sources;
+    (fun s -> if s < 0 || s >= n then invalid_arg (name ^ ": source out of range"))
+    sources
+
+(* Entries below the departure horizon can never start a journey and
+   nothing is reached before them; skip them outright. *)
+let skip_before (te_label : int array) ~total ~start_time pos =
+  while !pos < total && Array.unsafe_get te_label !pos < start_time do
+    incr pos
+  done
+
+(* Phase 1 of one label group: apply every entry of label [l] from
+   [!pos] on against the frozen pre-group [reached] plane, OR-ing the
+   new bits into [delta] and stacking each vertex's first touch on
+   [dirty].  Leaves [pos] past the group and returns the dirty count.
+   The stream parameters are annotated [int array] on purpose: left
+   polymorphic, the label test compiles to [caml_equal] and doubles
+   the cost of the whole walk. *)
+let scan_group (te_src : int array) (te_dst : int array) (te_label : int array)
+    ~total ~(reached : int array) ~(delta : int array) ~(dirty : int array) pos
+    (l : int) =
+  let i = ref !pos and ndirty = ref 0 in
+  while !i < total && Array.unsafe_get te_label !i = l do
+    let g = Array.unsafe_get reached (Array.unsafe_get te_src !i) in
+    if g <> 0 then begin
+      let dst = Array.unsafe_get te_dst !i in
+      let d = Array.unsafe_get delta dst in
+      let add = g land lnot (Array.unsafe_get reached dst lor d) in
+      if add <> 0 then begin
+        if d = 0 then begin
+          Array.unsafe_set dirty !ndirty dst;
+          incr ndirty
+        end;
+        Array.unsafe_set delta dst (d lor add)
+      end
+    end;
+    incr i
+  done;
+  pos := !i;
+  !ndirty
+
+let sweep ?(start_time = 1) net ~sources =
+  let n = Tgraph.n net in
+  check_args "Batch.sweep" ~start_time ~n sources;
+  let k = Array.length sources in
   let ws = Workspace.get_batch ~n ~lanes:k in
   let reached = ws.Workspace.lane_reached in
   let delta = ws.Workspace.lane_delta in
@@ -132,7 +173,6 @@ let sweep ?(start_time = 1) net ~sources =
     end
   done;
   let i = ref 0 in
-  let ndirty = ref 0 in
   (* Scan the stream prefix; on implicit networks an exhausted prefix
      is extended and the scan resumes at the same index (prefixes are
      byte-stable), so the entries visited are exactly the dense
@@ -144,39 +184,15 @@ let sweep ?(start_time = 1) net ~sources =
     let te_src, te_dst, te_label, _ = Tgraph.stream_prefix net in
     let prefix_bound = Tgraph.stream_prefix_bound net in
     let total = Array.length te_label in
-    (* Entries below the departure horizon can never start a journey and
-       nothing is reached before them; skip them outright. *)
-    while !i < total && Array.unsafe_get te_label !i < start_time do
-      incr i
-    done;
+    skip_before te_label ~total ~start_time i;
     while !i < total && !unsat <> 0 do
       let l = Array.unsafe_get te_label !i in
-      (* Phase 1: apply every entry of the group against the frozen
-         pre-group state. *)
-      while
-        !i < total && Array.unsafe_get te_label !i = l
-      do
-        let src = Array.unsafe_get te_src !i in
-        let g = Array.unsafe_get reached src in
-        if g <> 0 then begin
-          let dst = Array.unsafe_get te_dst !i in
-          let add =
-            g
-            land lnot (Array.unsafe_get reached dst lor Array.unsafe_get delta dst)
-          in
-          if add <> 0 then begin
-            if Array.unsafe_get delta dst = 0 then begin
-              Array.unsafe_set dirty !ndirty dst;
-              incr ndirty
-            end;
-            Array.unsafe_set delta dst (Array.unsafe_get delta dst lor add)
-          end
-        end;
-        incr i
-      done;
+      let ndirty =
+        scan_group te_src te_dst te_label ~total ~reached ~delta ~dirty i l
+      in
       (* Phase 2: commit the group — record arrivals at l, fold the
          deltas into the reached plane, retire saturated lanes. *)
-      for j = 0 to !ndirty - 1 do
+      for j = 0 to ndirty - 1 do
         let v = Array.unsafe_get dirty j in
         let add = Array.unsafe_get delta v in
         Array.unsafe_set delta v 0;
@@ -205,8 +221,7 @@ let sweep ?(start_time = 1) net ~sources =
           rem := !rem lsr 1;
           incr lane
         done
-      done;
-      ndirty := 0
+      done
     done;
     if !unsat = 0 || not (Tgraph.stream_extend net ~past:prefix_bound) then
       continue_ := false
@@ -250,29 +265,24 @@ let arrivals_into t ~lane out =
     Array.unsafe_set out v (Array.unsafe_get t.arrival ((v * k) + lane))
   done
 
-(* Eccentricity-only sweep: same group-phased walk as [sweep], but it
-   never touches the arrival matrix.  The outputs instance_diameter
-   needs are just (a) did every lane saturate and (b) the label of the
-   last committed arrival — which IS the batch's worst eccentricity,
-   because arrivals commit in strictly increasing label order, so the
-   final new (vertex, lane) pair carries the maximum arrival.  That
-   reduces the per-group commit to one popcount per dirty vertex
-   against a single remaining-pairs counter: no n*k fill, no per-bit
-   lane walk, no per-lane counts.  The sweep's cost collapses to the
-   edge scan, which is what makes exact all-pairs diameters cheap
-   enough for E1b's n = 2048. *)
-let sweep_diameter ?(start_time = 1) net ~sources =
-  if start_time < 1 then
-    invalid_arg "Batch.sweep_diameter: start_time must be >= 1";
+(* The arrival-free plane walk: the same group-phased walk as [sweep],
+   but it never touches the arrival matrix.  It answers two questions —
+   did every lane saturate, and what is the label of the last committed
+   arrival — and the second IS the batch's worst eccentricity, because
+   arrivals commit in strictly increasing label order, so the final new
+   (vertex, lane) pair carries the maximum arrival.  That reduces the
+   per-group commit to one popcount per dirty vertex against a single
+   remaining-pairs counter: no n*k fill, no per-bit lane walk, no
+   per-lane counts.  The walk's cost collapses to the edge scan, which
+   is what makes exact all-pairs diameters cheap enough for E1b's
+   n = 2048, and its scratch stays at O(n) words — what the implicit
+   backend needs at n = 10^5+.  Returns [None] when some pair is
+   unreached; the reached plane stays in the workspace for
+   [sweep_reach] to read. *)
+let plane_walk name ~start_time net ~sources =
   let n = Tgraph.n net in
+  check_args name ~start_time ~n sources;
   let k = Array.length sources in
-  if k < 1 || k > lane_width then
-    invalid_arg "Batch.sweep_diameter: need 1 .. lane_width sources";
-  Array.iter
-    (fun s ->
-      if s < 0 || s >= n then
-        invalid_arg "Batch.sweep_diameter: source out of range")
-    sources;
   let ws = Workspace.get_batch_planes ~n in
   let reached = ws.Workspace.lane_reached in
   let delta = ws.Workspace.lane_delta in
@@ -289,48 +299,28 @@ let sweep_diameter ?(start_time = 1) net ~sources =
   done;
   let worst = ref 0 in
   let i = ref 0 in
-  let ndirty = ref 0 in
   let continue_ = ref true in
   while !continue_ do
     let te_src, te_dst, te_label, _ = Tgraph.stream_prefix net in
     let prefix_bound = Tgraph.stream_prefix_bound net in
     let total = Array.length te_label in
-    while !i < total && Array.unsafe_get te_label !i < start_time do
-      incr i
-    done;
+    skip_before te_label ~total ~start_time i;
     while !i < total && !remaining > 0 do
       let l = Array.unsafe_get te_label !i in
-      while !i < total && Array.unsafe_get te_label !i = l do
-        let src = Array.unsafe_get te_src !i in
-        let g = Array.unsafe_get reached src in
-        if g <> 0 then begin
-          let dst = Array.unsafe_get te_dst !i in
-          let add =
-            g
-            land lnot (Array.unsafe_get reached dst lor Array.unsafe_get delta dst)
-          in
-          if add <> 0 then begin
-            if Array.unsafe_get delta dst = 0 then begin
-              Array.unsafe_set dirty !ndirty dst;
-              incr ndirty
-            end;
-            Array.unsafe_set delta dst (Array.unsafe_get delta dst lor add)
-          end
-        end;
-        incr i
-      done;
-      if !ndirty > 0 then begin
+      let ndirty =
+        scan_group te_src te_dst te_label ~total ~reached ~delta ~dirty i l
+      in
+      if ndirty > 0 then begin
         (* Something committed at this label; if it turns out to be the
            last commit, [l] is the max arrival of the whole batch. *)
         worst := l;
-        for j = 0 to !ndirty - 1 do
+        for j = 0 to ndirty - 1 do
           let v = Array.unsafe_get dirty j in
           let add = Array.unsafe_get delta v in
           Array.unsafe_set delta v 0;
           Array.unsafe_set reached v (Array.unsafe_get reached v lor add);
           remaining := !remaining - popcount add
-        done;
-        ndirty := 0
+        done
       end
     done;
     if !remaining = 0 || not (Tgraph.stream_extend net ~past:prefix_bound) then
@@ -355,87 +345,22 @@ let sweep_diameter ?(start_time = 1) net ~sources =
   end;
   if !remaining = 0 then Some !worst else None
 
-(* Reachability-only sweep: the same plane walk as [sweep_diameter],
-   but it returns a full result record so the reachability consumers
-   can read [reached_word]/[reached_count]/[saturated] per lane.
-   Per-lane counts are recovered once at the end with one shift walk
-   over the reached plane (O(n) words) instead of being maintained per
-   commit, and the arrival matrix is never touched — the result's
-   [arrival] is empty and [arrival]/[arrivals_into]/[eccentricity] are
-   unsupported on it.  Like [sweep_diameter] this keeps batch scratch
-   at O(n) words, which is what [Reachability] needs to run on
-   implicit instances at n = 10^5+. *)
+let sweep_diameter ?(start_time = 1) net ~sources =
+  plane_walk "Batch.sweep_diameter" ~start_time net ~sources
+
+(* The plane walk plus one shift walk over the reached plane (O(n)
+   words) that recovers the per-lane counts, so reachability consumers
+   read [reached_word]/[reached_count]/[saturated] exactly as off a
+   [sweep].  The result's [arrival] is empty: [arrival],
+   [arrivals_into] and [eccentricity] are unsupported on it. *)
 let sweep_reach ?(start_time = 1) net ~sources =
-  if start_time < 1 then
-    invalid_arg "Batch.sweep_reach: start_time must be >= 1";
-  let n = Tgraph.n net in
-  let k = Array.length sources in
-  if k < 1 || k > lane_width then
-    invalid_arg "Batch.sweep_reach: need 1 .. lane_width sources";
-  Array.iter
-    (fun s ->
-      if s < 0 || s >= n then
-        invalid_arg "Batch.sweep_reach: source out of range")
-    sources;
+  ignore (plane_walk "Batch.sweep_reach" ~start_time net ~sources : int option);
+  let n = Tgraph.n net and k = Array.length sources in
   let ws = Workspace.get_batch_planes ~n in
   let reached = ws.Workspace.lane_reached in
-  let delta = ws.Workspace.lane_delta in
-  let dirty = ws.Workspace.lane_dirty in
   let counts = ws.Workspace.lane_counts in
-  let ecc = ws.Workspace.lane_ecc in
-  Array.fill reached 0 n 0;
-  Array.fill delta 0 n 0;
   Array.fill counts 0 k 0;
-  Array.fill ecc 0 k max_int;
-  let remaining = ref ((n * k) - k) in
-  for lane = 0 to k - 1 do
-    let s = Array.unsafe_get sources lane in
-    reached.(s) <- reached.(s) lor (1 lsl lane)
-  done;
-  let i = ref 0 in
-  let ndirty = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    let te_src, te_dst, te_label, _ = Tgraph.stream_prefix net in
-    let prefix_bound = Tgraph.stream_prefix_bound net in
-    let total = Array.length te_label in
-    while !i < total && Array.unsafe_get te_label !i < start_time do
-      incr i
-    done;
-    while !i < total && !remaining > 0 do
-      let l = Array.unsafe_get te_label !i in
-      while !i < total && Array.unsafe_get te_label !i = l do
-        let src = Array.unsafe_get te_src !i in
-        let g = Array.unsafe_get reached src in
-        if g <> 0 then begin
-          let dst = Array.unsafe_get te_dst !i in
-          let add =
-            g
-            land lnot (Array.unsafe_get reached dst lor Array.unsafe_get delta dst)
-          in
-          if add <> 0 then begin
-            if Array.unsafe_get delta dst = 0 then begin
-              Array.unsafe_set dirty !ndirty dst;
-              incr ndirty
-            end;
-            Array.unsafe_set delta dst (Array.unsafe_get delta dst lor add)
-          end
-        end;
-        incr i
-      done;
-      for j = 0 to !ndirty - 1 do
-        let v = Array.unsafe_get dirty j in
-        let add = Array.unsafe_get delta v in
-        Array.unsafe_set delta v 0;
-        Array.unsafe_set reached v (Array.unsafe_get reached v lor add);
-        remaining := !remaining - popcount add
-      done;
-      ndirty := 0
-    done;
-    if !remaining = 0 || not (Tgraph.stream_extend net ~past:prefix_bound) then
-      continue_ := false
-  done;
-  (* Recover per-lane reached counts from the plane in one pass. *)
+  Array.fill ws.Workspace.lane_ecc 0 k max_int;
   for v = 0 to n - 1 do
     let rem = ref (Array.unsafe_get reached v) in
     let lane = ref 0 in
@@ -446,15 +371,6 @@ let sweep_reach ?(start_time = 1) net ~sources =
       incr lane
     done
   done;
-  if Obs.Control.enabled () then begin
-    Obs.Metrics.incr sweeps_c;
-    Obs.Metrics.add scanned_c !i;
-    let sat = ref 0 in
-    for lane = 0 to k - 1 do
-      if counts.(lane) = n then incr sat
-    done;
-    Obs.Metrics.add sat_c !sat
-  end;
   {
     n;
     lanes = k;
@@ -463,40 +379,38 @@ let sweep_reach ?(start_time = 1) net ~sources =
     arrival = [||];
     reached;
     reached_counts = counts;
-    ecc;
+    ecc = ws.Workspace.lane_ecc;
   }
 
 (* ------------------------------------------------------------------ *)
-(* Batching sources 0 .. n-1. *)
+(* Batching sources 0 .. n-1: [lane_width]-wide batches for the plane
+   kernels, [arrival_lanes]-wide slices for the arrival-matrix ones. *)
 
-let batch_count ~n = (n + lane_width - 1) / lane_width
+let slice_count ~width ~n = (n + width - 1) / width
 
-let batch_sources ~n b =
-  let lo = b * lane_width in
+let slice ~width ~n b =
+  let lo = b * width in
   if lo < 0 || lo >= n then invalid_arg "Batch.batch_sources: batch out of range";
-  Array.init (Stdlib.min lane_width (n - lo)) (fun j -> lo + j)
+  Array.init (Stdlib.min width (n - lo)) (fun j -> lo + j)
+
+let batch_count ~n = slice_count ~width:lane_width ~n
+let batch_sources ~n b = slice ~width:lane_width ~n b
+
+(* An n * lanes arrival matrix within a 2^20-word budget: full words
+   up to n = 16 644, fewer lanes beyond, never fewer than one — so a
+   matrix sweep's scratch is at most max(2^20, n) words on either
+   backend. *)
+let arrival_lanes ~n = Stdlib.max 1 (Stdlib.min lane_width ((1 lsl 20) / Stdlib.max 1 n))
 
 let iter_batches ?start_time net f =
   let n = Tgraph.n net in
-  for b = 0 to batch_count ~n - 1 do
-    f (sweep ?start_time net ~sources:(batch_sources ~n b))
+  let width = arrival_lanes ~n in
+  for b = 0 to slice_count ~width ~n - 1 do
+    f (sweep ?start_time net ~sources:(slice ~width ~n b))
   done
 
 let map_batches ?start_time net f =
   let n = Tgraph.n net in
-  Exec.Pool.map_range (Exec.Pool.global ()) ~lo:0 ~hi:(batch_count ~n)
-    (fun b -> f (sweep ?start_time net ~sources:(batch_sources ~n b)))
-
-(* ------------------------------------------------------------------ *)
-(* Scalar escape hatch: one env probe at startup, so CI can byte-diff
-   the batched renders against the per-source path on the same build.
-   Read at module initialisation, not behind a [lazy]: trials on
-   several domains reach their first sweep together, and forcing one
-   lazy from two domains at once raises [CamlinternalLazy.Undefined]. *)
-
-let force_scalar_v =
-  match Sys.getenv_opt "EPHEMERAL_SCALAR_SWEEPS" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
-let force_scalar () = force_scalar_v
+  let width = arrival_lanes ~n in
+  Exec.Pool.map_range (Exec.Pool.global ()) ~lo:0 ~hi:(slice_count ~width ~n)
+    (fun b -> f (sweep ?start_time net ~sources:(slice ~width ~n b)))

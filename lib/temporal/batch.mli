@@ -5,10 +5,11 @@
     {b Lane layout.}  For a batch of [k] sources, bit [j] (LSB first)
     of [reached v] belongs to lane [j] — source [sources.(j)] — and
     the arrival matrix is lane-strided: entry [v * k + j].  Batches
-    over all sources are formed in source order, [lane_width] at a
-    time, so source [s] is lane [s mod lane_width] of batch
-    [s / lane_width]; a final ragged batch ([n mod lane_width <> 0]
-    sources) simply has fewer lanes.
+    over all sources are formed in source order, [w] at a time, so
+    source [s] is lane [s mod w] of batch [s / w]; a final ragged batch
+    ([n mod w <> 0] sources) simply has fewer lanes.  [w] is
+    {!lane_width} for the plane kernels and {!arrival_lanes}[ ~n] for
+    the arrival-matrix drivers.
 
     {b Equivalence.}  Entries of one label are applied against the
     reached state frozen at the previous label and committed together
@@ -49,25 +50,25 @@ val sweep : ?start_time:int -> Tgraph.t -> sources:int array -> t
     @raise Invalid_argument on an empty or oversized source array, a
     source out of range, or [start_time < 1]. *)
 
-val sweep_reach : ?start_time:int -> Tgraph.t -> sources:int array -> t
-(** Reachability-only sweep: same group-phased plane walk as
-    {!sweep_diameter}, returning a result whose {!reached_word},
-    {!reached_count}, {!saturated} and {!all_saturated} are exactly a
-    {!sweep}'s — but the arrival matrix is never allocated or written,
-    so batch scratch stays at O(n) words (the implicit-backend sizing
-    contract).  {!arrival}, {!arrivals_into} and {!eccentricity} are
-    unsupported on the result.
-    @raise Invalid_argument as {!sweep}. *)
-
 val sweep_diameter : ?start_time:int -> Tgraph.t -> sources:int array -> int option
 (** The batch's worst eccentricity — [max] over the given sources of
     their max arrival, i.e. what folding {!eccentricity} over a
     {!sweep}'s lanes yields — or [None] if any (source, vertex) pair
-    has no journey.  Same group-phased walk as {!sweep} but it skips
-    the arrival matrix entirely (arrivals commit in strictly
-    increasing label order, so the last committed pair's label is the
-    answer), leaving the edge scan as the whole cost.  This is the
-    kernel behind {!Distance.instance_diameter}.
+    has no journey.  The arrival-free plane walk: the same
+    group-phased walk as {!sweep}, but it never allocates or writes
+    the arrival matrix (arrivals commit in strictly increasing label
+    order, so the last committed pair's label is the answer), so the
+    edge scan is the whole cost and scratch stays at O(n) words.  This
+    is the kernel behind {!Distance.instance_diameter}.
+    @raise Invalid_argument as {!sweep}. *)
+
+val sweep_reach : ?start_time:int -> Tgraph.t -> sources:int array -> t
+(** {!sweep_diameter}'s plane walk followed by one pass over the
+    reached plane that recovers the per-lane counts: {!reached_word},
+    {!reached_count}, {!saturated} and {!all_saturated} are exactly a
+    {!sweep}'s, at O(n) words of scratch.  {!arrival},
+    {!arrivals_into} and {!eccentricity} are unsupported on the
+    result.
     @raise Invalid_argument as {!sweep}. *)
 
 (** {2 Per-lane readout} *)
@@ -100,7 +101,10 @@ val eccentricity : t -> lane:int -> int option
 
 (** {2 All-source batching}
 
-    Sources [0 .. n-1] in {!lane_width}-wide slices, in source order. *)
+    Sources [0 .. n-1] in source order: {!lane_width}-wide batches for
+    the plane kernels ({!batch_count}, {!batch_sources}),
+    {!arrival_lanes}-wide slices for the arrival-matrix drivers
+    ({!iter_batches}, {!map_batches}). *)
 
 val batch_count : n:int -> int
 
@@ -109,17 +113,26 @@ val batch_sources : n:int -> int -> int array
     [n mod lane_width <> 0].
     @raise Invalid_argument when the batch index is out of range. *)
 
+val arrival_lanes : n:int -> int
+(** Sources per arrival-matrix sweep at [n] vertices:
+    [max 1 (min lane_width (2^20 / n))].  Full words up to
+    [n = 16 644], fewer beyond, never below one; so [n * lanes <=
+    max(2^20, n)] words of matrix scratch per domain — the implicit
+    backend's O(n) contract — without asking which backend is in
+    use. *)
+
 val iter_batches : ?start_time:int -> Tgraph.t -> (t -> unit) -> unit
-(** Sequential batches on the calling domain, in batch order.  The
-    callback's argument is borrowed per the workspace discipline. *)
+(** Sequential {!sweep}s over {!arrival_lanes}-wide source slices on
+    the calling domain, in source order.  The callback's argument is
+    borrowed per the workspace discipline. *)
 
 val map_batches : ?start_time:int -> Tgraph.t -> (t -> 'a) -> 'a array
-(** One extracted value per batch, computed on the global {!Exec.Pool}
-    (inline when already inside a pool task) and returned in batch
-    order — so a sequential fold over the result is byte-identical at
-    any [--jobs], per the pool's determinism contract.  [f] must copy
-    what it keeps: its argument borrows the {e worker} domain's
-    workspace. *)
+(** One extracted value per {!arrival_lanes}-wide slice, computed on
+    the global {!Exec.Pool} (inline when already inside a pool task)
+    and returned in slice order — so a sequential fold over the result
+    is byte-identical at any [--jobs], per the pool's determinism
+    contract.  [f] must copy what it keeps: its argument borrows the
+    {e worker} domain's workspace. *)
 
 (** {2 Bit utilities} *)
 
@@ -129,9 +142,3 @@ val ntz : int -> int
 (** Number of trailing zeros; the argument must be non-zero (intended
     for isolated low bits [x land (-x)]).
     @raise Invalid_argument on zero. *)
-
-val force_scalar : unit -> bool
-(** True when [EPHEMERAL_SCALAR_SWEEPS] is set (to anything but ["0"]
-    or the empty string) in the environment at first use: the rebuilt
-    all-pairs consumers then take their per-source scalar paths, so CI
-    can byte-diff scalar against batched renders on one build. *)

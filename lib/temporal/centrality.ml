@@ -1,22 +1,10 @@
-(* The borrowed workspace array may be longer than n; loops below bound
-   themselves by n explicitly. *)
-let harmonic_from_arrivals ~n ~skip arrivals =
-  let total = ref 0. in
-  for v = 0 to n - 1 do
-    let a = arrivals.(v) in
-    if v <> skip && a > 0 && a < max_int then
-      total := !total +. (1. /. float_of_int a)
-  done;
-  !total
-
 let normalise net totals =
   let n = Tgraph.n net in
   let scale = if n <= 1 then 1. else 1. /. float_of_int (n - 1) in
   Array.map (fun x -> x *. scale) totals
 
 (* Per-lane harmonic total off the batched arrival matrix, target order
-   ascending — the same float-add order as the scalar row scan, so the
-   batched index is bit-identical. *)
+   ascending — the float-add order of a per-source row scan. *)
 let harmonic_lane ~n t lane =
   let skip = Batch.source t lane in
   let total = ref 0. in
@@ -27,52 +15,29 @@ let harmonic_lane ~n t lane =
   done;
   !total
 
-(* The closeness indices read full arrival rows, which the batched path
-   gets from [Batch.sweep]'s n * lanes arrival matrix; on implicit
-   instances they take the per-source scalar path instead so kernel
-   scratch stays O(n) (same float-add order, so results are
-   bit-identical either way). *)
-let scalar_only net = Batch.force_scalar () || Tgraph.is_implicit net
-
 let out_closeness net =
   let n = Tgraph.n net in
-  let totals =
-    if scalar_only net then
-      Array.init n (fun u ->
-          harmonic_from_arrivals ~n ~skip:u (Foremost.arrivals_borrowed net u))
-    else
-      Array.concat
-        (Array.to_list
-           (Batch.map_batches net (fun t ->
-                Array.init (Batch.lanes t) (harmonic_lane ~n t))))
-  in
-  normalise net totals
+  normalise net
+    (Array.concat
+       (Array.to_list
+          (Batch.map_batches net (fun t ->
+               Array.init (Batch.lanes t) (harmonic_lane ~n t)))))
 
+(* Sequential batches, lanes in source order: each totals slot sees the
+   add sequence of a per-source u-loop, keeping the floats
+   bit-identical to it. *)
 let in_closeness net =
   let n = Tgraph.n net in
   let totals = Array.make n 0. in
-  if scalar_only net then
-    for u = 0 to n - 1 do
-      let arrivals = Foremost.arrivals_borrowed net u in
-      for v = 0 to n - 1 do
-        let a = arrivals.(v) in
-        if v <> u && a > 0 && a < max_int then
-          totals.(v) <- totals.(v) +. (1. /. float_of_int a)
-      done
-    done
-  else
-    (* Sequential batches, lanes in source order: each totals slot sees
-       the exact add sequence of the scalar u-loop, keeping the floats
-       bit-identical. *)
-    Batch.iter_batches net (fun t ->
-        for lane = 0 to Batch.lanes t - 1 do
-          let u = Batch.source t lane in
-          for v = 0 to n - 1 do
-            let a = Batch.arrival t ~lane v in
-            if v <> u && a > 0 && a < max_int then
-              totals.(v) <- totals.(v) +. (1. /. float_of_int a)
-          done
-        done);
+  Batch.iter_batches net (fun t ->
+      for lane = 0 to Batch.lanes t - 1 do
+        let u = Batch.source t lane in
+        for v = 0 to n - 1 do
+          let a = Batch.arrival t ~lane v in
+          if v <> u && a > 0 && a < max_int then
+            totals.(v) <- totals.(v) +. (1. /. float_of_int a)
+        done
+      done);
   normalise net totals
 
 let broadcast_time net =
@@ -87,25 +52,15 @@ let best_broadcaster net =
   Array.iteri (fun v t -> if t < times.(!best) then best := v) times;
   (!best, times.(!best))
 
+(* Counts need no arrivals: arrival-free sweeps over the pool. *)
 let reach_counts net =
   let n = Tgraph.n net in
-  if Batch.force_scalar () then
-    Array.init n (fun u ->
-        let arrivals = Foremost.arrivals_borrowed net u in
-        let count = ref 0 in
-        for v = 0 to n - 1 do
-          if arrivals.(v) < max_int then incr count
-        done;
-        !count)
-  else
-    (* Counts need no arrivals: arrival-free sweeps over the pool. *)
-    Array.concat
-      (Array.to_list
-         (Exec.Pool.map_range (Exec.Pool.global ()) ~lo:0
-            ~hi:(Batch.batch_count ~n) (fun b ->
-              let t = Batch.sweep_reach net ~sources:(Batch.batch_sources ~n b) in
-              Array.init (Batch.lanes t) (fun lane ->
-                  Batch.reached_count t ~lane))))
+  Array.concat
+    (Array.to_list
+       (Exec.Pool.map_range (Exec.Pool.global ()) ~lo:0 ~hi:(Batch.batch_count ~n)
+          (fun b ->
+            let t = Batch.sweep_reach net ~sources:(Batch.batch_sources ~n b) in
+            Array.init (Batch.lanes t) (fun lane -> Batch.reached_count t ~lane))))
 
 let rank scores =
   let order = Array.init (Array.length scores) Fun.id in

@@ -4,10 +4,11 @@
     information under the network's availability schedule — the natural
     "who should originate the message" question on top of §3.5's
     protocol.  All indices are exact; the closeness and reach-count
-    families run on the bit-parallel {!Batch} kernel (one stream sweep
-    per {!Batch.lane_width} sources, float accumulation in the scalar
-    order so values are bit-identical to the per-source paths), the
-    flooding/journey-based ones on one pass per vertex. *)
+    families run on the bit-parallel {!Batch} kernel on either backend
+    (one stream sweep per {!Batch.arrival_lanes} sources for closeness,
+    per {!Batch.lane_width} for reach counts; float accumulation in
+    per-source order, so values are bit-identical to a per-source
+    loop), the flooding/journey-based ones on one pass per vertex. *)
 
 val out_closeness : Tgraph.t -> float array
 (** [out_closeness net] assigns each [u] the normalised harmonic

@@ -5,12 +5,13 @@
     over all ordered vertex pairs; the expectation itself is estimated by
     [Sim.Estimators] over sampled instances.
 
-    All-pairs quantities run on the bit-parallel {!Batch} kernel: one
-    stream sweep per {!Batch.lane_width} sources, fanned over the
-    global [Exec.Pool] in fixed batch order, so results are exact and
-    byte-identical at any [--jobs].  The per-source scalar paths stay
-    live behind {!Batch.force_scalar} and as explicit [_scalar]
-    references for benches and equivalence tests. *)
+    All-pairs quantities run on the bit-parallel {!Batch} kernel on
+    either backend: one stream sweep per {!Batch.lane_width} sources
+    (per {!Batch.arrival_lanes} where full arrival rows are read),
+    fanned over the global [Exec.Pool] in fixed batch order, so
+    results are exact and byte-identical at any [--jobs].  The one
+    per-source path left, {!instance_diameter_scalar}, is the
+    reference benches and equivalence tests compare against. *)
 
 val distance : Tgraph.t -> int -> int -> int option
 (** δ(u, v) for a single pair; [None] when no journey exists. *)
@@ -37,14 +38,13 @@ val instance_diameter_sampled : Prng.Rng.t -> Tgraph.t -> sources:int -> int opt
     pass).  Retained for comparison studies; the E-series tables now
     use the exact {!instance_diameter} throughout. *)
 
-val worst_over_sources : Tgraph.t -> int list -> int option
-(** Max eccentricity over an explicit source list (scalar sweeps);
-    [Some 0] on the empty list. *)
-
 val all_pairs : Tgraph.t -> int array array
 (** [all_pairs net] has δ(u, v) at [(u, v)], [max_int] when unreachable
-    and [0] on the diagonal.  Batched. *)
+    and [0] on the diagonal.  Batched over {!Batch.arrival_lanes}-wide
+    slices, so kernel scratch stays O(n) words on either backend (the
+    n² output is the caller's ask, not an intermediate). *)
 
 val average : Tgraph.t -> float
 (** Mean δ over ordered reachable pairs [u <> v]; [nan] when none.
-    Batched; integer accumulation, so identical to the scalar loop. *)
+    Batched like {!all_pairs}; integer accumulation, so identical to a
+    per-source loop. *)

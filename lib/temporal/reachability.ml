@@ -4,37 +4,16 @@ let temporally_reachable net u v =
   Foremost.distance (Foremost.run net u) v <> None
 
 (* The per-source scans borrow both workspace families at once — static
-   BFS into [dist]/[queue], the sweep into [arrival] (scalar) or the
-   [lane_*] slots (batched) — which the Workspace slot discipline
-   explicitly permits. *)
+   BFS into [dist]/[queue], the batched sweep into the [lane_*] slots —
+   which the Workspace slot discipline explicitly permits. *)
 let static_into net u ws =
   Traverse.bfs_into (Tgraph.graph net) u ~dist:ws.Workspace.dist
     ~queue:ws.Workspace.queue
 
-let source_ok net u =
-  let n = Tgraph.n net in
-  let ws = Workspace.get ~n in
-  static_into net u ws;
-  let arrival = Foremost.arrivals_borrowed net u in
-  let static = ws.Workspace.dist in
-  let rec scan v =
-    v >= n
-    || ((static.(v) = Traverse.unreachable || arrival.(v) < max_int)
-        && scan (v + 1))
-  in
-  scan 0
-
-let treach_scalar net =
-  let n = Tgraph.n net in
-  let rec scan u = u >= n || (source_ok net u && scan (u + 1)) in
-  scan 0
-
-(* Batched Treach: one sweep covers lane_width sources, and a fully
-   saturated batch (every lane reached every vertex — the common case
-   on instances that do satisfy Treach) passes with no static BFS at
-   all.  Only unsaturated lanes pay a BFS plus a bit-probe scan.
-   Sequential batches keep the scalar path's early exit, at batch
-   granularity. *)
+(* A fully saturated batch (every lane reached every vertex — the
+   common case on instances that do satisfy Treach) passes with no
+   static BFS at all.  Only unsaturated lanes pay a BFS plus a
+   bit-probe scan. *)
 let batch_ok net t =
   let n = Tgraph.n net in
   Batch.all_saturated t
@@ -62,97 +41,62 @@ let batch_ok net t =
   in
   lane_ok 0
 
+(* Every consumer below reads reached bits or per-lane counts only, so
+   they run on [Batch.sweep_reach]: no arrival matrix, O(n) words of
+   scratch on either backend.  Treach takes batches sequentially, so
+   the first failing batch ends the check. *)
 let treach net =
-  if Batch.force_scalar () then treach_scalar net
-  else begin
-    (* [sweep_reach], not [sweep]: Treach never reads arrivals, so the
-       batch kernel can skip the n * lanes arrival matrix and keep
-       scratch at O(n) words — required on implicit instances. *)
-    let n = Tgraph.n net in
-    let batches = Batch.batch_count ~n in
-    let rec scan b =
-      b >= batches
-      || (batch_ok net (Batch.sweep_reach net ~sources:(Batch.batch_sources ~n b))
-         && scan (b + 1))
-    in
-    scan 0
-  end
+  let n = Tgraph.n net in
+  let batches = Batch.batch_count ~n in
+  let rec scan b =
+    b >= batches
+    || (batch_ok net (Batch.sweep_reach net ~sources:(Batch.batch_sources ~n b))
+       && scan (b + 1))
+  in
+  scan 0
 
+(* Forward batch/lane/target order with a final reverse gives ascending
+   (u, v) output order. *)
 let missing_pairs net =
   let n = Tgraph.n net in
-  if Batch.force_scalar () then begin
-    let ws = Workspace.get ~n in
-    let missing = ref [] in
-    for u = n - 1 downto 0 do
-      static_into net u ws;
-      let arrival = Foremost.arrivals_borrowed net u in
-      let static = ws.Workspace.dist in
-      for v = n - 1 downto 0 do
-        if v <> u && static.(v) <> Traverse.unreachable && arrival.(v) = max_int
-        then missing := (u, v) :: !missing
-      done
-    done;
-    !missing
-  end
-  else begin
-    (* Forward batch/lane/target order with a final reverse keeps the
-       scalar path's ascending (u, v) output order.  Arrival-free
-       sweeps: only reached bits are probed. *)
-    let missing = ref [] in
-    for b = 0 to Batch.batch_count ~n - 1 do
-      let t = Batch.sweep_reach net ~sources:(Batch.batch_sources ~n b) in
-        if not (Batch.all_saturated t) then begin
-          let ws = Workspace.get ~n in
-          for lane = 0 to Batch.lanes t - 1 do
-            if not (Batch.saturated t ~lane) then begin
-              let u = Batch.source t lane in
-              static_into net u ws;
-              let static = ws.Workspace.dist in
-              let bit = 1 lsl lane in
-              for v = 0 to n - 1 do
-                if
-                  v <> u
-                  && static.(v) <> Traverse.unreachable
-                  && Batch.reached_word t v land bit = 0
-                then missing := (u, v) :: !missing
-              done
-            end
+  let missing = ref [] in
+  for b = 0 to Batch.batch_count ~n - 1 do
+    let t = Batch.sweep_reach net ~sources:(Batch.batch_sources ~n b) in
+    if not (Batch.all_saturated t) then begin
+      let ws = Workspace.get ~n in
+      for lane = 0 to Batch.lanes t - 1 do
+        if not (Batch.saturated t ~lane) then begin
+          let u = Batch.source t lane in
+          static_into net u ws;
+          let static = ws.Workspace.dist in
+          let bit = 1 lsl lane in
+          for v = 0 to n - 1 do
+            if
+              v <> u
+              && static.(v) <> Traverse.unreachable
+              && Batch.reached_word t v land bit = 0
+            then missing := (u, v) :: !missing
           done
         end
-    done;
-    List.rev !missing
-  end
+      done
+    end
+  done;
+  List.rev !missing
 
 let count_pairs net ~temporal =
   let n = Tgraph.n net in
-  if temporal then begin
-    if Batch.force_scalar () then begin
-      let count = ref 0 in
-      for u = 0 to n - 1 do
-        let arrival = Foremost.arrivals_borrowed net u in
-        for v = 0 to n - 1 do
-          if v <> u && arrival.(v) < max_int then incr count
-        done
-      done;
-      !count
-    end
-    else begin
-      (* The sweep maintains per-lane reached counts (source included),
-         so a batch costs O(lanes) to read out; arrival-free sweeps
-         fanned over the pool. *)
-      let per_batch =
-        Exec.Pool.map_range (Exec.Pool.global ()) ~lo:0
-          ~hi:(Batch.batch_count ~n) (fun b ->
-            let t = Batch.sweep_reach net ~sources:(Batch.batch_sources ~n b) in
-            let c = ref 0 in
-            for lane = 0 to Batch.lanes t - 1 do
-              c := !c + Batch.reached_count t ~lane - 1
-            done;
-            !c)
-      in
-      Array.fold_left ( + ) 0 per_batch
-    end
-  end
+  if temporal then
+    (* A batch costs O(lanes) to read out off the per-lane reached
+       counts (source included); batches fanned over the pool. *)
+    Array.fold_left ( + ) 0
+      (Exec.Pool.map_range (Exec.Pool.global ()) ~lo:0 ~hi:(Batch.batch_count ~n)
+         (fun b ->
+           let t = Batch.sweep_reach net ~sources:(Batch.batch_sources ~n b) in
+           let c = ref 0 in
+           for lane = 0 to Batch.lanes t - 1 do
+             c := !c + Batch.reached_count t ~lane - 1
+           done;
+           !c))
   else begin
     let ws = Workspace.get ~n in
     let count = ref 0 in

@@ -9,8 +9,9 @@ val temporally_reachable : Tgraph.t -> int -> int -> bool
 (** Is there a journey from the first vertex to the second? *)
 
 val treach : Tgraph.t -> bool
-(** Does the network satisfy [Treach]?  Checked source by source with
-    early exit on the first failing source. *)
+(** Does the network satisfy [Treach]?  Checked one batched
+    reachability sweep ({!Batch.sweep_reach}) at a time, with early
+    exit on the first failing batch. *)
 
 val missing_pairs : Tgraph.t -> (int * int) list
 (** All ordered pairs that are statically but not temporally reachable

@@ -1,8 +1,9 @@
 (* Bit-parallel batch kernel suite: the QCheck equivalence oracle
    against per-source Foremost sweeps (Sets and Single labellings,
    ragged batches), the per-lane readouts, the pow2-words workspace
-   growth rule, the rebuilt all-pairs consumers against their scalar
-   paths, and job-count determinism of the pooled batch driver. *)
+   growth rule, the all-pairs consumers against per-source Foremost
+   references, and job-count determinism of the pooled batch
+   driver. *)
 
 module Graph = Sgraph.Graph
 module Rng = Prng.Rng
@@ -226,8 +227,8 @@ let workspace_growth_counted () =
       check_bool "larger n grows again" true (after_large > after_small))
 
 (* ------------------------------------------------------------------ *)
-(* Rebuilt consumers: batched results = scalar results.  (The scalar
-   paths stay live behind Batch.force_scalar, so pin both.) *)
+(* Consumers: batched results = per-source Foremost references, and
+   instance_diameter = the kept instance_diameter_scalar. *)
 
 let consumers_match =
   qcase ~count:100 ~print:print_params "diameter/reachability consumers match"

@@ -81,9 +81,10 @@ let shapes_match_csr () =
 (* The equivalence oracle.  A derived instance and its materialized
    twin must be indistinguishable: same per-edge labels, same Foremost
    arrivals from every source and start time, same temporal
-   reachability, same diameter (batched on the dense twin, the scalar
-   chunked path on the implicit one — so this also pins scalar =
-   batched). *)
+   reachability, same diameter and all-pairs readouts (the batched
+   kernels run on both, the implicit one over its lazily extended
+   prefix; the diameter is also pinned to the per-source
+   instance_diameter_scalar). *)
 
 let gen_derived =
   QCheck2.Gen.(
@@ -166,6 +167,54 @@ let oracle_consumers =
          = Reachability.reachable_pair_count twin
       && Distance.instance_diameter net = Distance.instance_diameter twin
       && Distance.instance_diameter net = Distance.instance_diameter_scalar net)
+
+(* Lifetimes past the first 64-label prefix, so the batched sweeps
+   resume across several lazy extensions of the derived stream. *)
+let gen_derived_deep =
+  QCheck2.Gen.(
+    let* n, seed, _, r, shape = gen_derived in
+    let* a = int_range 1 200 in
+    return (n, seed, a, r, shape))
+
+(* Each check builds a fresh derived instance, so the batched kernel —
+   not an earlier consumer — is what grows its prefix. *)
+let fresh params = fst (derived_pair params)
+
+let sweep_rows_match_foremost ?start_time net =
+  let n = Tgraph.n net in
+  let ok = ref true in
+  for b = 0 to Batch.batch_count ~n - 1 do
+    let sources = Batch.batch_sources ~n b in
+    let t = Batch.sweep ?start_time net ~sources in
+    let rows =
+      Array.init (Batch.lanes t) (fun lane -> Array.init n (Batch.arrival t ~lane))
+    in
+    Array.iteri
+      (fun lane s ->
+        let oracle = Foremost.arrival_array (Foremost.run ?start_time net s) in
+        if rows.(lane) <> oracle then ok := false)
+      sources
+  done;
+  !ok
+
+let oracle_batch_sweep =
+  qcase ~count:80 ~print:print_derived
+    "derived Batch.sweep arrivals = Foremost" gen_derived_deep (fun params ->
+      let lifetime = Tgraph.lifetime (fresh params) in
+      sweep_rows_match_foremost (fresh params)
+      && sweep_rows_match_foremost ~start_time:lifetime (fresh params)
+      && sweep_rows_match_foremost ~start_time:(lifetime + 1) (fresh params))
+
+let oracle_batched_consumers =
+  qcase ~count:60 ~print:print_derived
+    "derived all-pairs / closeness / reach counts = materialized twin"
+    gen_derived_deep (fun params ->
+      let twin = snd (derived_pair params) in
+      Distance.all_pairs (fresh params) = Distance.all_pairs twin
+      && Float.equal (Distance.average (fresh params)) (Distance.average twin)
+      && Centrality.out_closeness (fresh params) = Centrality.out_closeness twin
+      && Centrality.in_closeness (fresh params) = Centrality.in_closeness twin
+      && Centrality.reach_counts (fresh params) = Centrality.reach_counts twin)
 
 let oracle_flooding =
   qcase ~count:60 ~print:print_derived
@@ -321,6 +370,30 @@ let workspace_planes_sizing () =
   check_bool "arrival matrix still un-grown" true
     (Array.length ws.lane_arrival < n)
 
+(* The arrival-matrix lane budget: full words while n * lanes fits
+   2^20 words, fewer lanes beyond, never none — so the matrix scratch
+   of a sweep is at most max(2^20, n) words on either backend. *)
+let arrival_lanes_budget () =
+  check_int "full word at n = 1" Batch.lane_width (Batch.arrival_lanes ~n:1);
+  check_int "full word at n = 16 644" Batch.lane_width
+    (Batch.arrival_lanes ~n:16_644);
+  check_int "fewer lanes at n = 16 645" (Batch.lane_width - 1)
+    (Batch.arrival_lanes ~n:16_645);
+  check_int "one lane at n = 2^20" 1 (Batch.arrival_lanes ~n:(1 lsl 20));
+  check_int "never below one" 1 (Batch.arrival_lanes ~n:100_000_000);
+  let prev = ref Batch.lane_width in
+  List.iter
+    (fun n ->
+      let lanes = Batch.arrival_lanes ~n in
+      check_bool (Printf.sprintf "lanes in range at n=%d" n) true
+        (lanes >= 1 && lanes <= Batch.lane_width);
+      check_bool (Printf.sprintf "matrix within budget at n=%d" n) true
+        (n * lanes <= Stdlib.max (1 lsl 20) n);
+      check_bool (Printf.sprintf "non-increasing at n=%d" n) true (lanes <= !prev);
+      prev := lanes)
+    [ 1; 2; 63; 1_000; 16_644; 16_645; 20_000; 100_000; 524_288; 1 lsl 20;
+      (1 lsl 20) + 1; 10_000_000 ]
+
 let suites =
   [
     ( "implicit",
@@ -329,6 +402,8 @@ let suites =
         oracle_labels;
         oracle_foremost;
         oracle_consumers;
+        oracle_batch_sweep;
+        oracle_batched_consumers;
         oracle_flooding;
         oracle_full_prefix;
         case "implicit assignment constructors" assignment_constructors;
@@ -336,5 +411,6 @@ let suites =
         case "whole-stream accessors refuse implicit" whole_stream_errors;
         case "label hash site-independent" site_independence;
         case "planes workspace stays O(n) words" workspace_planes_sizing;
+        case "arrival-lane budget" arrival_lanes_budget;
       ] );
   ]

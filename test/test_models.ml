@@ -219,57 +219,6 @@ let em_flood_single_vertex () =
   check_int "zero rounds" 0 result.rounds
 
 (* --------------------------------------------------------------- *)
-(* Online foremost *)
-
-let online_matches_batch =
-  qcase ~count:100 "online consumer = batch sweep" ~print:print_params
-    gen_params
-    (fun params ->
-      let net = random_tnet params in
-      let n = Tgraph.n net in
-      let ok = ref true in
-      for s = 0 to n - 1 do
-        let online = Online.create ~n s in
-        Tgraph.iter_time_edges net (fun ~src ~dst ~label ~edge:_ ->
-            Online.observe online ~src ~dst ~label);
-        let batch = Foremost.run net s in
-        for v = 0 to n - 1 do
-          if Online.arrival online v <> Foremost.distance batch v then
-            ok := false
-        done
-      done;
-      !ok)
-
-let online_incremental_queries () =
-  let online = Online.create ~n:3 0 in
-  check_int_option "source at once" (Some 0) (Online.arrival online 0);
-  check_bool "1 not yet" false (Online.informed online 1);
-  Online.observe online ~src:0 ~dst:1 ~label:2;
-  check_int_option "1 informed at 2" (Some 2) (Online.arrival online 1);
-  check_int "now" 2 (Online.now online);
-  check_int "two reached" 2 (Online.reachable_count online);
-  Online.observe online ~src:1 ~dst:2 ~label:2;
-  check_bool "same-label chain rejected" false (Online.informed online 2);
-  Online.observe online ~src:1 ~dst:2 ~label:5;
-  check_int_option "2 informed at 5" (Some 5) (Online.arrival online 2)
-
-let online_rejects_disorder () =
-  let online = Online.create ~n:2 0 in
-  Online.observe online ~src:0 ~dst:1 ~label:4;
-  Alcotest.check_raises "labels must be non-decreasing"
-    (Invalid_argument "Online.observe: labels must arrive in non-decreasing order")
-    (fun () -> Online.observe online ~src:1 ~dst:0 ~label:3)
-
-let online_validations () =
-  Alcotest.check_raises "bad source"
-    (Invalid_argument "Online.create: source out of range") (fun () ->
-      ignore (Online.create ~n:3 7));
-  let online = Online.create ~n:2 0 in
-  Alcotest.check_raises "bad endpoint"
-    (Invalid_argument "Online.observe: endpoint out of range") (fun () ->
-      Online.observe online ~src:0 ~dst:9 ~label:1)
-
-(* --------------------------------------------------------------- *)
 (* Mobility: waypoint + trace *)
 
 let waypoint_basics () =
@@ -593,13 +542,6 @@ let suites =
         adversary_never_helps;
         case "greedy at least random" adversary_greedy_at_least_random;
         case "names and validation" adversary_names_and_validation;
-      ] );
-    ( "temporal.online",
-      [
-        online_matches_batch;
-        case "incremental queries" online_incremental_queries;
-        case "rejects disorder" online_rejects_disorder;
-        case "validations" online_validations;
       ] );
     ( "mobility",
       [

@@ -330,6 +330,25 @@ let rng_draws_allocate_nothing () =
     (Printf.sprintf "10k draws: %.0f words, same as 1k" large)
     true (large <= small +. 4.)
 
+(* The derived-label hash rolls 10^10 labels in a full E23 run; like
+   the draws above, a roll must not box its int64 chain. *)
+let label_rolls_allocate_nothing () =
+  let d = Implicit.Labels.make ~seed:42L ~a:1000 ~r:3 in
+  let rolls count () =
+    for i = 1 to count do
+      ignore (Sys.opaque_identity (Implicit.Labels.roll d ~edge:i ~k:0));
+      ignore (Sys.opaque_identity (Implicit.Labels.roll d ~edge:i ~k:2))
+    done
+  in
+  let (), small = allocated_words (rolls 1_000) in
+  let (), large = allocated_words (rolls 100_000) in
+  check_bool
+    (Printf.sprintf "1k rolls: %.0f words (constant)" small)
+    true (small <= 32.);
+  check_bool
+    (Printf.sprintf "100k rolls: %.0f words, same as 1k" large)
+    true (large <= small +. 4.)
+
 (* --------------------------------------------------------------- *)
 (* Sample *)
 
@@ -533,6 +552,7 @@ let suites =
         case "rng int and bool" rng_draws_pinned;
         rng_matches_int64_reference;
         case "draws allocate nothing" rng_draws_allocate_nothing;
+        case "label rolls allocate nothing" label_rolls_allocate_nothing;
       ] );
     ( "prng.sample",
       [

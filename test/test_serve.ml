@@ -412,8 +412,12 @@ let expect_admitted = function
     Alcotest.failf "expected admission, got %s: %s"
       (Proto.error_code_to_string c) m
 
+(* The corpus is implicit, and its seven distinct sources still share
+   one word-parallel sweep: rows are batched on either backend. *)
 let engine_answers_correct_rows () =
   let corpus = test_corpus () in
+  check_bool "implicit corpus" true
+    (Corpus.backend corpus = Sim.Backend.Implicit);
   let eng = Engine.create corpus in
   let tickets =
     List.init 7 (fun src ->
@@ -427,7 +431,9 @@ let engine_answers_correct_rows () =
         (oracle_row corpus src)
         (expect_row (Engine.await t)))
     tickets;
-  check_int "all admitted" 7 (Engine.stats eng).Engine.queries
+  let s = Engine.stats eng in
+  check_int "all admitted" 7 s.Engine.queries;
+  check_int "seven sources, one sweep" 1 s.Engine.sweeps
 
 let engine_rejects_bad_submissions () =
   let corpus =
