@@ -567,15 +567,12 @@ let run_serve_bench () =
       Sys.remove dir;
       Unix.mkdir dir 0o700;
       let address = Serve.Server.Unix_path (Filename.concat dir "srv.sock") in
-      let config =
-        {
-          Serve.Server.default_config with
-          Serve.Server.address;
-          engine =
-            { Serve.Engine.default_config with Serve.Engine.queue_max = 256 };
-        }
+      let stop =
+        Serve.Server.run_background
+          ~config:{ Serve.Server.default_config with Serve.Server.address }
+          ~engine:{ Serve.Engine.default_config with Serve.Engine.queue_max = 256 }
+          corpus
       in
-      let stop = Serve.Server.run_background ~config corpus in
       let latencies = Array.make (clients * per_client) 0. in
       let client_loop c =
         match Serve.Client.connect ~timeout_s:10. address with

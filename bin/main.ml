@@ -638,7 +638,17 @@ let serve_cmd =
       let plan =
         match parsed with Some (Ok plan) -> plan | _ -> Fault.Plan.default
       in
-      let as_router = shards > 0 && shard_index = None in
+      let shard =
+        match shard_index with
+        | Some k when shards > 0 -> Some (k, shards)
+        | _ -> None
+      in
+      let as_router = shards > 0 && shard = None in
+      (* A shard runs the router's argv plus --shard-index: its socket
+         and ledger derive from the router's. *)
+      let per_shard path =
+        match shard with Some (k, _) -> Serve.Shard.path path k | None -> path
+      in
       (* Injection arms where the work runs: in the single process, or
          in each shard (the spec rides the respawn argv).  The router
          itself only rolls the shard-kill site from the plan value —
@@ -646,11 +656,19 @@ let serve_cmd =
       if not as_router then
         if Fault.Plan.active plan then Fault.Inject.arm plan
         else Fault.Inject.disarm ();
-      match Serve.Server.parse_address socket with
+      match Serve.Server.parse_address (per_shard socket) with
       | Error m ->
         Printf.eprintf "bad --socket: %s\n" m;
         1
       | Ok address -> (
+        let server =
+          {
+            Serve.Server.address;
+            read_timeout_s = read_timeout;
+            ledger_path = Option.map per_shard report;
+            announce = (if shard = None then Some stdout else None);
+          }
+        in
         let manifest_lines =
           match manifest with
           | None -> Ok []
@@ -666,99 +684,36 @@ let serve_cmd =
         | Ok lines ->
           let all_lines = lines @ instances in
           if as_router then begin
-            match address with
-            | Serve.Server.Tcp _ ->
+            match (address, Serve.Corpus.manifest_ids all_lines) with
+            | Serve.Server.Tcp _, _ ->
               prerr_endline "--shards requires a Unix-socket --socket";
               1
-            | Serve.Server.Unix_path socket_path -> (
-              match Serve.Corpus.manifest_ids all_lines with
-              | [] ->
-                prerr_endline "no instances: pass --manifest and/or --instance";
-                1
-              | manifest_ids ->
-                let teardown = setup_obs ~metrics ~trace in
-                let shard_argv k =
-                  Array.of_list
-                    ([
-                       Sys.executable_name;
-                       "serve";
-                       "--socket";
-                       Serve.Shard.socket_path socket_path k;
-                       "--backend";
-                       Sim.Backend.to_string backend;
-                       "--queue-max";
-                       string_of_int queue_max;
-                       "--read-timeout";
-                       Printf.sprintf "%g" read_timeout;
-                       "--batch-window-ms";
-                       Printf.sprintf "%g" window_ms;
-                       "--cache-rows";
-                       string_of_int cache_rows;
-                       "--seed";
-                       string_of_int seed;
-                       "--shards";
-                       string_of_int shards;
-                       "--shard-index";
-                       string_of_int k;
-                     ]
-                    @ (match manifest with
-                      | Some p -> [ "--manifest"; p ]
-                      | None -> [])
-                    @ List.concat_map (fun s -> [ "--instance"; s ]) instances
-                    @ (match jobs with
-                      | Some j -> [ "--jobs"; string_of_int j ]
-                      | None -> [])
-                    @ (match store_dir with
-                      | Some d -> [ "--store"; d ]
-                      | None -> [])
-                    @ (match report with
-                      | Some r -> [ "--report"; Serve.Shard.ledger_path r k ]
-                      | None -> [])
-                    @
-                    match fault_spec with
-                    | Some f -> [ "--fault-spec"; f ]
-                    | None -> [])
-                in
-                let config =
-                  {
-                    Serve.Router.address;
-                    shards;
-                    shard_argv;
-                    shard_socket =
-                      (fun k -> Serve.Shard.socket_path socket_path k);
-                    read_timeout_s = read_timeout;
-                    shard_call_timeout_s = 30.;
-                    max_conns = 64;
-                    queue_max;
-                    ledger_path = report;
-                    install_signals = true;
-                    announce = Some stdout;
-                    manifest_ids;
-                    backend;
-                    shard_ready_timeout_s = 30.;
-                    (* Generous: the chaos soak's shard-kill fault can
-                       land several early-uptime kills in a row, each of
-                       which counts against this budget. *)
-                    max_respawns = 20;
-                    fault = plan;
-                  }
-                in
-                let code =
-                  match Serve.Router.run ~config () with
-                  | Ok () -> 0
-                  | Error m ->
-                    prerr_endline m;
-                    1
-                in
-                teardown ();
-                code)
+            | _, [] ->
+              prerr_endline "no instances: pass --manifest and/or --instance";
+              1
+            | Serve.Server.Unix_path _, manifest_ids ->
+              let teardown = setup_obs ~metrics ~trace in
+              let shard_argv k =
+                Array.concat
+                  [ [| Sys.executable_name |];
+                    Array.sub Sys.argv 1 (Array.length Sys.argv - 1);
+                    [| "--shard-index"; string_of_int k |] ]
+              in
+              let code =
+                match
+                  Serve.Router.run
+                    { Serve.Router.server; shards; shard_argv; queue_max;
+                      manifest_ids; backend; fault = plan }
+                with
+                | Ok () -> 0
+                | Error m ->
+                  prerr_endline m;
+                  1
+              in
+              teardown ();
+              code
           end
           else begin
-            let shard =
-              match shard_index with
-              | Some k when shards > 0 -> Some (k, shards)
-              | _ -> None
-            in
             let corpus = Serve.Corpus.load ?shard ~backend all_lines in
             let is_shard = shard <> None in
             match Serve.Corpus.instances corpus with
@@ -786,7 +741,10 @@ let serve_cmd =
                 let store =
                   Option.map (fun dir -> Store.Objects.open_ ~dir) store_dir
                 in
-                let teardown = setup_obs ~metrics ~trace in
+                (* --metrics and --trace belong to the router. *)
+                let teardown =
+                  if is_shard then ignore else setup_obs ~metrics ~trace
+                in
                 let engine =
                   {
                     Serve.Engine.queue_max;
@@ -797,18 +755,7 @@ let serve_cmd =
                     store_budget_s = 0.25;
                   }
                 in
-                let config =
-                  {
-                    Serve.Server.address;
-                    read_timeout_s = read_timeout;
-                    max_conns = 64;
-                    engine;
-                    ledger_path = report;
-                    install_signals = true;
-                    announce = (if is_shard then None else Some stdout);
-                  }
-                in
-                Serve.Server.run ~config corpus;
+                Serve.Server.run ~config:server ~engine corpus;
                 teardown ();
                 0
               end

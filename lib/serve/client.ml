@@ -41,8 +41,14 @@ let close t =
 
 let fd t = t.fd
 
+(* A server that closed the connection shows on the write as EPIPE or
+   ECONNRESET, and on the read as EOF: one error either way. *)
+let closed = "connection closed by server"
+
 let call ?(timeout_s = 30.) t request =
   match Proto.write_frame t.fd (Proto.encode_request request) with
+  | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+    Error closed
   | exception e -> Error (Printf.sprintf "write: %s" (Printexc.to_string e))
   | () -> (
     match Proto.read_frame ~deadline_s:timeout_s t.fd with
@@ -50,7 +56,7 @@ let call ?(timeout_s = 30.) t request =
       match Proto.decode_response payload with
       | Ok r -> Ok r
       | Error m -> Error (Printf.sprintf "protocol violation: %s" m))
-    | Proto.Eof -> Error "connection closed by server"
+    | Proto.Eof -> Error closed
     | Proto.Timeout -> Error "timed out waiting for reply"
     | Proto.Oversized k ->
       Error (Printf.sprintf "protocol violation: %d-byte reply frame" k))

@@ -17,4 +17,9 @@ val fd : t -> Unix.file_descr
 val call :
   ?timeout_s:float -> t -> Proto.request -> (Proto.response, string) result
 (** One round trip.  [Error] covers transport failures and protocol
-    violations (undecodable reply, oversized frame). *)
+    violations (undecodable reply, oversized frame).  A connection the
+    server closed is ["connection closed by server"], whether the
+    write or the read saw it.  The write to a closed peer raises
+    SIGPIPE first: a caller must ignore that signal
+    ([Sys.set_signal Sys.sigpipe Sys.Signal_ignore]), or the process
+    dies before the error comes back. *)

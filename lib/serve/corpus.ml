@@ -228,10 +228,6 @@ let available t =
          | Available net -> Some (i.spec_id, net)
          | Failed _ -> None)
 
-let degraded t =
-  Array.exists (fun i -> match i.status with Failed _ -> true | _ -> false)
-    t.instances
-
 let healthy t =
   Array.exists
     (fun i -> match i.status with Available _ -> true | _ -> false)

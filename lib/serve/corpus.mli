@@ -69,9 +69,6 @@ val instances : t -> instance list
 val available : t -> (string * Temporal.Tgraph.t) list
 (** Healthy instances in manifest order. *)
 
-val degraded : t -> bool
-(** Did any instance fail to load? *)
-
 val healthy : t -> bool
 (** Is at least one instance available? *)
 

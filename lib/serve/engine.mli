@@ -6,9 +6,10 @@
     (instance, source, deadline) jobs into a {e bounded} admission
     queue; a single dispatcher drains it, groups by instance, dedupes
     sources, and computes missing rows on the global {!Exec.Pool} —
-    word-parallel {!Temporal.Batch} sweeps on the dense backend, one
-    scalar sweep per source on the implicit one (whose O(n)-scratch
-    contract batch arrival matrices would break).
+    {!Temporal.Batch.arrival_lanes} sources per word-parallel
+    {!Temporal.Batch} sweep on either backend; the lane budget keeps a
+    sweep's arrival matrix within max(2^20, n) words, so the implicit
+    backend's O(n)-scratch contract holds.
 
     Robustness contract: submissions past [queue_max] are shed with
     [Resource_exhausted] (never queued — {!stats}[.queue_peak] proves

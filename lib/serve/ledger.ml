@@ -1,6 +1,6 @@
-(* The `ephemeral-serve-ledger` renderer, shared by the single-process
-   server and the sharded router (which merges per-shard tallies into
-   one ledger at drain).
+(* The `ephemeral-serve-ledger` renderer and the STATS text codec,
+   shared by the single-process server and the sharded router (which
+   merges per-shard tallies into one ledger at drain).
 
    The ledger splits into two sections on purpose:
 
@@ -52,8 +52,26 @@ type volatile = {
   shards : int option;  (* None = single-process serve *)
 }
 
-let of_stats (s : Engine.stats) ~p50_ms ~p99_ms ~qps ~wall_s ~shards =
+let zero =
   {
+    queries = 0;
+    shed = 0;
+    expired = 0;
+    cache_hits = 0;
+    store_hits = 0;
+    sweeps = 0;
+    evictions = 0;
+    queue_peak = 0;
+    p50_ms = 0.;
+    p99_ms = 0.;
+    qps = 0.;
+    wall_s = 0.;
+    shards = None;
+  }
+
+let of_stats (s : Engine.stats) =
+  {
+    zero with
     queries = s.Engine.queries;
     shed = s.Engine.shed;
     expired = s.Engine.expired;
@@ -62,22 +80,15 @@ let of_stats (s : Engine.stats) ~p50_ms ~p99_ms ~qps ~wall_s ~shards =
     sweeps = s.Engine.sweeps;
     evictions = s.Engine.evictions;
     queue_peak = s.Engine.queue_peak;
-    p50_ms;
-    p99_ms;
-    qps;
-    wall_s;
-    shards;
   }
 
-let merge_volatile vs ~wall_s ~shards =
-  (* Tallies sum across shards; the queue bound held iff it held in
-     every shard, so the merged peak is the max.  Latency percentiles
-     do not compose from per-shard percentiles — the router reports
-     its own end-to-end histogram instead, so they are zeroed here and
-     overridden by the caller when it has one. *)
+(* Tallies sum across shards; the queue bound held iff it held in every
+   shard, so the merged peak is the max. *)
+let merge_volatile vs ~shards =
   List.fold_left
     (fun acc v ->
       {
+        acc with
         queries = acc.queries + v.queries;
         shed = acc.shed + v.shed;
         expired = acc.expired + v.expired;
@@ -86,28 +97,47 @@ let merge_volatile vs ~wall_s ~shards =
         sweeps = acc.sweeps + v.sweeps;
         evictions = acc.evictions + v.evictions;
         queue_peak = max acc.queue_peak v.queue_peak;
-        p50_ms = 0.;
-        p99_ms = 0.;
-        qps = (if wall_s > 0. then float_of_int (acc.queries + v.queries) /. wall_s else 0.);
-        wall_s;
-        shards = Some shards;
       })
-    {
-      queries = 0;
-      shed = 0;
-      expired = 0;
-      cache_hits = 0;
-      store_hits = 0;
-      sweeps = 0;
-      evictions = 0;
-      queue_peak = 0;
-      p50_ms = 0.;
-      p99_ms = 0.;
-      qps = 0.;
-      wall_s;
-      shards = Some shards;
-    }
+    { zero with shards = Some shards }
     vs
+
+(* The STATS reply is a k=v one-liner ("queries=12 shed=0 ...").  A
+   router parses each shard's line rather than any JSON, sums, and
+   re-renders the identical shape. *)
+let render_stats_text v =
+  Printf.sprintf
+    "queries=%d shed=%d expired=%d cache_hits=%d store_hits=%d sweeps=%d \
+     evictions=%d queue_peak=%d"
+    v.queries v.shed v.expired v.cache_hits v.store_hits v.sweeps v.evictions
+    v.queue_peak
+
+let parse_stats_text s =
+  let kv = Hashtbl.create 8 in
+  String.split_on_char ' ' s
+  |> List.iter (fun field ->
+         match String.index_opt field '=' with
+         | None -> ()
+         | Some i -> (
+           let k = String.sub field 0 i in
+           let v = String.sub field (i + 1) (String.length field - i - 1) in
+           match int_of_string_opt v with
+           | Some n -> Hashtbl.replace kv k n
+           | None -> ()));
+  let get k = Option.value (Hashtbl.find_opt kv k) ~default:0 in
+  if Hashtbl.length kv = 0 then None
+  else
+    Some
+      {
+        zero with
+        queries = get "queries";
+        shed = get "shed";
+        expired = get "expired";
+        cache_hits = get "cache_hits";
+        store_hits = get "store_hits";
+        sweeps = get "sweeps";
+        evictions = get "evictions";
+        queue_peak = get "queue_peak";
+      }
 
 let render ~backend ~queue_max ~instances (v : volatile) =
   let rows =

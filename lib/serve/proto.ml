@@ -205,12 +205,11 @@ let decode_request data =
   | exception Short ->
     Stdlib.Error (Parse_error, "truncated request payload")
 
-(* Router support: the routing key (the instance-id operand) read from
-   a query-op payload's fixed prefix, without decoding the rest.
+(* Front-end support: the routing key (the instance-id operand) read
+   from a query-op payload's fixed prefix, without decoding the rest.
    Control ops, unknown opcodes, and payloads too short to carry the
-   id answer [None]; the router handles those itself or forwards them
-   opaque, so a malformed frame still gets the owning decoder's exact
-   error bytes. *)
+   id answer [None]; the front end decodes those itself, so a
+   malformed frame gets the same error bytes at any shard count. *)
 let peek_instance data =
   let len = String.length data in
   if len < 3 then None
@@ -348,7 +347,8 @@ type read_result =
 
 (* Read exactly [k] bytes with an absolute deadline enforced by
    select(2) before every read(2): a peer can stall between bytes for
-   at most the remaining window. *)
+   at most the remaining window.  A peer that closed with our bytes
+   unread resets the stream (ECONNRESET): that is its end too. *)
 let read_exact fd buf ~off ~len ~deadline =
   let rec go off len =
     if len = 0 then `Done
@@ -360,7 +360,7 @@ let read_exact fd buf ~off ~len ~deadline =
         | [], _, _ -> `Timeout
         | _ -> (
           match Unix.read fd buf off len with
-          | 0 -> `Eof
+          | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> `Eof
           | k -> go (off + k) (len - k)
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off len)
       end

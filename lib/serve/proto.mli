@@ -60,10 +60,11 @@ val decode_request : string -> (request, error_code * string) result
 
 val peek_instance : string -> string option
 (** The instance-id operand of a query-op request payload, read from
-    the fixed prefix alone — the sharded router's routing key.  [None]
-    for control ops, unknown opcodes, and payloads too short to carry
-    the id (which the router forwards opaque so the owning decoder
-    produces its exact error bytes). *)
+    the fixed prefix alone — what sends a frame down the handler's
+    query path, and the sharded router's routing key.  [None] for
+    control ops, unknown opcodes, and payloads too short to carry the
+    id (which the front end decodes itself, so their error bytes are
+    the same at any shard count). *)
 
 val encode_response : response -> string
 

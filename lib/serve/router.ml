@@ -1,27 +1,27 @@
-(* The sharded `ephemeral serve --shards N` parent: a frame router in
-   front of N shard-worker processes.
+(* The sharded `ephemeral serve --shards N` parent: a {!Server.handler}
+   that forwards query frames to N shard-worker processes.
 
-   Topology.  Each shard is the binary re-exec'd with a hidden
-   [--shard-index K]: it loads only the manifest lines whose id hashes
-   to K ({!Corpus.shard_of}) and serves them on a private socket, with
-   its own Exec pool, row cache, and store handle.  The router binds
-   the public socket, accepts client connections, and forwards frames:
+   Topology.  Each shard is the binary re-exec'd with the router's own
+   argv plus [--shard-index K]: it loads only the manifest lines whose
+   id hashes to K ({!Corpus.shard_of}) and serves them on the private
+   socket [Shard.path public K], with its own Exec pool, row cache,
+   and store handle.  The front end ({!Server}) owns the public
+   socket, the connections and the control plane; this module only
+   adds the query path and the drain hooks:
 
-   - query ops are routed by {!Proto.peek_instance} — the instance id
-     read from the payload's fixed prefix — and the request/reply
+   - query frames are routed by {!Proto.peek_instance} — the instance
+     id read from the payload's fixed prefix — and the request/reply
      bytes cross the router *untouched* (no decode, no re-encode), so
      reply byte-identity at any shard count is structural;
-   - control ops the router answers itself: PING locally, HEALTH /
-     READY / LIST from the startup snapshot of every shard's LIST
-     (merged back into manifest order), STATS by fanning out to the
-     shards and summing;
-   - anything unroutable (unknown opcode, payload too short to carry
-     an instance id) is forwarded opaque to shard 0, whose decoder
-     produces the exact error bytes a single-process server would.
+   - the control plane answers from the handler's LIST rows — the
+     startup snapshot of every shard's LIST, merged back into manifest
+     order — and its tallies, the sum of every live shard's STATS;
+   - unroutable frames are decoded by the front end, so their error
+     bytes are the ones a single-process server would write.
 
-   Each connection thread keeps its own lazily-connected fd per shard,
-   so replies need no multiplexing and per-client ordering is the
-   stream order — the same contract as the single-process server.
+   Each connection keeps its own lazily-connected fd per shard, so
+   replies need no multiplexing and per-client ordering is the stream
+   order — the same contract as the single-process server.
 
    Supervision.  A supervisor thread reaps crashed shards (SIGCHLD
    flips an atomic; a WNOHANG scan runs every tick regardless) and
@@ -34,51 +34,31 @@
    live shards, which is how the chaos soak exercises crash-respawn
    under live traffic.
 
-   Drain.  First SIGTERM/SIGINT: stop accepting, join the supervisor,
-   shut client connections, collect final STATS from every live
-   shard, cascade SIGTERM to the shards (each drains and writes its
-   per-shard ledger), and publish one merged ledger whose
+   Drain.  The front end's drain calls [quiesce] (join the
+   supervisor, so no respawn or fault kill races the shutdown), shuts
+   the client connections, reads the final tallies from every live
+   shard, then [finish]: SIGTERM to each shard, which drains and
+   writes its own per-shard ledger.  The merged ledger's
    deterministic section — backend, queue bound, manifest-ordered
    instance table — is byte-identical at any shard count. *)
 
 type config = {
-  address : Server.address;
+  server : Server.config;
   shards : int;
   shard_argv : int -> string array;  (* argv to (re)spawn shard k *)
-  shard_socket : int -> string;
-  read_timeout_s : float;  (* per-frame deadline on client reads *)
-  shard_call_timeout_s : float;  (* per-reply deadline on shard reads *)
-  max_conns : int;
   queue_max : int;  (* shards' admission bound, for the ledger *)
-  ledger_path : string option;
-  install_signals : bool;
-  announce : out_channel option;
   manifest_ids : string list;  (* ids in manifest order, for the merge *)
   backend : Sim.Backend.t;
-  shard_ready_timeout_s : float;
-  max_respawns : int;  (* crash-respawn budget per shard *)
   fault : Fault.Plan.t;
 }
 
-let default_config =
-  {
-    address = Server.Unix_path "ephemeral.sock";
-    shards = 2;
-    shard_argv = (fun _ -> [||]);
-    shard_socket = (fun k -> Shard.socket_path "ephemeral.sock" k);
-    read_timeout_s = 10.;
-    shard_call_timeout_s = 30.;
-    max_conns = 64;
-    queue_max = Engine.default_config.Engine.queue_max;
-    ledger_path = None;
-    install_signals = true;
-    announce = Some stdout;
-    manifest_ids = [];
-    backend = Sim.Backend.Dense;
-    shard_ready_timeout_s = 10.;
-    max_respawns = 5;
-    fault = Fault.Plan.default;
-  }
+let shard_call_timeout_s = 30. (* per-reply deadline on shard reads *)
+let shard_ready_timeout_s = 30.
+
+(* Generous: the chaos soak's shard-kill fault can land several
+   early-uptime kills in a row, each of which counts against this
+   budget. *)
+let max_respawns = 20
 
 type shard_state =
   | Live of { pid : int; since : float; crashes : int }
@@ -87,71 +67,15 @@ type shard_state =
 
 type slot = { index : int; socket : string; mutable state : shard_state }
 
-type conn = { c_id : int; c_fd : Unix.file_descr }
-
 type t = {
   cfg : config;
-  listen_fd : Unix.file_descr;
-  draining : bool Atomic.t;
-  listen_closed : bool Atomic.t;
+  stopping : bool Atomic.t;  (* stops the supervisor *)
   chld : bool Atomic.t;  (* flipped by the SIGCHLD handler *)
   sm : Mutex.t;  (* guards slots' state *)
   slots : slot array;
-  snapshot : (string * string * string) list;  (* merged LIST rows *)
-  cm : Mutex.t;
-  mutable conns : conn list;
-  mutable conn_threads : Thread.t list;
-  mutable next_conn : int;
   mutable supervisor : Thread.t option;
-  started_at : float;
   h_latency : Obs.Metrics.histogram;  (* end-to-end, router side *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* STATS text merge
-
-   Shards report tallies as the STATS one-liner ("queries=12 shed=0
-   ..."); the router parses that k=v text rather than any JSON, sums
-   across shards, and re-renders the identical shape. *)
-
-let parse_stats_text s =
-  let kv = Hashtbl.create 8 in
-  String.split_on_char ' ' s
-  |> List.iter (fun field ->
-         match String.index_opt field '=' with
-         | None -> ()
-         | Some i -> (
-           let k = String.sub field 0 i in
-           let v = String.sub field (i + 1) (String.length field - i - 1) in
-           match int_of_string_opt v with
-           | Some n -> Hashtbl.replace kv k n
-           | None -> ()));
-  let get k = Option.value (Hashtbl.find_opt kv k) ~default:0 in
-  if Hashtbl.length kv = 0 then None
-  else
-    Some
-      {
-        Ledger.queries = get "queries";
-        shed = get "shed";
-        expired = get "expired";
-        cache_hits = get "cache_hits";
-        store_hits = get "store_hits";
-        sweeps = get "sweeps";
-        evictions = get "evictions";
-        queue_peak = get "queue_peak";
-        p50_ms = 0.;
-        p99_ms = 0.;
-        qps = 0.;
-        wall_s = 0.;
-        shards = None;
-      }
-
-let render_stats_text (v : Ledger.volatile) =
-  Printf.sprintf
-    "queries=%d shed=%d expired=%d cache_hits=%d store_hits=%d sweeps=%d \
-     evictions=%d queue_peak=%d"
-    v.Ledger.queries v.Ledger.shed v.Ledger.expired v.Ledger.cache_hits
-    v.Ledger.store_hits v.Ledger.sweeps v.Ledger.evictions v.Ledger.queue_peak
 
 (* ------------------------------------------------------------------ *)
 (* LIST snapshot merge
@@ -190,13 +114,30 @@ let merge_list_rows ~manifest_ids per_shard_rows =
 (* ------------------------------------------------------------------ *)
 (* Shard calls (router-initiated: snapshot, stats fan-out) *)
 
-let call_shard ?(connect_timeout_s = 1.0) socket request =
-  match Client.connect ~timeout_s:connect_timeout_s (Server.Unix_path socket) with
+let call_shard socket request =
+  match Client.connect ~timeout_s:1.0 (Server.Unix_path socket) with
   | Error m -> Error m
   | Ok c ->
-    let r = Client.call ~timeout_s:30. c request in
+    let r = Client.call ~timeout_s:shard_call_timeout_s c request in
     Client.close c;
     r
+
+let live t slot =
+  Mutex.lock t.sm;
+  let r = match slot.state with Live _ -> true | Down _ | Dead -> false in
+  Mutex.unlock t.sm;
+  r
+
+(* The sum of every live shard's STATS. *)
+let tallies t =
+  Array.to_list t.slots
+  |> List.filter_map (fun slot ->
+         if not (live t slot) then None
+         else
+           match call_shard slot.socket Proto.Stats with
+           | Ok (Proto.Ok_text s) -> Ledger.parse_stats_text s
+           | _ -> None)
+  |> Ledger.merge_volatile ~shards:t.cfg.shards
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle: spawn, supervise *)
@@ -220,7 +161,7 @@ let supervise_tick t ~tick =
           (* A shard that stayed up a while earned its crash count
              back: only rapid crash loops exhaust the budget. *)
           let crashes = if now -. since >= 5. then 1 else crashes + 1 in
-          if crashes > t.cfg.max_respawns then slot.state <- Dead
+          if crashes > max_respawns then slot.state <- Dead
           else begin
             let delay =
               Fault.Retry.backoff_delay ~base_delay_s:0.05 ~max_delay_s:1.
@@ -245,9 +186,9 @@ let supervise_tick t ~tick =
 
 let supervisor_loop t =
   let tick = ref 0 in
-  while not (Atomic.get t.draining) do
+  while not (Atomic.get t.stopping) do
     Thread.delay 0.05;
-    if not (Atomic.get t.draining) then begin
+    if not (Atomic.get t.stopping) then begin
       incr tick;
       ignore (Atomic.exchange t.chld false);
       Mutex.lock t.sm;
@@ -257,9 +198,7 @@ let supervisor_loop t =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Connections *)
-
-let reply fd response = Proto.write_frame fd (Proto.encode_response response)
+(* The query path *)
 
 let unavailable k =
   Proto.encode_response
@@ -273,25 +212,16 @@ type links = (int, Unix.file_descr) Hashtbl.t
 let link_fd t (links : links) k =
   match Hashtbl.find_opt links k with
   | Some fd -> Some fd
+  | None when not (live t t.slots.(k)) -> None
   | None -> (
-    let live =
-      Mutex.lock t.sm;
-      let r =
-        match t.slots.(k).state with Live _ -> true | Down _ | Dead -> false
-      in
-      Mutex.unlock t.sm;
-      r
-    in
-    if not live then None
-    else
-      match
-        Client.connect ~timeout_s:0.25 (Server.Unix_path t.slots.(k).socket)
-      with
-      | Error _ -> None
-      | Ok c ->
-        let fd = Client.fd c in
-        Hashtbl.replace links k fd;
-        Some fd)
+    match
+      Client.connect ~timeout_s:0.25 (Server.Unix_path t.slots.(k).socket)
+    with
+    | Error _ -> None
+    | Ok c ->
+      let fd = Client.fd c in
+      Hashtbl.replace links k fd;
+      Some fd)
 
 let drop_link (links : links) k =
   match Hashtbl.find_opt links k with
@@ -312,198 +242,38 @@ let forward t links k payload =
       drop_link links k;
       unavailable k
     | () -> (
-      match Proto.read_frame ~deadline_s:t.cfg.shard_call_timeout_s fd with
+      match Proto.read_frame ~deadline_s:shard_call_timeout_s fd with
       | Proto.Frame bytes -> bytes
       | Proto.Eof | Proto.Timeout | Proto.Oversized _ ->
         drop_link links k;
         unavailable k))
 
-let snapshot_health rows =
-  let avail = List.exists (fun (_, s, _) -> s = "available") rows in
-  let failed = List.exists (fun (_, s, _) -> s = "failed") rows in
-  if not avail then "unhealthy" else if failed then "degraded" else "ok"
-
-let merged_stats t links =
-  let vols =
-    List.init t.cfg.shards (fun k ->
-        match link_fd t links k with
-        | None -> None
-        | Some fd -> (
-          match Proto.write_frame fd (Proto.encode_request Proto.Stats) with
-          | exception _ ->
-            drop_link links k;
-            None
-          | () -> (
-            match
-              Proto.read_frame ~deadline_s:t.cfg.shard_call_timeout_s fd
-            with
-            | Proto.Frame bytes -> (
-              match Proto.decode_response bytes with
-              | Ok (Proto.Ok_text s) -> parse_stats_text s
-              | _ -> None)
-            | _ ->
-              drop_link links k;
-              None)))
-    |> List.filter_map (fun x -> x)
-  in
-  Ledger.merge_volatile vols ~wall_s:0. ~shards:t.cfg.shards
-
-(* Answer one decoded control request from router state. *)
-let handle_control t links req =
-  match (req : Proto.request) with
-  | Proto.Ping -> Proto.Ok_empty
-  | Proto.Health -> Proto.Ok_text (snapshot_health t.snapshot)
-  | Proto.Ready ->
-    if Atomic.get t.draining then Proto.Error (Proto.Shutting_down, "draining")
-    else if List.exists (fun (_, s, _) -> s = "available") t.snapshot then
-      Proto.Ok_text "ready"
-    else Proto.Error (Proto.Unavailable, "no healthy instances")
-  | Proto.List -> Proto.Ok_list t.snapshot
-  | Proto.Stats -> Proto.Ok_text (render_stats_text (merged_stats t links))
-  | Proto.Foremost _ | Proto.Arrivals _ | Proto.Reach _ | Proto.Ecc _ ->
-    (* Unreachable: queries are routed by peek, never decoded here. *)
-    Proto.Error (Proto.Internal, "query reached control path")
-
-let conn_loop t conn =
+let session t () =
   let links : links = Hashtbl.create 4 in
-  let rec loop () =
-    match Proto.read_frame ~deadline_s:t.cfg.read_timeout_s conn.c_fd with
-    | Proto.Eof | Proto.Timeout -> ()
-    | Proto.Oversized k ->
-      (try
-         reply conn.c_fd
-           (Proto.Error
-              ( Proto.Too_large,
-                Printf.sprintf "frame of %d bytes exceeds limit %d" k
-                  Proto.max_frame ))
-       with _ -> ())
-    | Proto.Frame payload ->
-      let reply_bytes =
-        match Proto.peek_instance payload with
-        | Some instance ->
-          let k = Corpus.shard_of ~shards:t.cfg.shards instance in
-          let t0 = Unix.gettimeofday () in
-          let r = forward t links k payload in
-          Obs.Metrics.observe t.h_latency ((Unix.gettimeofday () -. t0) *. 1000.);
-          r
-        | None -> (
-          match Proto.decode_request payload with
-          | Ok req -> (
-            match handle_control t links req with
-            | response -> Proto.encode_response response
-            | exception e ->
-              Proto.encode_response
-                (Proto.Error (Proto.Internal, Printexc.to_string e)))
-          | Error _ ->
-            (* Unknown opcode or malformed query prefix: let shard 0's
-               decoder answer, byte-identical to single-process. *)
-            forward t links 0 payload)
-      in
-      Proto.write_frame conn.c_fd reply_bytes;
-      loop ()
-  in
-  (try loop () with _ -> ());
-  Hashtbl.iter (fun _ fd -> try Unix.close fd with _ -> ()) links;
-  (try Unix.close conn.c_fd with _ -> ());
-  Mutex.lock t.cm;
-  t.conns <- List.filter (fun c -> c.c_id <> conn.c_id) t.conns;
-  Mutex.unlock t.cm
-
-let spawn_conn t fd =
-  Mutex.lock t.cm;
-  let over = List.length t.conns >= t.cfg.max_conns in
-  let conn = { c_id = t.next_conn; c_fd = fd } in
-  if not over then begin
-    t.next_conn <- t.next_conn + 1;
-    t.conns <- conn :: t.conns
-  end;
-  Mutex.unlock t.cm;
-  if over then begin
-    (try
-       reply fd
-         (Proto.Error (Proto.Resource_exhausted, "connection limit reached"))
-     with _ -> ());
-    try Unix.close fd with _ -> ()
-  end
-  else begin
-    let th = Thread.create (fun () -> conn_loop t conn) () in
-    Mutex.lock t.cm;
-    t.conn_threads <- th :: t.conn_threads;
-    Mutex.unlock t.cm
-  end
+  {
+    Server.query =
+      (fun instance payload ->
+        let t0 = Unix.gettimeofday () in
+        let r =
+          forward t links (Corpus.shard_of ~shards:t.cfg.shards instance) payload
+        in
+        Obs.Metrics.observe t.h_latency ((Unix.gettimeofday () -. t0) *. 1000.);
+        r);
+    close = (fun () -> Hashtbl.iter (fun _ fd -> try Unix.close fd with _ -> ()) links);
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Accept / drain *)
+(* Drain hooks *)
 
-let close_listener t =
-  if not (Atomic.exchange t.listen_closed true) then
-    try Unix.close t.listen_fd with _ -> ()
+(* Supervisor first: no respawns or fault kills may race the shutdown
+   cascade, and joining it leaves the draining thread the only
+   reaper. *)
+let quiesce t =
+  Atomic.set t.stopping true;
+  Option.iter Thread.join t.supervisor;
+  t.supervisor <- None
 
-let wake_listener t =
-  try
-    let domain, addr =
-      match t.cfg.address with
-      | Server.Unix_path p -> (Unix.PF_UNIX, Unix.ADDR_UNIX p)
-      | Server.Tcp (_, port) ->
-        (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-    in
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd addr with _ -> ());
-    Unix.close fd
-  with _ -> ()
-
-let accept_loop t =
-  let rec loop () =
-    if Atomic.get t.draining then ()
-    else
-      match Unix.accept t.listen_fd with
-      | fd, _ ->
-        spawn_conn t fd;
-        loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-      | exception _ when Atomic.get t.draining -> ()
-  in
-  loop ()
-
-let merged_ledger t ~final_stats ~wall_s =
-  let merged =
-    Ledger.merge_volatile final_stats ~wall_s ~shards:t.cfg.shards
-  in
-  let observed = Obs.Metrics.observations t.h_latency > 0 in
-  let p q = if observed then Obs.Metrics.percentile t.h_latency q else 0. in
-  let merged = { merged with Ledger.p50_ms = p 0.5; p99_ms = p 0.99 } in
-  Ledger.render
-    ~backend:(Sim.Backend.to_string t.cfg.backend)
-    ~queue_max:t.cfg.queue_max ~instances:t.snapshot merged
-
-let drain t =
-  Atomic.set t.draining true;
-  close_listener t;
-  (* Supervisor first: no respawns or fault kills may race the
-     shutdown cascade, and joining it leaves this thread the only
-     reaper. *)
-  (match t.supervisor with Some th -> Thread.join th | None -> ());
-  t.supervisor <- None;
-  Mutex.lock t.cm;
-  let conns = t.conns and threads = t.conn_threads in
-  Mutex.unlock t.cm;
-  List.iter
-    (fun c -> try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with _ -> ())
-    conns;
-  List.iter (fun th -> try Thread.join th with _ -> ()) threads;
-  (* Tallies are final now (no client traffic): collect them before
-     the shards go down, then cascade the drain. *)
-  let final_stats =
-    Array.to_list t.slots
-    |> List.filter_map (fun slot ->
-           match slot.state with
-           | Live _ -> (
-             match call_shard slot.socket Proto.Stats with
-             | Ok (Proto.Ok_text s) -> parse_stats_text s
-             | _ -> None)
-           | Down _ | Dead -> None)
-  in
+let cascade t =
   Array.iter
     (fun slot ->
       match slot.state with
@@ -511,66 +281,48 @@ let drain t =
         ignore (Shard.terminate ~timeout_s:10. pid);
         slot.state <- Dead
       | Down _ | Dead -> ())
-    t.slots;
-  let wall_s = Unix.gettimeofday () -. t.started_at in
-  (match t.cfg.ledger_path with
-  | None -> ()
-  | Some path -> (
-    try Store.Fsio.write_atomic path (merged_ledger t ~final_stats ~wall_s)
-    with _ -> ()));
-  match t.cfg.address with
-  | Server.Unix_path path -> ( try Unix.unlink path with _ -> ())
-  | Server.Tcp _ -> ()
+    t.slots
 
 (* ------------------------------------------------------------------ *)
 (* Run *)
 
-let bind_listener = function
-  | Server.Unix_path path ->
-    if Sys.file_exists path then Unix.unlink path;
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | Server.Tcp (host, port) ->
-    let addr =
-      try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      with Not_found -> Unix.inet_addr_of_string host
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (addr, port));
-    Unix.listen fd 64;
-    fd
-
-let run ?(config = default_config) () =
+let run config =
   if config.shards < 1 then invalid_arg "Router.run: shards must be >= 1";
+  let public =
+    match config.server.Server.address with
+    | Server.Unix_path p -> p
+    | Server.Tcp _ -> invalid_arg "Router.run: shards need a Unix-socket address"
+  in
+  (* Shard calls start before the front end exists: a shard dying
+     mid-write must surface as EPIPE, not kill the router. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let slots =
-    Array.init config.shards (fun k ->
-        { index = k; socket = config.shard_socket k; state = Dead })
+  let t =
+    {
+      cfg = config;
+      stopping = Atomic.make false;
+      chld = Atomic.make false;
+      sm = Mutex.create ();
+      slots =
+        Array.init config.shards (fun k ->
+            { index = k; socket = Shard.path public k; state = Dead });
+      supervisor = None;
+      h_latency = Obs.Metrics.histogram "serve.latency_ms";
+    }
   in
   (* Spawn everything first, then wait: shard startups overlap. *)
-  Array.iter
-    (fun slot ->
-      let pid = Shard.spawn (config.shard_argv slot.index) in
-      slot.state <- Live { pid; since = Unix.gettimeofday (); crashes = 0 })
-    slots;
+  Array.iter (fun slot -> spawn_slot t slot ~crashes:0) t.slots;
   let kill_all () =
     Array.iter
       (fun slot ->
         match slot.state with
         | Live { pid; _ } -> ignore (Shard.terminate ~timeout_s:2. pid)
         | Down _ | Dead -> ())
-      slots
+      t.slots
   in
   let not_ready =
-    Array.to_list slots
+    Array.to_list t.slots
     |> List.filter_map (fun slot ->
-           match
-             Shard.wait_ready ~timeout_s:config.shard_ready_timeout_s
-               slot.socket
-           with
+           match Shard.wait_ready ~timeout_s:shard_ready_timeout_s slot.socket with
            | Ok () -> None
            | Error m -> Some m)
   in
@@ -583,53 +335,30 @@ let run ?(config = default_config) () =
        table that serves HEALTH/READY/LIST and the deterministic
        ledger section for the whole run. *)
     let per_shard_rows =
-      Array.to_list slots
+      Array.to_list t.slots
       |> List.map (fun slot ->
              match call_shard slot.socket Proto.List with
              | Ok (Proto.Ok_list rows) -> rows
              | _ -> [])
     in
-    let snapshot =
-      merge_list_rows ~manifest_ids:config.manifest_ids per_shard_rows
+    let handler =
+      {
+        Server.rows = merge_list_rows ~manifest_ids:config.manifest_ids per_shard_rows;
+        backend = config.backend;
+        queue_max = config.queue_max;
+        session = session t;
+        tallies = (fun () -> tallies t);
+        quiesce = (fun () -> quiesce t);
+        finish = (fun () -> cascade t);
+      }
     in
-    match bind_listener config.address with
+    match Server.listen config.server handler with
     | exception e ->
       kill_all ();
       Error (Printexc.to_string e)
-    | listen_fd ->
-      let t =
-        {
-          cfg = config;
-          listen_fd;
-          draining = Atomic.make false;
-          listen_closed = Atomic.make false;
-          chld = Atomic.make false;
-          sm = Mutex.create ();
-          slots;
-          snapshot;
-          cm = Mutex.create ();
-          conns = [];
-          conn_threads = [];
-          next_conn = 0;
-          supervisor = None;
-          started_at = Unix.gettimeofday ();
-          h_latency = Obs.Metrics.histogram "serve.latency_ms";
-        }
-      in
+    | srv ->
       Sys.set_signal Sys.sigchld
         (Sys.Signal_handle (fun _ -> Atomic.set t.chld true));
       t.supervisor <- Some (Thread.create supervisor_loop t);
-      if config.install_signals then begin
-        Fault.Shutdown.install ();
-        Fault.Shutdown.set_graceful (fun _ ->
-            Atomic.set t.draining true;
-            wake_listener t)
-      end;
-      (match config.announce with
-      | Some oc ->
-        Printf.fprintf oc "READY %s\n" (Server.address_to_string config.address);
-        flush oc
-      | None -> ());
-      accept_loop t;
-      drain t;
+      Server.serve srv;
       Ok ())

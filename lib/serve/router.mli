@@ -1,14 +1,14 @@
-(** The sharded [ephemeral serve --shards N] parent process: a frame
-    router in front of N supervised shard workers.
+(** The sharded [ephemeral serve --shards N] parent process: a
+    {!Server.handler} in front of N supervised shard workers.
 
     Query frames are routed by {!Proto.peek_instance} +
     {!Corpus.shard_of} and their request/reply bytes cross the router
     untouched, so reply byte-identity at any shard count is
-    structural.  Control ops are answered from router state: PING
-    locally, HEALTH/READY/LIST from a startup snapshot of every
-    shard's LIST merged back into manifest order, STATS by fan-out and
-    sum.  Unroutable payloads forward opaque to shard 0, whose decoder
-    produces the single-process error bytes.
+    structural.  {!Server} answers the control plane from this
+    handler's rows — a startup snapshot of every shard's LIST merged
+    back into manifest order — and tallies, the sum of the live
+    shards' STATS; it decodes unroutable frames itself, so their error
+    bytes match a single process.
 
     A supervisor thread reaps crashed shards and respawns them with
     {!Fault.Retry.backoff_delay} under a bounded budget; requests to a
@@ -21,49 +21,31 @@
     shard count. *)
 
 type config = {
-  address : Server.address;
+  server : Server.config;  (** the public listener; a Unix socket *)
   shards : int;
   shard_argv : int -> string array;
       (** argv to (re)spawn shard [k] — the running binary with
-          [--shard-index k] *)
-  shard_socket : int -> string;
-  read_timeout_s : float;
-  shard_call_timeout_s : float;
-      (** bound on waiting for a shard's reply to one forwarded frame;
-          expiry answers the client [Unavailable] and drops the shard
-          link *)
-  max_conns : int;
+          [--shard-index k]; shard [k] listens on
+          [Shard.path public k] *)
   queue_max : int;  (** the shards' admission bound, for the ledger *)
-  ledger_path : string option;
-  install_signals : bool;
-  announce : out_channel option;
   manifest_ids : string list;
       (** {!Corpus.manifest_ids} of the full manifest, for the LIST
           merge *)
   backend : Sim.Backend.t;
-  shard_ready_timeout_s : float;
-  max_respawns : int;
   fault : Fault.Plan.t;
 }
 
-val default_config : config
-
-val run : ?config:config -> unit -> (unit, string) result
+val run : config -> (unit, string) result
 (** Spawn and await the shards, serve until the graceful-shutdown
     signal, drain, and return.  [Error] only for startup failures
     (a shard that never became ready, an unbindable socket) — already
     spawned shards are terminated before returning.
-    @raise Invalid_argument if [shards < 1]. *)
+    @raise Invalid_argument if [shards < 1] or the address is TCP. *)
 
 (**/**)
 
 (* Exposed for tests. *)
-val parse_stats_text : string -> Ledger.volatile option
-val render_stats_text : Ledger.volatile -> string
-
 val merge_list_rows :
   manifest_ids:string list ->
   (string * string * string) list list ->
   (string * string * string) list
-
-val snapshot_health : (string * string * string) list -> string

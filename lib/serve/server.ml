@@ -1,36 +1,44 @@
-(* The `ephemeral serve` process: accept loop, per-connection reader
-   threads, the {!Engine} behind them, and the graceful-drain state
-   machine.
+(* The `ephemeral serve` front end: accept loop, per-connection reader
+   threads, the control plane, and the graceful-drain state machine —
+   in front of a handler that answers the queries.  The handler is the
+   local {!Engine} ({!run}) or the sharded {!Router}'s frame forwarder;
+   either way, everything below exists once.
 
    Listening address: a filesystem path (Unix domain socket) or
    ["tcp:HOST:PORT"].  Each accepted connection gets one systhread
-   that reads frames under the per-frame deadline (slow-loris bound),
-   decodes, submits to the engine, and writes the reply; connection
-   count is bounded ([max_conns] — an over-limit accept is answered
-   with one [Resource_exhausted] frame and closed, never queued).
+   that reads frames under the per-frame deadline (slow-loris bound)
+   and writes one reply per frame; connection count is bounded
+   ([max_conns] — an over-limit accept is answered with one
+   [Resource_exhausted] frame and closed, never queued).
+
+   A frame {!Proto.peek_instance} routes goes to the handler's
+   per-connection query path as raw bytes.  Every other frame is
+   decoded here: PING, HEALTH, READY, LIST and STATS are answered from
+   the handler's LIST rows and tallies, and a malformed or unknown
+   request gets the decoder's typed error.
 
    Drain state machine (first SIGTERM/SIGINT via
-   {!Fault.Shutdown.set_graceful}, or {!initiate_drain}):
+   {!Fault.Shutdown.set_graceful}, or the {!run_background} stopper):
 
      accepting ──signal──▶ draining ──flush──▶ drained
 
-   - the signal callback only flips the [draining] atomic and closes
-     the listening socket (handler context: no locks) — that pops the
-     accept loop;
-   - the accept thread then runs the drain: engine drain (every
-     admitted job answered), shutdown of surviving connection sockets
-     (readers see EOF), join of connection threads, ledger publish
-     via {!Store.Fsio.write_atomic} (atomic: a crashed drain leaves
-     the previous ledger or none, never a torn one), socket unlink;
-   - {!run} returns normally, so the process exits 0 — the clean-drain
-     contract the chaos soak asserts.  A second signal takes
-     {!Fault.Shutdown}'s immediate path (exit 130/143), the escape
-     hatch against a wedged drain.
+   - the signal callback only flips the [draining] atomic and pokes
+     the accept loop awake (handler context: no locks);
+   - the accept thread then runs the drain: stop accepting, the
+     handler's [quiesce], shutdown of surviving connection sockets
+     (readers see EOF), join of connection threads, the final tallies,
+     the handler's [finish], ledger publish via
+     {!Store.Fsio.write_atomic} (atomic: a crashed drain leaves the
+     previous ledger or none, never a torn one), socket unlink;
+   - {!serve} returns normally, so the process exits 0 — the
+     clean-drain contract the chaos soak asserts.  A second signal
+     takes {!Fault.Shutdown}'s immediate path (exit 130/143), the
+     escape hatch against a wedged drain.
 
    Degraded mode: a corpus with failed instances still serves — LIST
    shows them as failed, queries against them answer [Unavailable],
-   HEALTH says "degraded".  Only an entirely-unhealthy corpus makes
-   READY answer [Unavailable]. *)
+   HEALTH says "degraded".  Only a table with no available instance
+   makes READY answer [Unavailable]. *)
 
 type address = Unix_path of string | Tcp of string * int
 
@@ -55,25 +63,32 @@ let address_to_string = function
 type config = {
   address : address;
   read_timeout_s : float;  (** per-frame deadline on connection reads *)
-  max_conns : int;
-  engine : Engine.config;
   ledger_path : string option;  (** published atomically on drain *)
-  install_signals : bool;
-      (** arm {!Fault.Shutdown.set_graceful}; off in in-process tests *)
   announce : out_channel option;
-      (** where to print the READY line once listening *)
+      (** where {!serve} prints the READY line once listening *)
 }
 
 let default_config =
   {
     address = Unix_path "ephemeral.sock";
     read_timeout_s = 10.;
-    max_conns = 64;
-    engine = Engine.default_config;
     ledger_path = None;
-    install_signals = true;
     announce = Some stdout;
   }
+
+let max_conns = 64
+
+type session = { query : string -> string -> string; close : unit -> unit }
+
+type handler = {
+  rows : (string * string * string) list;
+  backend : Sim.Backend.t;
+  queue_max : int;
+  session : unit -> session;
+  tallies : unit -> Ledger.volatile;
+  quiesce : unit -> unit;
+  finish : unit -> unit;
+}
 
 (* ------------------------------------------------------------------ *)
 
@@ -81,20 +96,15 @@ type conn = { c_id : int; c_fd : Unix.file_descr }
 
 type t = {
   cfg : config;
-  engine : Engine.t;
+  handler : handler;
   listen_fd : Unix.file_descr;
   draining : bool Atomic.t;
-  listen_closed : bool Atomic.t;
   cm : Mutex.t;
   mutable conns : conn list;
   mutable conn_threads : Thread.t list;
   mutable next_conn : int;
   started_at : float;
 }
-
-let close_listener t =
-  if not (Atomic.exchange t.listen_closed true) then
-    try Unix.close t.listen_fd with _ -> ()
 
 (* Wake a thread blocked in accept(2).  Closing the listener does not
    reliably unblock accept on Linux, and the signal that initiated the
@@ -114,82 +124,47 @@ let wake_listener t =
     Unix.close fd
   with _ -> ()
 
+let stop t =
+  Atomic.set t.draining true;
+  wake_listener t
+
 (* ------------------------------------------------------------------ *)
-(* Request handling *)
+(* Control plane *)
 
-let max_vector = (Proto.max_frame - 16) / 4
+let health rows =
+  let any status = List.exists (fun (_, s, _) -> s = status) rows in
+  if not (any "available") then "unhealthy"
+  else if any "failed" then "degraded"
+  else "ok"
 
-let handle_query t (q : Proto.query) readout =
-  let deadline_s =
-    if q.Proto.deadline_ms > 0 then
-      Some (float_of_int q.Proto.deadline_ms /. 1000.)
-    else None
-  in
-  match
-    Engine.submit t.engine ~instance:q.Proto.instance ~source:q.Proto.source
-      ?deadline_s ()
-  with
-  | Engine.Rejected (code, msg) -> Proto.Error (code, msg)
-  | Engine.Admitted ticket -> (
-    match Engine.await ticket with
-    | Engine.Err (code, msg) -> Proto.Error (code, msg)
-    | Engine.Row row -> readout row)
-
-let handle_request t req =
+let control t req =
+  let rows = t.handler.rows in
   match (req : Proto.request) with
   | Proto.Ping -> Proto.Ok_empty
-  | Proto.Health ->
-    let corpus = Engine.corpus t.engine in
-    Proto.Ok_text
-      (if not (Corpus.healthy corpus) then "unhealthy"
-       else if Corpus.degraded corpus then "degraded"
-       else "ok")
+  | Proto.Health -> Proto.Ok_text (health rows)
   | Proto.Ready ->
     if Atomic.get t.draining then
       Proto.Error (Proto.Shutting_down, "draining")
-    else if Corpus.healthy (Engine.corpus t.engine) then Proto.Ok_text "ready"
-    else Proto.Error (Proto.Unavailable, "no healthy instances")
-  | Proto.List -> Proto.Ok_list (Corpus.list_rows (Engine.corpus t.engine))
-  | Proto.Stats ->
-    let s = Engine.stats t.engine in
-    Proto.Ok_text
-      (Printf.sprintf
-         "queries=%d shed=%d expired=%d cache_hits=%d store_hits=%d sweeps=%d \
-          evictions=%d queue_peak=%d"
-         s.Engine.queries s.Engine.shed s.Engine.expired s.Engine.cache_hits
-         s.Engine.store_hits s.Engine.sweeps s.Engine.evictions
-         s.Engine.queue_peak)
-  | Proto.Foremost q ->
-    handle_query t q (fun row ->
-        if q.Proto.target < 0 || q.Proto.target >= Array.length row then
-          Proto.Error
-            ( Proto.Bad_arg,
-              Printf.sprintf "target %d out of range [0, %d)" q.Proto.target
-                (Array.length row) )
-        else
-          Proto.Ok_value
-            (if row.(q.Proto.target) = max_int then None
-             else Some row.(q.Proto.target)))
-  | Proto.Arrivals q ->
-    handle_query t q (fun row ->
-        if Array.length row > max_vector then
-          Proto.Error
-            ( Proto.Too_large,
-              Printf.sprintf "arrival vector of %d entries exceeds frame limit"
-                (Array.length row) )
-        else Proto.Ok_vector row)
-  | Proto.Reach q ->
-    handle_query t q (fun row ->
-        let c = ref 0 in
-        Array.iter (fun v -> if v <> max_int then incr c) row;
-        Proto.Ok_count !c)
-  | Proto.Ecc q ->
-    handle_query t q (fun row ->
-        let m = ref 0 and unreachable = ref false in
-        Array.iter
-          (fun v -> if v = max_int then unreachable := true else m := max !m v)
-          row;
-        Proto.Ok_value (if !unreachable then None else Some !m))
+    else if health rows = "unhealthy" then
+      Proto.Error (Proto.Unavailable, "no healthy instances")
+    else Proto.Ok_text "ready"
+  | Proto.List -> Proto.Ok_list rows
+  | Proto.Stats -> Proto.Ok_text (Ledger.render_stats_text (t.handler.tallies ()))
+  | Proto.Foremost _ | Proto.Arrivals _ | Proto.Reach _ | Proto.Ecc _ ->
+    (* Unreachable: every decodable query peeks. *)
+    Proto.Error (Proto.Internal, "query reached control path")
+
+let answer t session payload =
+  try
+    match Proto.peek_instance payload with
+    | Some instance -> session.query instance payload
+    | None ->
+      Proto.encode_response
+        (match Proto.decode_request payload with
+        | Error (code, msg) -> Proto.Error (code, msg)
+        | Ok req -> control t req)
+  with e ->
+    Proto.encode_response (Proto.Error (Proto.Internal, Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* Connections *)
@@ -197,6 +172,7 @@ let handle_request t req =
 let reply fd response = Proto.write_frame fd (Proto.encode_response response)
 
 let conn_loop t conn =
+  let session = t.handler.session () in
   let rec loop () =
     match Proto.read_frame ~deadline_s:t.cfg.read_timeout_s conn.c_fd with
     | Proto.Eof -> ()
@@ -215,17 +191,11 @@ let conn_loop t conn =
                   Proto.max_frame ))
        with _ -> ())
     | Proto.Frame payload ->
-      let response =
-        match Proto.decode_request payload with
-        | Error (code, msg) -> Proto.Error (code, msg)
-        | Ok req -> (
-          try handle_request t req
-          with e -> Proto.Error (Proto.Internal, Printexc.to_string e))
-      in
-      reply conn.c_fd response;
+      Proto.write_frame conn.c_fd (answer t session payload);
       loop ()
   in
   (try loop () with _ -> ());
+  session.close ();
   (try Unix.close conn.c_fd with _ -> ());
   Mutex.lock t.cm;
   t.conns <- List.filter (fun c -> c.c_id <> conn.c_id) t.conns;
@@ -233,7 +203,7 @@ let conn_loop t conn =
 
 let spawn_conn t fd =
   Mutex.lock t.cm;
-  let over = List.length t.conns >= t.cfg.max_conns in
+  let over = List.length t.conns >= max_conns in
   let conn = { c_id = t.next_conn; c_fd = fd } in
   if not over then begin
     t.next_conn <- t.next_conn + 1;
@@ -257,26 +227,20 @@ let spawn_conn t fd =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Ledger *)
+(* Lifecycle *)
 
-let ledger_json t ~wall_s =
-  let s = Engine.stats t.engine in
-  let corpus = Engine.corpus t.engine in
+(* Latency percentiles come from [serve.latency_ms] — the engine's
+   submit→reply histogram, or the router's forward round trip — and
+   rates from the wall clock, here and nowhere else. *)
+let ledger_json t (v : Ledger.volatile) ~wall_s =
   let h = Obs.Metrics.histogram "serve.latency_ms" in
   let observed = Obs.Metrics.observations h > 0 in
   let p q = if observed then Obs.Metrics.percentile h q else 0. in
-  let qps =
-    if wall_s > 0. then float_of_int s.Engine.queries /. wall_s else 0.
-  in
+  let qps = if wall_s > 0. then float_of_int v.Ledger.queries /. wall_s else 0. in
   Ledger.render
-    ~backend:(Sim.Backend.to_string (Corpus.backend corpus))
-    ~queue_max:t.cfg.engine.Engine.queue_max
-    ~instances:(Corpus.list_rows corpus)
-    (Ledger.of_stats s ~p50_ms:(p 0.5) ~p99_ms:(p 0.99) ~qps ~wall_s
-       ~shards:None)
-
-(* ------------------------------------------------------------------ *)
-(* Lifecycle *)
+    ~backend:(Sim.Backend.to_string t.handler.backend)
+    ~queue_max:t.handler.queue_max ~instances:t.handler.rows
+    { v with Ledger.p50_ms = p 0.5; p99_ms = p 0.99; qps; wall_s }
 
 let bind_listener address =
   match address with
@@ -299,10 +263,11 @@ let bind_listener address =
 
 let drain t =
   Atomic.set t.draining true;
-  close_listener t;
-  (* Flush every admitted job; tickets held by connection threads
-     resolve, so their pending writes complete. *)
-  Engine.drain t.engine;
+  (try Unix.close t.listen_fd with _ -> ());
+  (* The handler settles its own work first: the engine answers every
+     admitted job, so tickets held by connection threads resolve and
+     their pending writes complete. *)
+  t.handler.quiesce ();
   (* Surviving connections are idle readers (or writers about to
      finish): shut their sockets so reads see EOF.  shutdown, not
      close — the thread owns the close, so the descriptor cannot be
@@ -314,14 +279,16 @@ let drain t =
     (fun c -> try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with _ -> ())
     conns;
   List.iter (fun th -> try Thread.join th with _ -> ()) threads;
-  (* Publish the ledger last, atomically: it reflects the final
-     tallies, and a crash mid-drain leaves the previous file or none —
-     never a torn one. *)
+  (* No client traffic is left: the tallies are final. *)
+  let v = t.handler.tallies () in
+  t.handler.finish ();
+  (* Publish the ledger last, atomically: a crash mid-drain leaves the
+     previous file or none — never a torn one. *)
   let wall_s = Unix.gettimeofday () -. t.started_at in
   (match t.cfg.ledger_path with
   | None -> ()
   | Some path -> (
-    try Store.Fsio.write_atomic path (ledger_json t ~wall_s) with _ -> ()));
+    try Store.Fsio.write_atomic path (ledger_json t v ~wall_s) with _ -> ()));
   match t.cfg.address with
   | Unix_path path -> ( try Unix.unlink path with _ -> ())
   | Tcp _ -> ()
@@ -336,117 +303,138 @@ let accept_loop t =
         loop ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
       | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-        (* Listener closed under us by the drain callback. *)
+        (* Listener closed under us. *)
         ()
       | exception _ when Atomic.get t.draining -> ()
   in
   loop ()
 
-let run ?(config = default_config) corpus =
+let listen config handler =
   (* A client disconnecting mid-write must surface as EPIPE on the
      write, not kill the process. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let engine = Engine.create ~config:config.engine corpus in
-  let listen_fd = bind_listener config.address in
-  let t =
-    {
-      cfg = config;
-      engine;
-      listen_fd;
-      draining = Atomic.make false;
-      listen_closed = Atomic.make false;
-      cm = Mutex.create ();
-      conns = [];
-      conn_threads = [];
-      next_conn = 0;
-      started_at = Unix.gettimeofday ();
-    }
-  in
-  Engine.start engine;
-  if config.install_signals then begin
-    Fault.Shutdown.install ();
-    (* The callback only flips the atomic and pokes the accept thread
-       awake; the accept thread then runs the actual drain.  (OCaml
-       signal handlers run at safepoints as ordinary code — the
-       constraint is not taking locks the interrupted thread may
-       hold, and neither step does.) *)
-    Fault.Shutdown.set_graceful (fun _ ->
-        Atomic.set t.draining true;
-        wake_listener t)
-  end;
-  (match config.announce with
+  {
+    cfg = config;
+    handler;
+    listen_fd = bind_listener config.address;
+    draining = Atomic.make false;
+    cm = Mutex.create ();
+    conns = [];
+    conn_threads = [];
+    next_conn = 0;
+    started_at = Unix.gettimeofday ();
+  }
+
+let serve t =
+  Fault.Shutdown.install ();
+  (* The callback only flips the atomic and pokes the accept thread
+     awake; the accept thread then runs the actual drain.  (OCaml
+     signal handlers run at safepoints as ordinary code — the
+     constraint is not taking locks the interrupted thread may hold,
+     and neither step does.) *)
+  Fault.Shutdown.set_graceful (fun _ -> stop t);
+  (match t.cfg.announce with
   | Some oc ->
-    Printf.fprintf oc "READY %s\n" (address_to_string config.address);
+    Printf.fprintf oc "READY %s\n" (address_to_string t.cfg.address);
     flush oc
   | None -> ());
   accept_loop t;
   drain t
 
-(* In-process handle for tests: run the server on a background thread,
-   return a stopper that initiates the drain and joins. *)
-let run_background ?(config = default_config) corpus =
-  let stop_ref = ref (fun () -> ()) in
-  let started = Mutex.create () in
-  let started_c = Condition.create () in
-  let ready = ref false in
-  let failed = ref None in
-  let config = { config with announce = None; install_signals = false } in
-  let signal_started err =
-    Mutex.lock started;
-    failed := err;
-    ready := true;
-    Condition.signal started_c;
-    Mutex.unlock started
+(* ------------------------------------------------------------------ *)
+(* The local engine as a handler *)
+
+let max_vector = (Proto.max_frame - 16) / 4
+
+let with_row engine (q : Proto.query) readout =
+  let deadline_s =
+    if q.Proto.deadline_ms > 0 then
+      Some (float_of_int q.Proto.deadline_ms /. 1000.)
+    else None
   in
-  let setup () =
-    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let engine = Engine.create ~config:config.engine corpus in
-    let listen_fd = bind_listener config.address in
-    let t =
+  match
+    Engine.submit engine ~instance:q.Proto.instance ~source:q.Proto.source
+      ?deadline_s ()
+  with
+  | Engine.Rejected (code, msg) -> Proto.Error (code, msg)
+  | Engine.Admitted ticket -> (
+    match Engine.await ticket with
+    | Engine.Err (code, msg) -> Proto.Error (code, msg)
+    | Engine.Row row -> readout row)
+
+let local_query engine payload =
+  match Proto.decode_request payload with
+  | Error (code, msg) -> Proto.Error (code, msg)
+  | Ok (Proto.Foremost q) ->
+    with_row engine q (fun row ->
+        if q.Proto.target < 0 || q.Proto.target >= Array.length row then
+          Proto.Error
+            ( Proto.Bad_arg,
+              Printf.sprintf "target %d out of range [0, %d)" q.Proto.target
+                (Array.length row) )
+        else
+          Proto.Ok_value
+            (if row.(q.Proto.target) = max_int then None
+             else Some row.(q.Proto.target)))
+  | Ok (Proto.Arrivals q) ->
+    with_row engine q (fun row ->
+        if Array.length row > max_vector then
+          Proto.Error
+            ( Proto.Too_large,
+              Printf.sprintf "arrival vector of %d entries exceeds frame limit"
+                (Array.length row) )
+        else Proto.Ok_vector row)
+  | Ok (Proto.Reach q) ->
+    with_row engine q (fun row ->
+        let c = ref 0 in
+        Array.iter (fun v -> if v <> max_int then incr c) row;
+        Proto.Ok_count !c)
+  | Ok (Proto.Ecc q) ->
+    with_row engine q (fun row ->
+        let m = ref 0 and unreachable = ref false in
+        Array.iter
+          (fun v -> if v = max_int then unreachable := true else m := max !m v)
+          row;
+        Proto.Ok_value (if !unreachable then None else Some !m))
+  | Ok (Proto.Ping | Proto.Health | Proto.Ready | Proto.List | Proto.Stats) ->
+    (* Unreachable: control ops never peek. *)
+    Proto.Error (Proto.Internal, "control op reached the query path")
+
+let listen_local ?(config = default_config) ?(engine = Engine.default_config)
+    corpus =
+  let e = Engine.create ~config:engine corpus in
+  let session =
+    {
+      query = (fun _ payload -> Proto.encode_response (local_query e payload));
+      close = ignore;
+    }
+  in
+  let t =
+    listen config
       {
-        cfg = config;
-        engine;
-        listen_fd;
-        draining = Atomic.make false;
-        listen_closed = Atomic.make false;
-        cm = Mutex.create ();
-        conns = [];
-        conn_threads = [];
-        next_conn = 0;
-        started_at = Unix.gettimeofday ();
+        rows = Corpus.list_rows corpus;
+        backend = Corpus.backend corpus;
+        queue_max = engine.Engine.queue_max;
+        session = (fun () -> session);
+        tallies = (fun () -> Ledger.of_stats (Engine.stats e));
+        quiesce = (fun () -> Engine.drain e);
+        finish = ignore;
       }
-    in
-    Engine.start engine;
-    stop_ref :=
-      (fun () ->
-        Atomic.set t.draining true;
-        wake_listener t);
-    t
   in
+  Engine.start e;
+  t
+
+let run ?config ?engine corpus = serve (listen_local ?config ?engine corpus)
+
+let run_background ?config ?engine corpus =
+  let t = listen_local ?config ?engine corpus in
   let th =
     Thread.create
       (fun () ->
-        (* A setup failure (say, a bad socket path) must surface in the
-           caller, not deadlock it waiting for readiness. *)
-        match setup () with
-        | exception e -> signal_started (Some e)
-        | t ->
-          signal_started None;
-          accept_loop t;
-          drain t)
+        accept_loop t;
+        drain t)
       ()
   in
-  Mutex.lock started;
-  while not !ready do
-    Condition.wait started_c started
-  done;
-  let err = !failed in
-  Mutex.unlock started;
-  match err with
-  | Some e ->
-    Thread.join th;
-    raise e
-  | None ->
-    fun () ->
-      !stop_ref ();
-      Thread.join th
+  fun () ->
+    stop t;
+    Thread.join th

@@ -1,20 +1,20 @@
 (* Shard-worker process management for the sharded router.
 
    A shard is an ordinary `ephemeral serve` process re-exec'd from the
-   running binary with a hidden [--shard-index K] flag: it loads only
-   its consistent-hash partition of the manifest and listens on a
-   private socket derived from the public one.  Re-exec (not fork) is
-   deliberate: the router runs systhreads and an accept loop, and a
-   forked child would inherit that mid-flight state; a fresh exec also
-   makes crash-respawn identical to first spawn.
+   running binary with the router's own argv plus a hidden
+   [--shard-index K] flag: it loads only its consistent-hash partition
+   of the manifest and listens on a private socket derived from the
+   public one.  Re-exec (not fork) is deliberate: the router runs
+   systhreads and an accept loop, and a forked child would inherit
+   that mid-flight state; a fresh exec also makes crash-respawn
+   identical to first spawn.
 
    Readiness is probed by PING over the shard's socket, not by parsing
    child stdout — shards announce nothing, so the router's own READY
    line is the only one the parent's supervisor (soak, CI scripts)
    ever sees. *)
 
-let socket_path base k = Printf.sprintf "%s.shard-%d" base k
-let ledger_path base k = Printf.sprintf "%s.shard-%d" base k
+let path base k = Printf.sprintf "%s.shard-%d" base k
 
 let spawn argv =
   Unix.create_process argv.(0) argv Unix.stdin Unix.stdout Unix.stderr

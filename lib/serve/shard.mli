@@ -1,19 +1,16 @@
 (** Shard-worker process management for the sharded {!Router}.
 
-    A shard worker is the running binary re-exec'd as
-    [ephemeral serve --shard-index K]: it loads only its
+    A shard worker is the running binary re-exec'd with the router's
+    own argv plus [--shard-index K]: it loads only its
     {!Corpus.shard_of} partition of the manifest and listens on a
     private socket.  Readiness is probed with PING — shards never
     announce on stdout, so the router's READY line stays the only
     one. *)
 
-val socket_path : string -> int -> string
-(** [socket_path base k] = ["<base>.shard-<k>"], the private socket of
-    shard [k] derived from the router's public socket path. *)
-
-val ledger_path : string -> int -> string
-(** Per-shard ledger path derived from the merged-ledger path the same
-    way. *)
+val path : string -> int -> string
+(** [path base k] = ["<base>.shard-<k>"]: shard [k]'s private socket
+    from the router's public socket path, and its ledger from the
+    merged-ledger path. *)
 
 val spawn : string array -> int
 (** [create_process argv.(0) argv] with inherited stdio; returns the

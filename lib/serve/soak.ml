@@ -135,7 +135,8 @@ let op_name = function
 
 (* One checked query.  [lenient] adds the load-shedding codes to the
    acceptable set (burst phases); [draining] additionally accepts
-   Shutting_down and clean transport EOF (the SIGTERM phase). *)
+   Shutting_down and a close by the server (the SIGTERM phase).
+   Returns whether the transport still works. *)
 let checked_query ctx ~phase ~lenient ~draining client op q =
   let t0 = Unix.gettimeofday () in
   let r = Client.call ~timeout_s:30. client (request_of op q) in
@@ -144,7 +145,7 @@ let checked_query ctx ~phase ~lenient ~draining client op q =
   match r with
   | Ok resp -> (
     match expected ctx op q with
-    | None -> () (* query against a degraded instance: checked elsewhere *)
+    | None -> true (* query against a degraded instance: checked elsewhere *)
     | Some want ->
       let ok =
         response_equal resp want
@@ -161,12 +162,14 @@ let checked_query ctx ~phase ~lenient ~draining client op q =
         (Printf.sprintf "%s %s src=%d tgt=%d: got %s, want %s" (op_name op)
            q.Proto.instance q.Proto.source q.Proto.target
            (Proto.render_response resp)
-           (Proto.render_response want)))
+           (Proto.render_response want));
+      true)
   | Error m ->
     let clean_close = draining && m = "connection closed by server" in
     check ctx ~phase clean_close
       (Printf.sprintf "%s %s src=%d: transport: %s" (op_name op)
-         q.Proto.instance q.Proto.source m)
+         q.Proto.instance q.Proto.source m);
+    false
 
 let q ?(target = 0) ?(deadline_ms = 0) instance source =
   { Proto.instance; source; target; deadline_ms }
@@ -187,8 +190,9 @@ let phase_correctness ctx rng ~rounds =
       let src = Prng.Rng.int rng n in
       let tgt = Prng.Rng.int rng n in
       let op = ops.(Prng.Rng.int rng (Array.length ops)) in
-      checked_query ctx ~phase ~lenient:false ~draining:false client op
-        (q ~target:tgt id src)
+      ignore
+        (checked_query ctx ~phase ~lenient:false ~draining:false client op
+           (q ~target:tgt id src))
     done;
     Client.close client
 
@@ -359,9 +363,10 @@ let phase_overload ctx rng ~threads ~per_thread ~deadline_every =
                 (* A sprinkle of aggressive deadlines provokes the
                    Deadline_exceeded path under load. *)
                 let deadline_ms = if k mod deadline_every = 0 then 1 else 0 in
-                checked_query ctx ~phase ~lenient:true ~draining:false client
-                  op
-                  (q ~target:(Prng.Rng.int rng n) ~deadline_ms id src)
+                ignore
+                  (checked_query ctx ~phase ~lenient:true ~draining:false
+                     client op
+                     (q ~target:(Prng.Rng.int rng n) ~deadline_ms id src))
               done;
               Client.close client)
           ())
@@ -402,9 +407,10 @@ let phase_shard_kill ctx rng ~threads ~per_thread =
                 in
                 let src = Prng.Rng.int rng n in
                 let op = ops.(Prng.Rng.int rng (Array.length ops)) in
-                checked_query ctx ~phase ~lenient:true ~draining:false client
-                  op
-                  (q ~target:(Prng.Rng.int rng n) id src);
+                ignore
+                  (checked_query ctx ~phase ~lenient:true ~draining:false
+                     client op
+                     (q ~target:(Prng.Rng.int rng n) id src));
                 (* Pace the burst so kills land mid-traffic rather
                    than between two instants of it. *)
                 Thread.delay 0.005
@@ -430,19 +436,24 @@ let phase_sigterm ctx rng ~pid ~threads ~per_thread =
             | Ok client ->
               let rng = rngs.(i) in
               let ops = [| `Foremost; `Reach; `Ecc |] in
-              (try
-                 for _ = 1 to per_thread do
-                   let id, n =
-                     List.nth ctx.instances
-                       (Prng.Rng.int rng (List.length ctx.instances))
-                   in
-                   let src = Prng.Rng.int rng n in
-                   let op = ops.(Prng.Rng.int rng (Array.length ops)) in
-                   checked_query ctx ~phase ~lenient:true ~draining:true
-                     client op
-                     (q ~target:(Prng.Rng.int rng n) id src)
-                 done
-               with _ -> ());
+              (* The drain closes this connection: the first transport
+                 error ends the worker. *)
+              let rec go k =
+                if k > 0 then begin
+                  let id, n =
+                    List.nth ctx.instances
+                      (Prng.Rng.int rng (List.length ctx.instances))
+                  in
+                  let src = Prng.Rng.int rng n in
+                  let op = ops.(Prng.Rng.int rng (Array.length ops)) in
+                  if
+                    checked_query ctx ~phase ~lenient:true ~draining:true
+                      client op
+                      (q ~target:(Prng.Rng.int rng n) id src)
+                  then go (k - 1)
+                end
+              in
+              (try go per_thread with _ -> ());
               Client.close client)
           ())
   in
@@ -522,6 +533,9 @@ let contains body needle =
   scan 0
 
 let run ~exe ~dir ~seed ~quick ~fault_spec ~backend ~jobs ~shards =
+  (* The sigterm phase writes to connections the drain has closed:
+     that must come back as an error value, not kill the soak. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Store.Fsio.ensure_dir dir;
   (* A sharded soak arms the shard-kill site unless the caller's spec
      already decided the rate: crash-respawn must run under live

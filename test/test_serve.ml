@@ -159,6 +159,19 @@ let frame_eof () =
       | Proto.Eof -> ()
       | _ -> Alcotest.fail "closed peer must read Eof")
 
+(* A peer that closes with a frame unread resets the stream: the read
+   sees ECONNRESET, which is that peer's end of stream like any other
+   close.  The router's shard links depend on it: a shard killed with
+   a forwarded request unread must answer the client UNAVAILABLE, not
+   drop its connection. *)
+let frame_reset_is_eof () =
+  with_socketpair (fun a b ->
+      Proto.write_frame a (Proto.encode_request Proto.Ping);
+      Unix.close b;
+      match Proto.read_frame ~deadline_s:2. a with
+      | Proto.Eof -> ()
+      | _ -> Alcotest.fail "reset by peer must read Eof")
+
 let frame_timeout () =
   with_socketpair (fun a b ->
       (* Half a header, then silence: the slow-loris read must give up
@@ -188,8 +201,8 @@ let frame_oversized () =
 
 (* ------------------------------------------------------------------ *)
 (* Codec properties: encode∘decode = id over generated values, and no
-   truncation of a valid payload ever parses — the router forwards
-   unroutable bytes opaquely, so rejection behaviour is part of the
+   truncation of a valid payload ever parses — a shard decodes the
+   bytes the router forwarded, so rejection behaviour is part of the
    sharded byte-identity contract. *)
 
 let gen_query =
@@ -342,7 +355,7 @@ let degraded_load () =
         "total garbage";
       ]
   in
-  check_bool "degraded" true (Corpus.degraded corpus);
+  check_string "health text" "degraded" (Server.health (Corpus.list_rows corpus));
   check_bool "still healthy" true (Corpus.healthy corpus);
   check_int "three instances" 3 (List.length (Corpus.instances corpus));
   (match Corpus.find corpus "ok" with
@@ -365,7 +378,7 @@ let degraded_load () =
 
 let all_failed_unhealthy () =
   let corpus = Corpus.load ~backend:Sim.Backend.Dense [ "id=b,family=star,n=0" ] in
-  check_bool "degraded" true (Corpus.degraded corpus);
+  check_string "health text" "unhealthy" (Server.health (Corpus.list_rows corpus));
   check_bool "not healthy" false (Corpus.healthy corpus)
 
 (* Dense and implicit backends must serve label-identical instances:
@@ -678,14 +691,14 @@ let router_stats_text_roundtrip () =
       p50_ms = 0.; p99_ms = 0.; qps = 0.; wall_s = 0.; shards = None;
     }
   in
-  (match Serve.Router.parse_stats_text (Serve.Router.render_stats_text v) with
+  (match Serve.Ledger.parse_stats_text (Serve.Ledger.render_stats_text v) with
   | Some v' ->
     check_bool "tallies survive the round-trip" true (v = v')
   | None -> Alcotest.fail "rendered stats must parse");
   check_bool "garbage does not parse" true
-    (Serve.Router.parse_stats_text "hello world" = None);
+    (Serve.Ledger.parse_stats_text "hello world" = None);
   check_bool "non-numeric values ignored" true
-    (Serve.Router.parse_stats_text "queries=many" = None)
+    (Serve.Ledger.parse_stats_text "queries=many" = None)
 
 let router_merge_list_rows () =
   let manifest_ids = [ "a"; "b"; "c"; "d" ] in
@@ -716,14 +729,14 @@ let router_merge_list_rows () =
 
 let router_snapshot_health () =
   check_string "all available is ok" "ok"
-    (Serve.Router.snapshot_health [ ("a", "available", "") ]);
+    (Server.health [ ("a", "available", "") ]);
   check_string "any failed is degraded" "degraded"
-    (Serve.Router.snapshot_health
+    (Server.health
        [ ("a", "available", ""); ("b", "failed", "x") ]);
   check_string "none available is unhealthy" "unhealthy"
-    (Serve.Router.snapshot_health [ ("b", "failed", "x") ]);
+    (Server.health [ ("b", "failed", "x") ]);
   check_string "empty snapshot is unhealthy" "unhealthy"
-    (Serve.Router.snapshot_health [])
+    (Server.health [])
 
 (* ------------------------------------------------------------------ *)
 (* Live server over a Unix socket *)
@@ -741,10 +754,13 @@ let with_server ?(manifest = [ "id=t,family=path,n=7,seed=5"; "id=broken,family=
           Server.address;
           ledger_path = Some ledger;
           read_timeout_s = 5.;
-          engine = { Engine.default_config with Engine.queue_max = 16 };
         }
       in
-      let stop = Server.run_background ~config corpus in
+      let stop =
+        Server.run_background ~config
+          ~engine:{ Engine.default_config with Engine.queue_max = 16 }
+          corpus
+      in
       let finish () = stop () in
       Fun.protect ~finally:finish (fun () -> f corpus address ledger))
 
@@ -819,6 +835,79 @@ let server_ledger_contents () =
       check_bool "query counted" true (contains text "\"queries\": 1");
       check_bool "socket unlinked" false
         (Sys.file_exists (Filename.concat dir "srv.sock")))
+
+let ping_answers c =
+  match Client.call ~timeout_s:5. c Proto.Ping with
+  | Stdlib.Ok Proto.Ok_empty -> true
+  | _ -> false
+
+(* The connection table is bounded: past [max_conns] an accept gets one
+   typed frame and a close, and a freed slot serves again. *)
+let server_connection_limit () =
+  with_server (fun _ address _ ->
+      let connect () = expect_ok (Client.connect ~timeout_s:5. address) in
+      let held = List.init Server.max_conns (fun _ -> connect ()) in
+      Fun.protect
+        ~finally:(fun () -> List.iter Client.close held)
+        (fun () ->
+          check_bool "every held connection served" true
+            (List.for_all ping_answers held);
+          let over = connect () in
+          let fd = Client.fd over in
+          (match Proto.read_frame ~deadline_s:5. fd with
+          | Proto.Frame p ->
+            check_bool "one Resource_exhausted frame" true
+              (Proto.decode_response p
+              = Stdlib.Ok
+                  (Proto.Error
+                     (Proto.Resource_exhausted, "connection limit reached")))
+          | _ -> Alcotest.fail "over-limit accept must be answered");
+          check_bool "then EOF" true
+            (Proto.read_frame ~deadline_s:5. fd = Proto.Eof);
+          Client.close over;
+          (* The server frees the slot once it reads this close. *)
+          Client.close (List.hd held);
+          let rec served k =
+            let c = connect () in
+            let ok = ping_answers c in
+            Client.close c;
+            ok || (k > 0 && (Thread.delay 0.01; served (k - 1)))
+          in
+          check_bool "a freed slot serves a new connection" true (served 500)))
+
+(* The same front end on TCP: round trips, then a drain that returns
+   and publishes the ledger. *)
+let server_tcp () =
+  with_tmp_dir (fun dir ->
+      Store.Fsio.ensure_dir dir;
+      let port =
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+            match Unix.getsockname fd with
+            | Unix.ADDR_INET (_, p) -> p
+            | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket")
+      in
+      let address = Server.Tcp ("127.0.0.1", port) in
+      let ledger = Filename.concat dir "ledger.json" in
+      let corpus =
+        Corpus.load ~backend:Sim.Backend.Dense [ "id=t,family=path,n=7,seed=5" ]
+      in
+      let stop =
+        Server.run_background
+          ~config:{ Server.default_config with Server.address; ledger_path = Some ledger }
+          corpus
+      in
+      let c = expect_ok (Client.connect ~timeout_s:5. address) in
+      check_bool "ping" true (ping_answers c);
+      (match expect_ok (Client.call c Proto.List) with
+      | Proto.Ok_list rows -> check_bool "list" true (rows = Corpus.list_rows corpus)
+      | _ -> Alcotest.fail "list must answer rows");
+      Client.close c;
+      stop ();
+      check_bool "ledger published on drain" true (Sys.file_exists ledger))
 
 (* The determinism claim at the protocol level: the same scripted
    session renders byte-identically on dense and implicit servers. *)
@@ -980,6 +1069,7 @@ let suites =
         case "render deterministic" render_deterministic;
         case "frame round-trip" frame_roundtrip;
         case "frame eof" frame_eof;
+        case "frame reset by peer is eof" frame_reset_is_eof;
         case "frame timeout (slow loris)" frame_timeout;
         case "frame oversized" frame_oversized;
         case "query truncation vectors" query_truncation_vectors;
@@ -1028,6 +1118,8 @@ let suites =
         case "drain publishes ledger" server_drain_publishes_ledger;
         case "ledger contents" server_ledger_contents;
         case "backend byte-identical sessions" server_backend_byte_identical;
+        case "connection limit" server_connection_limit;
+        case "tcp listener" server_tcp;
       ] );
     ( "serve.retry",
       [
