@@ -1,18 +1,19 @@
 module Graph = Sgraph.Graph
 
 (* The derived time-edge stream, materialized lazily as a label-bounded
-   *prefix*.  A view with [bound = B] holds exactly the entries whose
+   *prefix*.  A view with [bound = B] holds exactly the arcs whose
    label is <= B, in the same order the dense counting-sorted stream
    would hold them: label ascending, ties in emission order (edge id
    ascending, u->v before v->u).  Because the sort is stable and the
    emission order is fixed, the view for bound B is a byte prefix of
-   the view for bound 2B — so kernels that exhaust a view keep their
-   stream indices (arrival predecessors, scan positions) and continue
-   exactly where they stopped after an {!extend}.
+   the view for bound 2B — both its [arcs] and its [off] — so kernels
+   that exhaust a view keep their stream indices (arrival predecessors,
+   scan positions) and continue exactly where they stopped after an
+   {!extend}.
 
    On the normalized U-RTN clique the temporal diameter is
    Theta(log n), so sweeps only ever consume labels up to O(log n) out
-   of a lifetime of n: the prefix holds ~ m * B / a entries — O(n log n)
+   of a lifetime of n: the prefix holds ~ m * B / a arcs — O(n log n)
    for the clique — while the dense stream would hold all m * r.  That
    ratio is the whole point of the backend.
 
@@ -24,14 +25,41 @@ module Graph = Sgraph.Graph
    domains race — keeping the [implicit.label_rolls] probe identical at
    any [--jobs]. *)
 
+(* The layout, decided here for both backends: one word per arc,
+   [(src lsl arc_shift) lor dst], grouped by label.  Both endpoints
+   take [arc_shift] bits, so a graph may have at most [2^arc_shift]
+   vertices. *)
+let arc_shift = Sys.int_size / 2
+let arc_mask = (1 lsl arc_shift) - 1
+let pack u v = (u lsl arc_shift) lor v
+let arc_src a = a lsr arc_shift
+let arc_dst a = a land arc_mask
+
+let check_vertices name g =
+  if Graph.n g > 1 lsl arc_shift then
+    invalid_arg
+      (Printf.sprintf "%s: more than 2^%d vertices do not fit a packed arc" name
+         arc_shift)
+
 type view = {
-  bound : int;  (* every entry with label <= bound is present *)
+  bound : int;  (* every arc with label <= bound is present *)
   complete : bool;  (* bound >= lifetime: this is the whole stream *)
-  te_src : int array;
-  te_dst : int array;
-  te_label : int array;
-  te_edge : int array;
+  arcs : int array;
+  off : int array;
+      (* bound + 2 words; label l is arcs.(off.(l) .. off.(l+1) - 1) *)
 }
+
+(* The largest [l] with [off.(l) <= i]: label groups are contiguous and
+   [off] is non-decreasing, so a binary search over [1 .. bound]. *)
+let label_at v i =
+  if i < 0 || i >= Array.length v.arcs then
+    invalid_arg "Implicit.Stream.label_at: index outside the view";
+  let lo = ref 1 and hi = ref v.bound in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if v.off.(mid) <= i then lo := mid else hi := mid - 1
+  done;
+  !lo
 
 type t = {
   graph : Graph.t;
@@ -45,6 +73,7 @@ type t = {
 let default_initial_bound = 64
 
 let create graph ~labels ~lifetime =
+  check_vertices "Implicit.Stream.create" graph;
   if lifetime < 1 then invalid_arg "Implicit.Stream.create: lifetime < 1";
   {
     graph;
@@ -52,15 +81,7 @@ let create graph ~labels ~lifetime =
     lifetime;
     initial_bound = Stdlib.min lifetime default_initial_bound;
     cur =
-      Atomic.make
-        {
-          bound = 0;
-          complete = false;
-          te_src = [||];
-          te_dst = [||];
-          te_label = [||];
-          te_edge = [||];
-        };
+      Atomic.make { bound = 0; complete = false; arcs = [||]; off = [| 0; 0 |] };
     lock = Mutex.create ();
   }
 
@@ -69,92 +90,71 @@ let labels t = t.labels
 let lifetime t = t.lifetime
 let view t = Atomic.get t.cur
 
-(* Growable quad buffer for one collect pass. *)
+(* Growable (arc, label) buffer for one collect pass. *)
 type buf = {
   mutable len : int;
-  mutable src : int array;
-  mutable dst : int array;
+  mutable arc : int array;
   mutable lab : int array;
-  mutable edg : int array;
 }
 
-let buf_push b u v l e =
-  let cap = Array.length b.src in
-  if b.len = cap then begin
-    let cap' = Stdlib.max 1024 (2 * cap) in
-    let grow a = Array.append a (Array.make (cap' - cap) 0) in
-    b.src <- grow b.src;
-    b.dst <- grow b.dst;
-    b.lab <- grow b.lab;
-    b.edg <- grow b.edg
+let buf_push b a l =
+  if b.len = Array.length b.arc then begin
+    let grow x =
+      let y = Array.make (Stdlib.max 1024 (2 * b.len)) 0 in
+      Array.blit x 0 y 0 b.len;
+      y
+    in
+    b.arc <- grow b.arc;
+    b.lab <- grow b.lab
   end;
-  b.src.(b.len) <- u;
-  b.dst.(b.len) <- v;
+  b.arc.(b.len) <- a;
   b.lab.(b.len) <- l;
-  b.edg.(b.len) <- e;
   b.len <- b.len + 1
 
-(* One roll pass over all edges, keeping entries with lo < label <= hi
-   in emission order, then a stable counting sort by label appended
-   onto [prev]'s arrays.  All labels in the band exceed [prev.bound],
-   so old arrays + sorted band is exactly the stream prefix for
-   [hi]. *)
+(* One roll pass over all edges, keeping arcs with lo < label <= hi in
+   emission order, then a stable counting sort by label appended onto
+   [prev]'s arrays.  All labels in the band exceed [prev.bound], so old
+   arcs + sorted band is exactly the stream prefix for [hi], and
+   [prev.off] is the first [lo + 2] words of the new offsets. *)
 let build_band t (prev : view) ~hi =
   let lo = prev.bound in
   let g = t.graph in
   let undirected = not (Graph.is_directed g) in
   let r = Labels.rolls_per_edge t.labels in
   let scratch = Array.make r 0 in
-  let b = { len = 0; src = [||]; dst = [||]; lab = [||]; edg = [||] } in
+  let b = { len = 0; arc = [||]; lab = [||] } in
+  let keep u v l =
+    if l > lo && l <= hi then begin
+      buf_push b (pack u v) l;
+      if undirected then buf_push b (pack v u) l
+    end
+  in
   Graph.iter_edges g (fun e u v ->
-      if r = 1 then begin
-        let l = Labels.roll t.labels ~edge:e ~k:0 in
-        if l > lo && l <= hi then begin
-          buf_push b u v l e;
-          if undirected then buf_push b v u l e
-        end
-      end
-      else begin
-        let cnt = Labels.fill_sorted t.labels ~edge:e scratch in
-        for j = 0 to cnt - 1 do
-          let l = scratch.(j) in
-          if l > lo && l <= hi then begin
-            buf_push b u v l e;
-            if undirected then buf_push b v u l e
-          end
-        done
-      end);
+      if r = 1 then keep u v (Labels.roll t.labels ~edge:e ~k:0)
+      else
+        for j = 0 to Labels.fill_sorted t.labels ~edge:e scratch - 1 do
+          keep u v scratch.(j)
+        done);
   Labels.note_bulk_rolls (Graph.m g * r);
-  let old_len = Array.length prev.te_label in
-  let total = old_len + b.len in
-  let extendarr old = Array.append old (Array.make b.len 0) in
-  let te_src = extendarr prev.te_src in
-  let te_dst = extendarr prev.te_dst in
-  let te_label = extendarr prev.te_label in
-  let te_edge = extendarr prev.te_edge in
-  (* Stable counting sort of the band into the tail. *)
-  let counts = Array.make (hi - lo + 1) 0 in
+  let old_len = Array.length prev.arcs in
+  let off = Array.make (hi + 2) 0 in
+  Array.blit prev.off 0 off 0 (lo + 2);
   for i = 0 to b.len - 1 do
-    let c = b.lab.(i) - lo in
-    counts.(c) <- counts.(c) + 1
+    let l = b.lab.(i) in
+    off.(l + 1) <- off.(l + 1) + 1
   done;
-  let sum = ref old_len in
-  for c = 1 to hi - lo do
-    let k = counts.(c) in
-    counts.(c) <- !sum;
-    sum := !sum + k
+  for l = lo + 1 to hi do
+    off.(l + 1) <- off.(l + 1) + off.(l)
   done;
-  assert (!sum = total);
+  let arcs = Array.make (old_len + b.len) 0 in
+  Array.blit prev.arcs 0 arcs 0 old_len;
+  let cursor = Array.sub off 0 (hi + 1) in
   for i = 0 to b.len - 1 do
-    let c = b.lab.(i) - lo in
-    let pos = counts.(c) in
-    counts.(c) <- pos + 1;
-    te_src.(pos) <- b.src.(i);
-    te_dst.(pos) <- b.dst.(i);
-    te_label.(pos) <- b.lab.(i);
-    te_edge.(pos) <- b.edg.(i)
+    let l = b.lab.(i) in
+    arcs.(cursor.(l)) <- b.arc.(i);
+    cursor.(l) <- cursor.(l) + 1
   done;
-  { bound = hi; complete = hi >= t.lifetime; te_src; te_dst; te_label; te_edge }
+  { bound = hi; complete = hi >= t.lifetime; arcs; off }
 
 let extend t ~past =
   let v = Atomic.get t.cur in

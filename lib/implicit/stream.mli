@@ -1,12 +1,21 @@
-(** Lazily-materialized prefix of a derived time-edge stream.
+(** The time-edge stream layout, and the lazily-materialized prefix of a
+    derived stream.
 
-    A {!view} with [bound = B] holds exactly the stream entries with
-    label [<= B], byte-identical to the corresponding prefix of the
-    dense counting-sorted stream (label ascending, ties in emission
-    order: edge id ascending, u->v before v->u).  Views for growing
-    bounds are byte prefixes of each other, so kernels keep their
-    stream indices across {!extend} and resume scanning exactly where
-    they stopped.
+    {b Layout.}  Both backends hold a stream as a {!view}: one packed
+    word per arc, [(src lsl arc_shift) lor dst], in [arcs], grouped by
+    label, and an offsets array [off] of [bound + 2] words: label [l]'s
+    group is [arcs.(off.(l)) .. arcs.(off.(l+1) - 1)], and
+    [off.(bound + 1)] is the stream length.  Labels ascend; ties are in
+    emission order (edge id ascending, u->v before v->u).  This module
+    alone decides the packing; kernels decode with [lsr arc_shift] and
+    [land arc_mask], binding both once per call.
+
+    {b Prefixes.}  A {!t}'s view with [bound = B] holds exactly the
+    arcs with label [<= B], byte-identical to the corresponding prefix
+    of the dense counting-sorted stream.  Views for growing bounds are
+    byte prefixes of each other, [arcs] and [off] alike, so kernels
+    keep their stream indices across {!extend} and resume scanning
+    exactly where they stopped.
 
     Views are immutable and published through an [Atomic]; builders
     serialize on a mutex and follow a fixed doubling bound schedule, so
@@ -14,20 +23,41 @@
     how many domains race — the [implicit.label_rolls] probe stays
     deterministic at any [--jobs]. *)
 
+val arc_shift : int
+(** [Sys.int_size / 2]: the bits each endpoint takes in a packed arc. *)
+
+val arc_mask : int
+(** [(1 lsl arc_shift) - 1]. *)
+
+val pack : int -> int -> int
+(** [pack src dst] is the arc's word. *)
+
+val arc_src : int -> int
+val arc_dst : int -> int
+
+val check_vertices : string -> Sgraph.Graph.t -> unit
+(** [check_vertices name g] accepts graphs of at most [2^arc_shift]
+    vertices, the most a packed arc can name.
+    @raise Invalid_argument, prefixed with [name], on a larger graph. *)
+
 type view = {
-  bound : int;  (** every entry with label [<= bound] is present *)
+  bound : int;  (** every arc with label [<= bound] is present *)
   complete : bool;  (** [bound >= lifetime]: this is the whole stream *)
-  te_src : int array;
-  te_dst : int array;
-  te_label : int array;
-  te_edge : int array;
+  arcs : int array;  (** packed arcs, label groups in label order *)
+  off : int array;
+      (** [bound + 2] words: label [l] is [arcs.(off.(l) .. off.(l+1) - 1)] *)
 }
+
+val label_at : view -> int -> int
+(** [label_at v i] is the label of arc [i]: a binary search on [off].
+    @raise Invalid_argument unless [0 <= i < Array.length v.arcs]. *)
 
 type t
 
 val create : Sgraph.Graph.t -> labels:Labels.t -> lifetime:int -> t
 (** No rolls happen here; the first {!extend} builds the first prefix.
-    @raise Invalid_argument if [lifetime < 1]. *)
+    @raise Invalid_argument if [lifetime < 1] or the graph has more
+    than [2^arc_shift] vertices. *)
 
 val graph : t -> Sgraph.Graph.t
 val labels : t -> Labels.t
@@ -35,7 +65,8 @@ val lifetime : t -> int
 
 val view : t -> view
 (** The currently published prefix (initially empty with [bound = 0]).
-    Lock-free. *)
+    Lock-free.  A kernel reads its arrays and its bound from one view:
+    two separate reads may straddle a publish. *)
 
 val extend : t -> past:int -> bool
 (** [extend t ~past] ensures the published prefix reaches strictly past

@@ -108,12 +108,19 @@ let parse_spec line =
             | (Error _ as e), _, _ | _, (Error _ as e), _ | _, _, (Error _ as e)
               -> e)))))
 
+(* On the implicit backend a family with an arithmetic shape gets it, so
+   a large clique holds no O(n^2) topology; its numbering is the CSR's,
+   so the labels, and every reply, are the dense backend's. *)
 let build_spec backend s =
-  let g = Sim.Family.build s.family (Prng.Rng.create s.seed) ~n:s.n in
+  let g =
+    match ((backend : Sim.Backend.t), Sim.Family.shape s.family ~n:s.n) with
+    | Sim.Backend.Implicit, Some g -> g
+    | _ -> Sim.Family.build s.family (Prng.Rng.create s.seed) ~n:s.n
+  in
   let net =
     Temporal.Tgraph.of_derived g ~a:s.a ~seed:(Int64.of_int s.seed) ~r:s.r
   in
-  match (backend : Sim.Backend.t) with
+  match backend with
   | Sim.Backend.Implicit -> net
   | Sim.Backend.Dense -> Temporal.Tgraph.materialize net
 

@@ -63,6 +63,11 @@ let to_string = function
   | Random_tree -> "rtree"
   | Gnp c -> Printf.sprintf "gnp:%g" c
 
+(* The near-square rectangle a grid of about [n] cells takes. *)
+let grid_dims n =
+  let rows = Stdlib.max 1 (int_of_float (Float.sqrt (float_of_int n))) in
+  (rows, (n + rows - 1) / rows)
+
 let build family rng ~n =
   match family with
   | Clique_directed -> Gen.clique Directed n
@@ -71,9 +76,8 @@ let build family rng ~n =
   | Path -> Gen.path n
   | Cycle -> Gen.cycle (Stdlib.max 3 n)
   | Grid ->
-    let rows = int_of_float (Float.sqrt (float_of_int n)) in
-    let rows = Stdlib.max 1 rows in
-    Gen.grid rows ((n + rows - 1) / rows)
+    let rows, cols = grid_dims n in
+    Gen.grid rows cols
   | Hypercube ->
     let d = Stdlib.max 1 (int_of_float (Float.round (Float.log2 (float_of_int n)))) in
     Gen.hypercube d
@@ -83,3 +87,15 @@ let build family rng ~n =
   | Gnp c ->
     let p = Float.min 1. (c *. log (float_of_int n) /. float_of_int n) in
     Gen.gnp rng ~n ~p
+
+(* Only where [build] would succeed: an invalid size is left to [build],
+   so both forms fail with the same message. *)
+let shape family ~n =
+  match family with
+  | Clique_directed when n >= 1 -> Some (Gen.clique_implicit Directed n)
+  | Clique_undirected when n >= 1 -> Some (Gen.clique_implicit Undirected n)
+  | Star when n >= 2 -> Some (Gen.star_implicit n)
+  | Grid when n >= 1 ->
+    let rows, cols = grid_dims n in
+    Some (Gen.grid_implicit rows cols)
+  | _ -> None

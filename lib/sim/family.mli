@@ -29,3 +29,9 @@ val to_string : t -> string
 
 val build : t -> Prng.Rng.t -> n:int -> Sgraph.Graph.t
 (** Materialise the family at (roughly) [n] vertices. *)
+
+val shape : t -> n:int -> Sgraph.Graph.t option
+(** The family's O(1)-memory arithmetic shape at [n] vertices, where it
+    has one ([clique], [uclique], [star], [grid]): the graph {!build}
+    returns, with the same vertex and edge numbering, but no CSR arrays.
+    [None] for the other families, and for sizes {!build} rejects. *)

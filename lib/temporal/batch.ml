@@ -106,28 +106,21 @@ let check_args name ~start_time ~n sources =
     (fun s -> if s < 0 || s >= n then invalid_arg (name ^ ": source out of range"))
     sources
 
-(* Entries below the departure horizon can never start a journey and
-   nothing is reached before them; skip them outright. *)
-let skip_before (te_label : int array) ~total ~start_time pos =
-  while !pos < total && Array.unsafe_get te_label !pos < start_time do
-    incr pos
-  done
-
-(* Phase 1 of one label group: apply every entry of label [l] from
-   [!pos] on against the frozen pre-group [reached] plane, OR-ing the
-   new bits into [delta] and stacking each vertex's first touch on
-   [dirty].  Leaves [pos] past the group and returns the dirty count.
-   The stream parameters are annotated [int array] on purpose: left
-   polymorphic, the label test compiles to [caml_equal] and doubles
-   the cost of the whole walk. *)
-let scan_group (te_src : int array) (te_dst : int array) (te_label : int array)
-    ~total ~(reached : int array) ~(delta : int array) ~(dirty : int array) pos
-    (l : int) =
-  let i = ref !pos and ndirty = ref 0 in
-  while !i < total && Array.unsafe_get te_label !i = l do
-    let g = Array.unsafe_get reached (Array.unsafe_get te_src !i) in
+(* Phase 1 of one label group: apply the arcs [arcs.(lo .. hi - 1)]
+   against the frozen pre-group [reached] plane, OR-ing the new bits
+   into [delta] and stacking each vertex's first touch on [dirty].
+   Returns the dirty count.  The shift and mask are bound here, once
+   per group: nothing inlines across modules, so [Implicit.Stream]'s
+   decoders would cost a call per arc. *)
+let scan_group (arcs : int array) ~lo ~hi ~(reached : int array)
+    ~(delta : int array) ~(dirty : int array) =
+  let shift = Implicit.Stream.arc_shift and mask = Implicit.Stream.arc_mask in
+  let ndirty = ref 0 in
+  for i = lo to hi - 1 do
+    let a = Array.unsafe_get arcs i in
+    let g = Array.unsafe_get reached (a lsr shift) in
     if g <> 0 then begin
-      let dst = Array.unsafe_get te_dst !i in
+      let dst = a land mask in
       let d = Array.unsafe_get delta dst in
       let add = g land lnot (Array.unsafe_get reached dst lor d) in
       if add <> 0 then begin
@@ -137,11 +130,15 @@ let scan_group (te_src : int array) (te_dst : int array) (te_label : int array)
         end;
         Array.unsafe_set delta dst (d lor add)
       end
-    end;
-    incr i
+    end
   done;
-  pos := !i;
   !ndirty
+
+(* The scan probe: the stream index the walk stopped at, i.e. the start
+   of the next label group it would have scanned, or the end of the
+   last view it scanned. *)
+let scan_stop (v : Implicit.Stream.view) next =
+  v.off.(Stdlib.min next (v.bound + 1))
 
 let sweep ?(start_time = 1) net ~sources =
   let n = Tgraph.n net in
@@ -172,23 +169,24 @@ let sweep ?(start_time = 1) net ~sources =
       unsat := !unsat land lnot (1 lsl lane)
     end
   done;
-  let i = ref 0 in
-  (* Scan the stream prefix; on implicit networks an exhausted prefix
-     is extended and the scan resumes at the same index (prefixes are
-     byte-stable), so the entries visited are exactly the dense
-     stream's.  The label-bound cut can never split a label group — a
-     prefix holds ALL entries up to its bound — so the group-phased
-     commit discipline is unaffected. *)
+  (* Scan the stream prefix one label group at a time, from the
+     departure horizon: arcs below [start_time] can never start a
+     journey.  On implicit networks an exhausted prefix is extended and
+     the scan resumes at the next label (prefixes are byte-stable), so
+     the arcs visited are exactly the dense stream's.  The label-bound
+     cut can never split a label group — a prefix holds ALL arcs up to
+     its bound — so the group-phased commit discipline is
+     unaffected. *)
+  let next = ref start_time in
+  let view = ref (Tgraph.stream_prefix net) in
   let continue_ = ref true in
   while !continue_ do
-    let te_src, te_dst, te_label, _ = Tgraph.stream_prefix net in
-    let prefix_bound = Tgraph.stream_prefix_bound net in
-    let total = Array.length te_label in
-    skip_before te_label ~total ~start_time i;
-    while !i < total && !unsat <> 0 do
-      let l = Array.unsafe_get te_label !i in
+    let { Implicit.Stream.arcs; off; bound; _ } = !view in
+    while !next <= bound && !unsat <> 0 do
+      let l = !next in
       let ndirty =
-        scan_group te_src te_dst te_label ~total ~reached ~delta ~dirty i l
+        scan_group arcs ~lo:(Array.unsafe_get off l)
+          ~hi:(Array.unsafe_get off (l + 1)) ~reached ~delta ~dirty
       in
       (* Phase 2: commit the group — record arrivals at l, fold the
          deltas into the reached plane, retire saturated lanes. *)
@@ -221,14 +219,16 @@ let sweep ?(start_time = 1) net ~sources =
           rem := !rem lsr 1;
           incr lane
         done
-      done
+      done;
+      incr next
     done;
-    if !unsat = 0 || not (Tgraph.stream_extend net ~past:prefix_bound) then
+    if !unsat = 0 || not (Tgraph.stream_extend net ~past:bound) then
       continue_ := false
+    else view := Tgraph.stream_prefix net
   done;
   if Obs.Control.enabled () then begin
     Obs.Metrics.incr sweeps_c;
-    Obs.Metrics.add scanned_c !i;
+    Obs.Metrics.add scanned_c (scan_stop !view !next);
     Obs.Metrics.add sat_c (popcount (full_mask k land lnot !unsat))
   end;
   {
@@ -298,17 +298,16 @@ let plane_walk name ~start_time net ~sources =
     reached.(s) <- reached.(s) lor (1 lsl lane)
   done;
   let worst = ref 0 in
-  let i = ref 0 in
+  let next = ref start_time in
+  let view = ref (Tgraph.stream_prefix net) in
   let continue_ = ref true in
   while !continue_ do
-    let te_src, te_dst, te_label, _ = Tgraph.stream_prefix net in
-    let prefix_bound = Tgraph.stream_prefix_bound net in
-    let total = Array.length te_label in
-    skip_before te_label ~total ~start_time i;
-    while !i < total && !remaining > 0 do
-      let l = Array.unsafe_get te_label !i in
+    let { Implicit.Stream.arcs; off; bound; _ } = !view in
+    while !next <= bound && !remaining > 0 do
+      let l = !next in
       let ndirty =
-        scan_group te_src te_dst te_label ~total ~reached ~delta ~dirty i l
+        scan_group arcs ~lo:(Array.unsafe_get off l)
+          ~hi:(Array.unsafe_get off (l + 1)) ~reached ~delta ~dirty
       in
       if ndirty > 0 then begin
         (* Something committed at this label; if it turns out to be the
@@ -321,14 +320,16 @@ let plane_walk name ~start_time net ~sources =
           Array.unsafe_set reached v (Array.unsafe_get reached v lor add);
           remaining := !remaining - popcount add
         done
-      end
+      end;
+      incr next
     done;
-    if !remaining = 0 || not (Tgraph.stream_extend net ~past:prefix_bound) then
+    if !remaining = 0 || not (Tgraph.stream_extend net ~past:bound) then
       continue_ := false
+    else view := Tgraph.stream_prefix net
   done;
   if Obs.Control.enabled () then begin
     Obs.Metrics.incr sweeps_c;
-    Obs.Metrics.add scanned_c !i;
+    Obs.Metrics.add scanned_c (scan_stop !view !next);
     let sat =
       if !remaining = 0 then k
       else begin

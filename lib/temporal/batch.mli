@@ -1,6 +1,9 @@
 (** Bit-parallel batched foremost sweeps: one pass over the
     counting-sorted time-edge stream serves up to {!lane_width} sources
     at once, each owning one bit lane of a per-vertex machine word.
+    The pass walks the stream's label groups by their offsets
+    ({!Implicit.Stream.view}), from label [start_time] on, and takes
+    its arcs and bound from one view per grab.
 
     {b Lane layout.}  For a batch of [k] sources, bit [j] (LSB first)
     of [reached v] belongs to lane [j] — source [sources.(j)] — and

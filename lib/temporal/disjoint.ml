@@ -83,7 +83,7 @@ let reachable_avoiding net ~s ~t blocked =
   let n = Tgraph.n net in
   let arrival = Array.make n max_int in
   arrival.(s) <- 0;
-  Tgraph.iter_time_edges net (fun ~src ~dst ~label ~edge:_ ->
+  Tgraph.iter_time_edges net (fun ~src ~dst ~label ->
       if
         blocked land (1 lsl src) = 0
         && blocked land (1 lsl dst) = 0

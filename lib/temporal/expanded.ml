@@ -26,7 +26,7 @@ let build net =
   let n = Tgraph.n net in
   (* Collect per-vertex arrival events. *)
   let event_sets = Array.make n [] in
-  Tgraph.iter_time_edges net (fun ~src:_ ~dst ~label ~edge:_ ->
+  Tgraph.iter_time_edges net (fun ~src:_ ~dst ~label ->
       event_sets.(dst) <- label :: event_sets.(dst));
   let events =
     Array.map
@@ -63,7 +63,7 @@ let build net =
       done)
     events;
   let stream_index = ref (-1) in
-  Tgraph.iter_time_edges net (fun ~src ~dst ~label ~edge:_ ->
+  Tgraph.iter_time_edges net (fun ~src ~dst ~label ->
       incr stream_index;
       arcs :=
         Travel

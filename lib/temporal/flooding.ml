@@ -13,20 +13,20 @@ type result = {
    edge can carry a transmission), not an implementation choice; the
    scan is still a single pass that resumes across extensions. *)
 let iter_stream_all net f =
-  let i = ref 0 in
+  let shift = Implicit.Stream.arc_shift and mask = Implicit.Stream.arc_mask in
+  let label = ref 1 in
   let continue_ = ref true in
   while !continue_ do
-    let te_src, te_dst, te_label, _ = Tgraph.stream_prefix net in
-    let prefix_bound = Tgraph.stream_prefix_bound net in
-    let total = Array.length te_label in
-    while !i < total do
-      f
-        ~src:(Array.unsafe_get te_src !i)
-        ~dst:(Array.unsafe_get te_dst !i)
-        ~label:(Array.unsafe_get te_label !i);
-      incr i
+    let { Implicit.Stream.arcs; off; bound; _ } = Tgraph.stream_prefix net in
+    while !label <= bound do
+      let l = !label in
+      for i = Array.unsafe_get off l to Array.unsafe_get off (l + 1) - 1 do
+        let a = Array.unsafe_get arcs i in
+        f ~src:(a lsr shift) ~dst:(a land mask) ~label:l
+      done;
+      incr label
     done;
-    if not (Tgraph.stream_extend net ~past:prefix_bound) then continue_ := false
+    if not (Tgraph.stream_extend net ~past:bound) then continue_ := false
   done
 
 let run ?(start_time = 1) net s =

@@ -5,10 +5,12 @@ type result = {
   pred : int array;  (* index into the time-edge stream, or -1 *)
 }
 
-(* The flat kernel: one pass over the raw stream arrays.  [arrival] and
-   [pred] are caller-provided (length >= n); only slots 0..n-1 are
-   touched.  Unsafe accesses are fine — stream endpoints were validated
-   at Tgraph construction and i ranges over the stream length.
+(* The flat kernel: one pass over the packed stream, one label group
+   at a time from the departure horizon (no arc below [start_time] can
+   relax anything).  [arrival] and [pred] are caller-provided (length
+   >= n); only slots 0..n-1 are touched.  Unsafe accesses are fine —
+   stream endpoints were validated at Tgraph construction and [i]
+   ranges over a group of the view.
 
    Early exit: the stream is label-sorted and arrivals only ever
    decrease, so once every vertex is reached and the current label has
@@ -23,11 +25,13 @@ type result = {
    The pass scans {!Tgraph.stream_prefix}, not {!Tgraph.stream}: on
    dense networks the prefix is the whole stream and the outer loop
    runs once; on implicit ones an exhausted prefix is extended and the
-   scan resumes at the same index (prefixes are byte-stable), so the
-   entries visited — and hence every probe — are identical to what the
-   dense stream would have produced.  An extension is requested only
-   while it can still matter: some vertex unreached, or the arrival
-   bound strictly beyond what the prefix already covers. *)
+   scan resumes at the next label (prefixes are byte-stable), so the
+   arcs visited — and hence every probe — are identical to what the
+   dense stream would have produced.  The early-exit test stays per
+   arc, so the sweep stops at the same index inside a group.  An
+   extension is requested only while it can still matter: some vertex
+   unreached, or the arrival bound strictly beyond what the prefix
+   already covers. *)
 (* Kernel probes, updated once per sweep after the hot loop (never
    inside it) and only while Obs.Control is on — the disabled path
    costs one atomic load per sweep. *)
@@ -44,41 +48,47 @@ let sweep net ~start_time ~s ~arrival ~pred =
   arrival.(s) <- start_time - 1;
   let unreached = ref (n - 1) in
   let bound = ref max_int in
+  let shift = Implicit.Stream.arc_shift and mask = Implicit.Stream.arc_mask in
+  let label = ref start_time in
   let i = ref 0 in
+  let stopped = ref false in
   let finished = ref false in
   let exhausted = ref false in
   (* "scanned the complete stream to its end" — for probe parity *)
   while not !finished do
-    let te_src, te_dst, te_label, _ = Tgraph.stream_prefix net in
-    let prefix_bound = Tgraph.stream_prefix_bound net in
-    let total = Array.length te_label in
-    while
-      !i < total && (!unreached > 0 || Array.unsafe_get te_label !i < !bound)
-    do
-      let label = Array.unsafe_get te_label !i in
-      let src = Array.unsafe_get te_src !i in
-      if Array.unsafe_get arrival src < label then begin
-        let dst = Array.unsafe_get te_dst !i in
-        if label < Array.unsafe_get arrival dst then begin
-          if Array.unsafe_get arrival dst = max_int then begin
-            decr unreached;
-            if !unreached = 0 then begin
-              (* Last vertex just reached: arrivals are now all finite. *)
-              let worst = ref 0 in
-              for v = 0 to n - 1 do
-                if Array.unsafe_get arrival v > !worst && v <> dst then
-                  worst := Array.unsafe_get arrival v
-              done;
-              bound := Stdlib.max !worst label
-            end
-          end;
-          Array.unsafe_set arrival dst label;
-          Array.unsafe_set pred dst !i
-        end
-      end;
-      incr i
+    let { Implicit.Stream.arcs; off; bound = prefix_bound; _ } =
+      Tgraph.stream_prefix net
+    in
+    i := off.(Stdlib.min !label (prefix_bound + 1));
+    while !label <= prefix_bound && not !stopped do
+      let l = !label in
+      let hi = Array.unsafe_get off (l + 1) in
+      while !i < hi && (!unreached > 0 || l < !bound) do
+        let a = Array.unsafe_get arcs !i in
+        if Array.unsafe_get arrival (a lsr shift) < l then begin
+          let dst = a land mask in
+          if l < Array.unsafe_get arrival dst then begin
+            if Array.unsafe_get arrival dst = max_int then begin
+              decr unreached;
+              if !unreached = 0 then begin
+                (* Last vertex just reached: arrivals are now all finite. *)
+                let worst = ref 0 in
+                for v = 0 to n - 1 do
+                  if Array.unsafe_get arrival v > !worst && v <> dst then
+                    worst := Array.unsafe_get arrival v
+                done;
+                bound := Stdlib.max !worst l
+              end
+            end;
+            Array.unsafe_set arrival dst l;
+            Array.unsafe_set pred dst !i
+          end
+        end;
+        incr i
+      done;
+      if !i < hi then stopped := true else incr label
     done;
-    if !i < total then
+    if !stopped then
       (* Early exit inside the prefix; later labels are larger still. *)
       finished := true
     else begin

@@ -5,8 +5,11 @@
     strictly before [l] (labels along a journey must strictly increase).
     A single pass is exact precisely because any journey's labels
     increase, so its steps appear in stream order.  Cost: O(M) per source
-    over the flat stream arrays built once by {!Tgraph.create}'s counting
-    sort. *)
+    over the packed stream built once by {!Tgraph.create}'s counting
+    sort, walked one label group at a time from the start time; the
+    early exit is tested per arc, so the sweep can stop inside a group.
+    A predecessor link is a stream index, which {!Tgraph.time_edge}
+    decodes. *)
 
 type result
 (** Earliest arrivals out of one source, with predecessor links. *)

@@ -10,7 +10,7 @@ let compute net ~source ~target =
      (Evaluating at every t0 would give the same steps, slower.) *)
   let breakpoints = ref [ 1 ] in
   let seen = Hashtbl.create 64 in
-  Tgraph.iter_time_edges net (fun ~src:_ ~dst:_ ~label ~edge:_ ->
+  Tgraph.iter_time_edges net (fun ~src:_ ~dst:_ ~label ->
       if not (Hashtbl.mem seen label) then begin
         Hashtbl.add seen label ();
         if label + 1 <= lifetime + 1 then breakpoints := (label + 1) :: !breakpoints

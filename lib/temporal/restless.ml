@@ -57,7 +57,7 @@ let run ?(start_time = 1) ~delta net s =
   (* Sweep in non-decreasing label order: every arrival strictly below
      the current label is already recorded, which is all the usability
      check consults (it needs arrivals in [l - delta, l - 1]). *)
-  Tgraph.iter_time_edges net (fun ~src ~dst ~label ~edge:_ ->
+  Tgraph.iter_time_edges net (fun ~src ~dst ~label ->
       let via_relay =
         Buffer_.find_in buffers.(src) ~lo:(label - delta) ~hi:(label - 1)
       in

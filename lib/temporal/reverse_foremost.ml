@@ -17,13 +17,17 @@ let run ?deadline net t =
   (* Decreasing label order: when edge (u,v,l) is processed, every edge
      with a larger label — the only ones a journey may use after l — has
      already contributed to latest.(v). *)
-  let te_src, te_dst, te_label, _ = Tgraph.stream net in
-  for i = Array.length te_label - 1 downto 0 do
-    let u = te_src.(i) and v = te_dst.(i) and l = te_label.(i) in
-    if l <= deadline && l <= latest.(v) && l - 1 > latest.(u) then begin
-      latest.(u) <- l - 1;
-      succ.(u) <- i
-    end
+  let { Implicit.Stream.arcs; off; bound; _ } = Tgraph.stream net in
+  let shift = Implicit.Stream.arc_shift and mask = Implicit.Stream.arc_mask in
+  for l = Stdlib.min deadline bound downto 1 do
+    for i = off.(l + 1) - 1 downto off.(l) do
+      let a = arcs.(i) in
+      let u = a lsr shift and v = a land mask in
+      if l <= latest.(v) && l - 1 > latest.(u) then begin
+        latest.(u) <- l - 1;
+        succ.(u) <- i
+      end
+    done
   done;
   { target = t; deadline; latest; succ }
 

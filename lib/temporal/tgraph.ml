@@ -1,4 +1,5 @@
 module Graph = Sgraph.Graph
+module Stream = Implicit.Stream
 
 (* Three label layouts share one temporal-network type.  [Sets] is the
    general per-edge label-set assignment; [Single] is the flat fast
@@ -14,20 +15,14 @@ type labelling =
   | Single of int array
   | Derived of Implicit.Labels.t
 
-(* The time-edge stream, counting-sorted by label (stable: ties keep
-   emission order — edge id ascending, u->v before v->u).  [Full] holds
-   the whole stream in four parallel arrays; [Lazy] holds a
+(* The time-edge stream in the layout [Implicit.Stream] defines: one
+   packed word per arc, counting-sorted by label (stable: ties keep
+   emission order — edge id ascending, u->v before v->u), plus the
+   label-group offsets.  [Full] holds the whole stream; [Lazy] holds a
    label-bounded prefix that grows on demand and is always a byte
    prefix of what [Full] would hold, so kernels written against
    {!stream_prefix}/{!stream_extend} behave identically on both. *)
-type stream_rep =
-  | Full of {
-      te_src : int array;
-      te_dst : int array;
-      te_label : int array;
-      te_edge : int array;
-    }
-  | Lazy of Implicit.Stream.t
+type stream_rep = Full of Stream.view | Lazy of Stream.t
 
 type t = {
   graph : Graph.t;
@@ -36,106 +31,95 @@ type t = {
   stream_rep : stream_rep;
 }
 
-(* Counting sort by label: one pass to histogram labels 1..lifetime,
-   a prefix sum for bucket offsets (its total is the stream length),
-   then a second emission pass writing each stream entry directly into
-   its final slot.  O(M + a) and deterministic, versus the seed's
-   O(M log M) closure-comparator sort with heapsort-arbitrary tie
-   order and four permutation copies.
-   Each edge's labels are visited in ascending order (Label.t is
-   sorted; Single is one label) so stability gives the documented tie
-   order.  The histogram reads the label arrays directly, and the
-   emission pass matches on the labelling once per edge and calls
-   [place] directly: nothing is allocated per edge. *)
-let build_stream g ~lifetime labelling =
-  let directions = if Graph.is_directed g then 1 else 2 in
-  let m = Graph.m g in
-  let counts = Array.make (lifetime + 1) 0 in
-  (match labelling with
-   | Single label ->
-     for e = 0 to m - 1 do
-       let l = label.(e) in
-       counts.(l) <- counts.(l) + directions
-     done
-   | Sets sets ->
-     for e = 0 to m - 1 do
-       let ls = (sets.(e) :> int array) in
-       for i = 0 to Array.length ls - 1 do
-         counts.(ls.(i)) <- counts.(ls.(i)) + directions
-       done
-     done
-   | Derived _ -> assert false (* derived streams build lazily *));
-  let sum = ref 0 in
-  for l = 1 to lifetime do
-    let c = counts.(l) in
-    counts.(l) <- !sum;
-    sum := !sum + c
+(* Counting sort by label, O(M + a) and deterministic.  Each
+   constructor makes one pass over its labels that validates them and
+   counts arcs per label into [off.(l + 1)], then one placement pass
+   that writes each arc's word into its final slot, visiting every
+   edge's labels in ascending order (Label.t is sorted; Single is one
+   label) so stability gives the documented tie order.  Between the
+   two, [offsets] turns the counts into group starts and returns the
+   placement cursor.  The placement is one [Graph.iter_edges] callback
+   per edge, with the shift bound outside it: nothing is allocated per
+   edge. *)
+let offsets off =
+  for l = 1 to Array.length off - 2 do
+    off.(l + 1) <- off.(l + 1) + off.(l)
   done;
-  let total = !sum in
-  let te_src = Array.make total 0 in
-  let te_dst = Array.make total 0 in
-  let te_label = Array.make total 0 in
-  let te_edge = Array.make total 0 in
-  let place e u v l =
-    let pos = counts.(l) in
-    counts.(l) <- pos + directions;
-    te_src.(pos) <- u;
-    te_dst.(pos) <- v;
-    te_label.(pos) <- l;
-    te_edge.(pos) <- e;
-    if directions = 2 then begin
-      te_src.(pos + 1) <- v;
-      te_dst.(pos + 1) <- u;
-      te_label.(pos + 1) <- l;
-      te_edge.(pos + 1) <- e
-    end
-  in
-  Graph.iter_edges g (fun e u v ->
-      match labelling with
-      | Single label -> place e u v label.(e)
-      | Sets sets ->
-        let ls = (sets.(e) :> int array) in
-        for i = 0 to Array.length ls - 1 do
-          place e u v ls.(i)
-        done
-      | Derived _ -> assert false);
-  Full { te_src; te_dst; te_label; te_edge }
+  Array.sub off 0 (Array.length off - 1)
+
+let full g ~lifetime labelling ~arcs ~off =
+  {
+    graph = g;
+    lifetime;
+    labelling;
+    stream_rep = Full { bound = lifetime; complete = true; arcs; off };
+  }
 
 let create g ~lifetime labels =
+  Stream.check_vertices "Tgraph.create" g;
   if lifetime <= 0 then invalid_arg "Tgraph.create: lifetime must be positive";
   if Array.length labels <> Graph.m g then
     invalid_arg "Tgraph.create: one label set per edge required";
+  let directions = if Graph.is_directed g then 1 else 2 in
+  let off = Array.make (lifetime + 2) 0 in
   Array.iter
     (fun ls ->
       if not (Label.within_lifetime ls lifetime) then
-        invalid_arg "Tgraph.create: label beyond the lifetime")
+        invalid_arg "Tgraph.create: label beyond the lifetime";
+      let ls = (ls :> int array) in
+      for i = 0 to Array.length ls - 1 do
+        off.(ls.(i) + 1) <- off.(ls.(i) + 1) + directions
+      done)
     labels;
-  let labelling = Sets labels in
-  let stream_rep = build_stream g ~lifetime labelling in
-  { graph = g; lifetime; labelling; stream_rep }
+  let cursor = offsets off in
+  let arcs = Array.make off.(lifetime + 1) 0 in
+  let shift = Stream.arc_shift in
+  Graph.iter_edges g (fun e u v ->
+      let ls = (labels.(e) :> int array) in
+      for i = 0 to Array.length ls - 1 do
+        let l = ls.(i) in
+        let pos = cursor.(l) in
+        cursor.(l) <- pos + directions;
+        arcs.(pos) <- (u lsl shift) lor v;
+        if directions = 2 then arcs.(pos + 1) <- (v lsl shift) lor u
+      done);
+  full g ~lifetime (Sets labels) ~arcs ~off
 
 let of_flat_arcs g ~lifetime label =
+  Stream.check_vertices "Tgraph.of_flat_arcs" g;
   if lifetime <= 0 then
     invalid_arg "Tgraph.of_flat_arcs: lifetime must be positive";
-  if Array.length label <> Graph.m g then
+  let m = Graph.m g in
+  if Array.length label <> m then
     invalid_arg "Tgraph.of_flat_arcs: one label per edge required";
-  Array.iter
-    (fun l ->
-      if l < 1 then invalid_arg "Tgraph.of_flat_arcs: labels must be positive";
-      if l > lifetime then
-        invalid_arg "Tgraph.of_flat_arcs: label beyond the lifetime")
-    label;
-  let labelling = Single label in
-  let stream_rep = build_stream g ~lifetime labelling in
-  { graph = g; lifetime; labelling; stream_rep }
+  let directions = if Graph.is_directed g then 1 else 2 in
+  let off = Array.make (lifetime + 2) 0 in
+  for e = 0 to m - 1 do
+    let l = label.(e) in
+    if l < 1 then invalid_arg "Tgraph.of_flat_arcs: labels must be positive";
+    if l > lifetime then
+      invalid_arg "Tgraph.of_flat_arcs: label beyond the lifetime";
+    off.(l + 1) <- off.(l + 1) + directions
+  done;
+  let cursor = offsets off in
+  let arcs = Array.make off.(lifetime + 1) 0 in
+  let shift = Stream.arc_shift in
+  Graph.iter_edges g (fun e u v ->
+      let l = label.(e) in
+      let pos = cursor.(l) in
+      cursor.(l) <- pos + directions;
+      arcs.(pos) <- (u lsl shift) lor v;
+      if directions = 2 then arcs.(pos + 1) <- (v lsl shift) lor u);
+  full g ~lifetime (Single label) ~arcs ~off
 
 let of_derived g ~a ~seed ~r =
+  Stream.check_vertices "Tgraph.of_derived" g;
   let labels = Implicit.Labels.make ~seed ~a ~r in
   {
     graph = g;
     lifetime = a;
     labelling = Derived labels;
-    stream_rep = Lazy (Implicit.Stream.create g ~labels ~lifetime:a);
+    stream_rep = Lazy (Stream.create g ~labels ~lifetime:a);
   }
 
 let is_implicit t =
@@ -211,59 +195,48 @@ let materialized_error fn =
 
 let time_edge_count t =
   match t.stream_rep with
-  | Full s -> Array.length s.te_label
+  | Full v -> Array.length v.arcs
   | Lazy _ -> materialized_error "time_edge_count"
 
 let iter_time_edges t f =
   match t.stream_rep with
-  | Full s ->
-    for i = 0 to Array.length s.te_label - 1 do
-      f ~src:s.te_src.(i) ~dst:s.te_dst.(i) ~label:s.te_label.(i)
-        ~edge:s.te_edge.(i)
+  | Full v ->
+    for l = 1 to v.bound do
+      for i = v.off.(l) to v.off.(l + 1) - 1 do
+        let a = v.arcs.(i) in
+        f ~src:(Stream.arc_src a) ~dst:(Stream.arc_dst a) ~label:l
+      done
     done
   | Lazy _ -> materialized_error "iter_time_edges"
 
 let stream t =
   match t.stream_rep with
-  | Full s -> (s.te_src, s.te_dst, s.te_label, s.te_edge)
+  | Full v -> v
   | Lazy _ -> materialized_error "stream"
 
 (* The prefix interface every sweep kernel scans.  On [Full] networks
    the prefix is the whole stream and [stream_extend] is always false;
-   on [Lazy] ones the arrays grow (by replacement — grab them again
-   after an extend) while remaining byte prefixes of the full stream,
-   so resuming a scan at a saved index is always valid. *)
+   on [Lazy] ones the view grows (by replacement — grab it again after
+   an extend) while remaining a byte prefix of the full stream, so
+   resuming a scan at a saved index or label is always valid. *)
 
 let stream_prefix t =
-  match t.stream_rep with
-  | Full s -> (s.te_src, s.te_dst, s.te_label, s.te_edge)
-  | Lazy st ->
-    let v = Implicit.Stream.view st in
-    (v.te_src, v.te_dst, v.te_label, v.te_edge)
+  match t.stream_rep with Full v -> v | Lazy st -> Stream.view st
 
-let stream_prefix_bound t =
-  match t.stream_rep with
-  | Full _ -> t.lifetime
-  | Lazy st -> (Implicit.Stream.view st).bound
-
-let stream_complete t =
-  match t.stream_rep with
-  | Full _ -> true
-  | Lazy st -> (Implicit.Stream.view st).complete
+let stream_prefix_bound t = (stream_prefix t).bound
+let stream_complete t = (stream_prefix t).complete
 
 let stream_extend t ~past =
   match t.stream_rep with
   | Full _ -> false
-  | Lazy st -> Implicit.Stream.extend st ~past
+  | Lazy st -> Stream.extend st ~past
 
+(* Valid for any index a kernel has already scanned: the published
+   prefix only ever grows, and its [off] with it. *)
 let time_edge t i =
-  match t.stream_rep with
-  | Full s -> (s.te_src.(i), s.te_dst.(i), s.te_label.(i))
-  | Lazy st ->
-    (* Valid for any index a kernel has already scanned: the published
-       prefix only ever grows. *)
-    let v = Implicit.Stream.view st in
-    (v.te_src.(i), v.te_dst.(i), v.te_label.(i))
+  let v = stream_prefix t in
+  let a = v.arcs.(i) in
+  (Stream.arc_src a, Stream.arc_dst a, Stream.label_at v i)
 
 (* ---------------------------------------------------------------- *)
 (* Per-edge label queries: the scalar kernel interface.  Each returns

@@ -8,9 +8,11 @@
     computation a single linear sweep.  Ties within a label are in edge-id
     order, [u→v] before [v→u], deterministically.
 
-    The stream and the crossing tables are flat int arrays (the crossing
-    table is the adjacency of the underlying graph: arcs carry edge
-    ids, labels are looked up per id).  Hot paths use the non-allocating
+    The stream is one packed int word per arc plus the offsets of its
+    label groups ({!Implicit.Stream.view}: the layout is defined there,
+    once, for both backends), and the crossing table is the adjacency
+    of the underlying graph (arcs carry edge ids, labels are looked up
+    per id).  Hot paths use the non-allocating
     iterators and scalar per-edge label queries below; the tuple/[Label.t]
     accessors allocate per call and exist for convenience and tests.
 
@@ -30,8 +32,10 @@ type t
 val create : Sgraph.Graph.t -> lifetime:int -> Label.t array -> t
 (** [create g ~lifetime labels] with [labels.(e)] the label set of edge
     id [e].
-    @raise Invalid_argument if the array length differs from [m g], if
-    the lifetime is non-positive, or if any label exceeds the lifetime. *)
+    @raise Invalid_argument if the graph has more than
+    [2^Implicit.Stream.arc_shift] vertices, if the array length differs
+    from [m g], if the lifetime is non-positive, or if any label
+    exceeds the lifetime. *)
 
 val of_flat_arcs : Sgraph.Graph.t -> lifetime:int -> int array -> t
 (** [of_flat_arcs g ~lifetime label] builds a single-label-per-edge
@@ -40,8 +44,10 @@ val of_flat_arcs : Sgraph.Graph.t -> lifetime:int -> int array -> t
     allocates no [Label.t] values — the fast path for UNI-CASE
     assignments such as the normalized U-RTN clique, where [create]
     would box [m] one-element arrays.  Takes ownership of [label].
-    @raise Invalid_argument on a non-positive lifetime, a length
-    mismatch, or a label outside [1..lifetime]. *)
+    @raise Invalid_argument on a graph of more than
+    [2^Implicit.Stream.arc_shift] vertices, a non-positive lifetime, a
+    length mismatch, or a label outside [1..lifetime] (the first one in
+    edge order). *)
 
 val of_derived : Sgraph.Graph.t -> a:int -> seed:int64 -> r:int -> t
 (** [of_derived g ~a ~seed ~r] is the implicit-backend constructor: a
@@ -49,7 +55,8 @@ val of_derived : Sgraph.Graph.t -> a:int -> seed:int64 -> r:int -> t
     [{1..a}] derived from [SplitMix64(seed, edge_id)] on demand
     ({!Implicit.Labels}), with lifetime [a].  O(1) label memory; the
     time-edge stream materializes lazily ({!stream_prefix}).
-    @raise Invalid_argument unless [a >= 1] and [r >= 1]. *)
+    @raise Invalid_argument unless [a >= 1] and [r >= 1], or on a
+    graph of more than [2^Implicit.Stream.arc_shift] vertices. *)
 
 val materialize : t -> t
 (** The dense twin: the identity on dense networks; on an implicit one,
@@ -83,21 +90,22 @@ val time_edge_count : t -> int
     @raise Invalid_argument on implicit networks — the stream is never
     fully materialized there; use {!materialize} first. *)
 
-val iter_time_edges : t -> (src:int -> dst:int -> label:int -> edge:int -> unit) -> unit
+val iter_time_edges : t -> (src:int -> dst:int -> label:int -> unit) -> unit
 (** Iterate the stream in non-decreasing label order.
     @raise Invalid_argument on implicit networks; use {!materialize}
     or the prefix interface. *)
 
 val time_edge : t -> int -> int * int * int
-(** [time_edge t i] is the [i]-th stream entry as [(src, dst, label)].
-    On implicit networks, valid for any index inside the current
-    prefix — in particular for every predecessor index a kernel has
-    produced. *)
+(** [time_edge t i] is the [i]-th stream entry as [(src, dst, label)],
+    the label found by a binary search on the view's offsets.  On
+    implicit networks, valid for any index inside the current prefix —
+    in particular for every predecessor index a kernel has produced,
+    even after the prefix has grown. *)
 
-val stream : t -> int array * int array * int array * int array
-(** [(src, dst, label, edge)] — the four parallel stream arrays, borrowed
-    (do {e not} mutate), sorted by label.  The raw representation for
-    flat kernel loops such as the foremost sweep.
+val stream : t -> Implicit.Stream.view
+(** The whole stream, borrowed (do {e not} mutate): packed arcs grouped
+    by label, and the group offsets.  The raw representation for flat
+    kernel loops such as the reverse foremost sweep.
     @raise Invalid_argument on implicit networks; scan
     {!stream_prefix} / {!stream_extend} instead. *)
 
@@ -107,11 +115,13 @@ val stream : t -> int array * int array * int array * int array
     stream and never extends; on implicit ones it is the entries with
     label [<= stream_prefix_bound], a byte prefix of the full stream
     that grows under {!stream_extend} — so a kernel that exhausts the
-    prefix re-grabs the arrays and resumes at its saved index. *)
+    prefix re-grabs the view and resumes at its saved index or label. *)
 
-val stream_prefix : t -> int array * int array * int array * int array
-(** Current prefix arrays [(src, dst, label, edge)], borrowed.  Extends
-    replace the arrays — re-grab after {!stream_extend}. *)
+val stream_prefix : t -> Implicit.Stream.view
+(** The current prefix, borrowed.  Extends replace the view — re-grab
+    after {!stream_extend}.  A kernel takes its arrays {e and} its
+    bound from one grab: reading the bound separately could see a
+    deeper prefix than the arrays it scanned. *)
 
 val stream_prefix_bound : t -> int
 (** Every stream entry with label [<= stream_prefix_bound t] is in the

@@ -34,7 +34,7 @@ let flooding_transmissions_recount =
       for s = 0 to n - 1 do
         let result = Flooding.run net s in
         let recount = ref 0 in
-        Tgraph.iter_time_edges net (fun ~src ~dst:_ ~label ~edge:_ ->
+        Tgraph.iter_time_edges net (fun ~src ~dst:_ ~label ->
             let informed_at =
               if src = s then 0 else result.informed_time.(src)
             in

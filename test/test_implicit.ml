@@ -227,21 +227,64 @@ let oracle_flooding =
       done;
       !ok)
 
+let rec complete_prefix net =
+  if not (Tgraph.stream_complete net) then begin
+    ignore (Tgraph.stream_extend net ~past:(Tgraph.stream_prefix_bound net));
+    complete_prefix net
+  end
+
 (* Forcing the prefix to completion must reproduce the dense stream
-   byte for byte — arrays, not just statistics. *)
+   byte for byte — arcs and offsets, not just statistics. *)
 let oracle_full_prefix =
   qcase ~count:80 ~print:print_derived
     "completed prefix = materialized stream arrays" gen_derived (fun params ->
       let net, twin = derived_pair params in
-      let rec force () =
-        if not (Tgraph.stream_complete net) then begin
-          ignore (Tgraph.stream_extend net ~past:(Tgraph.stream_prefix_bound net));
-          force ()
-        end
-      in
-      force ();
+      complete_prefix net;
       Tgraph.stream_prefix net = Tgraph.stream twin
       && Tgraph.stream_prefix_bound net >= Tgraph.lifetime net)
+
+(* Journeys on implicit networks: a predecessor index becomes a label by
+   a binary search on the offsets of whatever view is current when the
+   journey is rebuilt.  Every sweep runs before any journey is rebuilt,
+   so later sweeps have grown the prefix past what earlier ones
+   scanned.  The twin's journeys decode labels the same way, so each
+   journey is also checked on its own: a journey arriving at the
+   foremost arrival; and the completed prefix's time edges are checked
+   against the twin's group-by-group walk. *)
+let oracle_journeys =
+  qcase ~count:60 ~print:print_derived
+    "derived journeys and time edges = materialized twin" gen_derived_deep
+    (fun params ->
+      let net = fresh params and twin = snd (derived_pair params) in
+      let n = Tgraph.n net in
+      let runs =
+        Array.init n (fun s -> (Foremost.run net s, Foremost.run twin s))
+      in
+      let journey_ok r r' v =
+        let j = Foremost.journey_to net r v in
+        j = Foremost.journey_to twin r' v
+        &&
+        match j with
+        | None -> Foremost.distance r v = None
+        | Some j ->
+          Journey.is_journey net ~source:(Foremost.source r) ~target:v j
+          && (v = Foremost.source r
+             || Journey.arrival j = Foremost.distance r v)
+      in
+      let journeys_agree =
+        Array.for_all
+          (fun (r, r') -> List.for_all (journey_ok r r') (List.init n Fun.id))
+          runs
+      in
+      complete_prefix net;
+      let entries = ref [] in
+      Tgraph.iter_time_edges twin (fun ~src ~dst ~label ->
+          entries := (src, dst, label) :: !entries);
+      journeys_agree
+      && List.for_all2
+           (fun i e -> Tgraph.time_edge net i = e)
+           (List.init (Tgraph.time_edge_count twin) Fun.id)
+           (List.rev !entries))
 
 (* ------------------------------------------------------------------ *)
 (* Assignment constructors: the implicit uniform families must
@@ -303,6 +346,35 @@ let boundary_cases () =
     (Invalid_argument "Implicit.Labels.make: need r >= 1") (fun () ->
       ignore (Tgraph.of_derived g ~a:3 ~seed:1L ~r:0))
 
+(* A packed arc holds two [arc_shift]-bit endpoints: construction
+   rejects a larger graph by name, before any label is read or rolled.
+   Implicit stars make the 2^arc_shift-vertex graphs cost nothing. *)
+let vertex_bound () =
+  let shift = Implicit.Stream.arc_shift in
+  let top = (1 lsl shift) - 1 in
+  check_int "top vertex packs as src" top
+    (Implicit.Stream.arc_src (Implicit.Stream.pack top top));
+  check_int "top vertex packs as dst" top
+    (Implicit.Stream.arc_dst (Implicit.Stream.pack top top));
+  check_bool "2^arc_shift vertices accepted" true
+    (Tgraph.is_implicit
+       (Tgraph.of_derived
+          (Gen.star_implicit (1 lsl shift))
+          ~a:2 ~seed:1L ~r:1));
+  let big = Gen.star_implicit ((1 lsl shift) + 1) in
+  let rejected name f =
+    Alcotest.check_raises name
+      (Invalid_argument
+         (Printf.sprintf "%s: more than 2^%d vertices do not fit a packed arc"
+            name shift))
+      (fun () -> ignore (f ()))
+  in
+  rejected "Tgraph.of_derived" (fun () ->
+      Tgraph.of_derived big ~a:2 ~seed:1L ~r:1);
+  rejected "Tgraph.create" (fun () -> Tgraph.create big ~lifetime:2 [||]);
+  rejected "Tgraph.of_flat_arcs" (fun () ->
+      Tgraph.of_flat_arcs big ~lifetime:2 [||])
+
 (* Whole-stream accessors refuse implicit networks with an error that
    names the fix. *)
 let whole_stream_errors () =
@@ -321,7 +393,7 @@ let whole_stream_errors () =
   expect_materialize_error "time_edge_count" (fun () ->
       ignore (Tgraph.time_edge_count net));
   expect_materialize_error "iter_time_edges" (fun () ->
-      Tgraph.iter_time_edges net (fun ~src:_ ~dst:_ ~label:_ ~edge:_ -> ()))
+      Tgraph.iter_time_edges net (fun ~src:_ ~dst:_ ~label:_ -> ()))
 
 (* Determinism and site-independence of the label hash: rolls depend
    only on (seed, edge, k) — never on query order — and distinct seeds
@@ -406,8 +478,10 @@ let suites =
         oracle_batched_consumers;
         oracle_flooding;
         oracle_full_prefix;
+        oracle_journeys;
         case "implicit assignment constructors" assignment_constructors;
         case "boundary cases" boundary_cases;
+        case "packed-arc vertex bound" vertex_bound;
         case "whole-stream accessors refuse implicit" whole_stream_errors;
         case "label hash site-independent" site_independence;
         case "planes workspace stays O(n) words" workspace_planes_sizing;

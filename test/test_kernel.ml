@@ -22,16 +22,16 @@ let spec_stream net =
   let entries = ref [] in
   Graph.iter_edges g (fun e u v ->
       Tgraph.iter_edge_labels net e (fun l ->
-          entries := (u, v, l, e) :: !entries;
-          if not (Graph.is_directed g) then entries := (v, u, l, e) :: !entries));
+          entries := (u, v, l) :: !entries;
+          if not (Graph.is_directed g) then entries := (v, u, l) :: !entries));
   List.stable_sort
-    (fun (_, _, l1, _) (_, _, l2, _) -> compare l1 l2)
+    (fun (_, _, l1) (_, _, l2) -> compare l1 l2)
     (List.rev !entries)
 
 let actual_stream net =
   let entries = ref [] in
-  Tgraph.iter_time_edges net (fun ~src ~dst ~label ~edge ->
-      entries := (src, dst, label, edge) :: !entries);
+  Tgraph.iter_time_edges net (fun ~src ~dst ~label ->
+      entries := (src, dst, label) :: !entries);
   List.rev !entries
 
 let stream_is_stable_sort =
@@ -42,15 +42,15 @@ let stream_is_stable_sort =
 
 let stream_matches_raw_arrays () =
   let net = fixture () in
-  let te_src, te_dst, te_label, te_edge = Tgraph.stream net in
+  let v = Tgraph.stream net in
   check_int "stream length" (Tgraph.time_edge_count net)
-    (Array.length te_label);
+    (Array.length v.Implicit.Stream.arcs);
+  check_int "offsets" (Tgraph.lifetime net + 2) (Array.length v.off);
   List.iteri
-    (fun i (src, dst, label, edge) ->
-      check_int "src" src te_src.(i);
-      check_int "dst" dst te_dst.(i);
-      check_int "label" label te_label.(i);
-      check_int "edge" edge te_edge.(i))
+    (fun i (src, dst, label) ->
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "time_edge %d" i) (src, dst, label)
+        (Tgraph.time_edge net i))
     (actual_stream net)
 
 (* ------------------------------------------------------------------ *)
@@ -209,8 +209,8 @@ let of_flat_arcs_validates () =
     (Invalid_argument "Tgraph.of_flat_arcs: label beyond the lifetime")
     (fun () -> ignore (Tgraph.of_flat_arcs g ~lifetime:3 [| 1; 4 |]))
 
-(* The counting sort allocates its four stream arrays, the O(lifetime)
-   histogram and a constant: nothing per edge. *)
+(* The counting sort allocates the arc array, the O(lifetime) offsets
+   and placement cursor, and a constant: nothing per edge. *)
 let of_flat_arcs_allocates_no_per_edge () =
   let n = 64 in
   let g = Sgraph.Gen.clique Directed n in
@@ -219,11 +219,11 @@ let of_flat_arcs_allocates_no_per_edge () =
   let net, words =
     allocated_words (fun () -> Tgraph.of_flat_arcs g ~lifetime:n labels)
   in
-  let arrays = float_of_int ((4 * (m + 1)) + (n + 2)) in
+  let arrays = float_of_int ((m + 1) + (n + 3) + (n + 2)) in
   check_int "stream built" m (Tgraph.time_edge_count net);
   check_bool
-    (Printf.sprintf "%.0f words for m = %d (stream + histogram = %.0f)" words m
-       arrays)
+    (Printf.sprintf "%.0f words for m = %d (arcs + offsets + cursor = %.0f)"
+       words m arrays)
     true
     (words >= arrays && words <= arrays +. 128.)
 
@@ -253,7 +253,7 @@ let seed_sweep ?(start_time = 1) net s =
   let n = Tgraph.n net in
   let arrival = Array.make n max_int in
   arrival.(s) <- start_time - 1;
-  Tgraph.iter_time_edges net (fun ~src ~dst ~label ~edge:_ ->
+  Tgraph.iter_time_edges net (fun ~src ~dst ~label ->
       if arrival.(src) < label && label < arrival.(dst) then
         arrival.(dst) <- label);
   arrival

@@ -398,6 +398,36 @@ let backend_row_identity () =
       (row Sim.Backend.Implicit src)
   done
 
+(* Implicit entries of a family with an arithmetic shape hold the shape,
+   not a CSR; the numbering is the CSR's, so the instance is the same
+   graph.  Dense entries, and families without a shape, keep the CSR. *)
+let implicit_specs_build_shapes () =
+  let graph backend line =
+    match Corpus.available (Corpus.load ~backend [ line ]) with
+    | [ (_, net) ] -> Temporal.Tgraph.graph net
+    | _ -> Alcotest.failf "%s did not load" line
+  in
+  List.iter
+    (fun (family, shaped) ->
+      let line = Printf.sprintf "id=g,family=%s,n=10,seed=3" family in
+      let implicit = graph Sim.Backend.Implicit line in
+      let dense = graph Sim.Backend.Dense line in
+      check_bool (family ^ ": implicit shape") shaped
+        (Sgraph.Graph.is_implicit implicit);
+      check_bool (family ^ ": dense CSR") false (Sgraph.Graph.is_implicit dense);
+      check_int (family ^ ": n") (Sgraph.Graph.n dense) (Sgraph.Graph.n implicit);
+      check_int (family ^ ": m") (Sgraph.Graph.m dense) (Sgraph.Graph.m implicit))
+    [ ("clique", true); ("uclique", true); ("star", true); ("grid", true);
+      ("path", false) ];
+  (* A size the CSR generator rejects fails the same way on both. *)
+  let failure backend =
+    match Corpus.find (Corpus.load ~backend [ "id=s,family=star,n=1" ]) "s" with
+    | Some { status = Corpus.Failed m; _ } -> m
+    | _ -> Alcotest.fail "a one-vertex star must fail"
+  in
+  check_string "star n=1 fails alike" (failure Sim.Backend.Dense)
+    (failure Sim.Backend.Implicit)
+
 (* ------------------------------------------------------------------ *)
 (* Engine: admission, deadlines, drain, caches *)
 
@@ -1091,6 +1121,7 @@ let suites =
         case "degraded load" degraded_load;
         case "all failed is unhealthy" all_failed_unhealthy;
         case "backend row identity" backend_row_identity;
+        case "implicit specs build their shape" implicit_specs_build_shapes;
       ] );
     ( "serve.engine",
       [

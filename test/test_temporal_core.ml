@@ -105,17 +105,15 @@ let tgraph_directed_counts () =
 let tgraph_stream_sorted () =
   let net = fixture () in
   let last = ref 0 in
-  Tgraph.iter_time_edges net (fun ~src:_ ~dst:_ ~label ~edge:_ ->
+  Tgraph.iter_time_edges net (fun ~src:_ ~dst:_ ~label ->
       check_bool "non-decreasing" true (label >= !last);
       last := label)
 
 let tgraph_stream_entries_valid () =
   let net = fixture () in
-  Tgraph.iter_time_edges net (fun ~src ~dst ~label ~edge ->
-      let u, v = Graph.edge_endpoints (Tgraph.graph net) edge in
-      check_bool "endpoints match edge" true
-        ((src = u && dst = v) || (src = v && dst = u));
-      check_bool "label in edge set" true (Label.mem (Tgraph.labels net edge) label))
+  Tgraph.iter_time_edges net (fun ~src ~dst ~label ->
+      check_bool "an arc available at its label" true
+        (Tgraph.can_cross_at net ~src ~dst label))
 
 let tgraph_crossings () =
   let net = fixture () in
