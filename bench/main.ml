@@ -677,9 +677,10 @@ let run_serve_sharded_bench () =
   (* The regime where sharding pays: a COLD store-backed corpus.  Every
      query hits a distinct (instance, source) pair, so each one is
      computed once and durably published — object write + fsync +
-     manifest append — before the dispatcher moves on.  One process has
-     one dispatcher, so publishes serialize; shard workers overlap
-     those device waits (and, on multi-core hosts, the compute too).
+     manifest append — before the dispatch cycle moves on.  One process
+     runs one cycle at a time, so publishes serialize; shard workers
+     overlap those device waits (and, on multi-core hosts, the compute
+     too).
      This is exactly the first pass of `serve --store` over a corpus,
      populating the persistent row cache under live traffic.  The
      instance ids c0..c7 hash 2-per-shard at 4 shards (hence 4-per at

@@ -587,9 +587,9 @@ let serve_cmd =
   in
   let window_term =
     let doc =
-      "Dispatcher coalescing window in milliseconds: wait this long after \
-       the first query of a cycle so concurrent clients share one batched \
-       sweep."
+      "Coalescing window in milliseconds: the thread that runs a dispatch \
+       cycle waits this long before it takes the queue, so concurrent \
+       clients share one batched sweep."
     in
     Arg.(value & opt float 0. & info [ "batch-window-ms" ] ~docv:"MS" ~doc)
   in

@@ -40,7 +40,7 @@ let with_backoff ?(attempts = 4) ?(base_delay_s = 0.001) ?(max_delay_s = 0.05)
   (match budget_s with
   | Some b when b < 0. -> invalid_arg "Retry.with_backoff: negative budget"
   | _ -> ());
-  let started = Unix.gettimeofday () in
+  let started = Obs.Clock.wall_s () in
   let delay k =
     backoff_delay ~base_delay_s ~max_delay_s ~jitter ~jitter_seed k
   in
@@ -51,7 +51,7 @@ let with_backoff ?(attempts = 4) ?(base_delay_s = 0.001) ?(max_delay_s = 0.05)
   let within_budget k =
     match budget_s with
     | None -> true
-    | Some b -> Unix.gettimeofday () -. started +. delay k <= b
+    | Some b -> Obs.Clock.wall_s () -. started +. delay k <= b
   in
   let rec go k =
     match f k with

@@ -16,14 +16,14 @@ let connect ?(timeout_s = 10.) address =
       in
       (Unix.PF_INET, Unix.ADDR_INET (a, port))
   in
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let deadline = Obs.Clock.wall_s () +. timeout_s in
   let rec attempt () =
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
     match Unix.connect fd addr with
     | () -> Ok { fd; closed = false }
     | exception Unix.Unix_error (e, _, _) ->
       (try Unix.close fd with _ -> ());
-      if Unix.gettimeofday () < deadline then begin
+      if Obs.Clock.wall_s () < deadline then begin
         (* The server may still be binding (startup race in the soak
            and CI): retry inside the window. *)
         Unix.sleepf 0.02;

@@ -4,7 +4,7 @@
    (instance, source) arrival row, so the unit of work — and of
    caching and batching — is the row.  Connection threads submit
    (instance, source, deadline) jobs into a bounded admission queue; a
-   single dispatcher thread drains it, groups jobs by instance,
+   dispatch cycle takes the whole queue, groups jobs by instance,
    dedupes sources, and computes the missing rows on the global
    {!Exec.Pool}, sources packed {!Temporal.Batch.arrival_lanes} per
    word-parallel sweep on either backend — the lane budget keeps a
@@ -19,35 +19,38 @@
      [Resource_exhausted] *before* any allocation proportional to the
      request.  [queue_peak] (exposed in {!stats}) proves the bound
      held over a whole run.
-   - {b Deadlines.}  A job carries an absolute deadline; the
-     dispatcher re-checks it at every cooperative point — on drain
-     from the queue, and per lane-group/sweep inside the pool task —
-     so an expired job costs at most one sweep, not a full dispatch
-     cycle.  Expired jobs answer [Deadline_exceeded].
+   - {b Deadlines.}  A job carries an absolute deadline; the cycle
+     re-checks it at every cooperative point — on taking the queue,
+     and per lane-group/sweep inside the pool task — so an expired job
+     costs at most one sweep, not a full dispatch cycle.  Expired jobs
+     answer [Deadline_exceeded].
    - {b Store cache with retry.}  Rows can persist in a
      {!Store.Objects} store; reads and writes go through
      {!Fault.Retry.with_backoff} with deterministic jitter and a
      wall-time budget, and any persistent failure degrades to a
      recompute (reads) or a skipped publish (writes) — the store is an
      accelerator, never a correctness dependency.
-   - {b Drain.}  [drain] stops admission ([Shutting_down]), lets the
-     dispatcher flush every queued job, and joins it — no reply is
-     ever dropped.
+   - {b Drain.}  [drain] stops admission ([Shutting_down]), waits out
+     a running cycle, then runs cycles until the queue is empty — no
+     reply is ever dropped.
 
    Determinism: a row is a pure function of the instance labelling
    and the source — backend- and jobs-invariant — so replies are
    byte-identical however queries were batched, shed, or cached.
 
-   Threading: submissions come from many systhreads; the queue is the
-   only shared mutable state (mutex + condvar).  The row cache is
-   touched only by the dispatcher.  Tickets are single-writer
-   (dispatcher) single-reader (the submitting thread). *)
+   Threading (flat combining): there is no engine thread.  A thread
+   in [await] whose ticket is unanswered runs the next cycle itself
+   when none is running and the queue is non-empty; every other
+   awaiter waits on [qc], which each cycle broadcasts when it ends.
+   At most one cycle runs at a time, so the row cache and the store
+   publishes need no lock of their own.  The queue, the [running]
+   flag and every ticket's result are guarded by [qm]. *)
 
 type config = {
   queue_max : int;
   batch_window_s : float;
-      (* dispatcher sleeps this long after the first job of a cycle
-         arrives, so concurrent clients coalesce into one sweep *)
+      (* a cycle's runner sleeps this long before it takes the queue,
+         so concurrent clients coalesce into one sweep *)
   cache_max : int;  (* in-memory rows kept (LRU eviction) *)
   store : Store.Objects.t option;
   jitter_seed : int64;  (* retry decorrelation *)
@@ -70,22 +73,6 @@ type reply =
          shared with the cache — readers must not mutate *)
   | Err of Proto.error_code * string
 
-type ticket = {
-  tm : Mutex.t;
-  tc : Condition.t;
-  mutable result : reply option;
-  submitted : float;
-}
-
-type job = {
-  j_instance : string;
-  j_net : Temporal.Tgraph.t;
-  j_spec : Corpus.spec option;
-  j_source : int;
-  j_deadline : float;  (* absolute epoch seconds; infinity = none *)
-  j_ticket : ticket;
-}
-
 type stats = {
   queries : int;
   shed : int;
@@ -103,8 +90,8 @@ type stats = {
    An intrusive doubly-linked list threaded through the cache nodes,
    plus a hashtable for O(1) key lookup.  The list is cyclic around a
    sentinel: [sentinel.next] is the most recently used node,
-   [sentinel.prev] the eviction candidate.  Dispatcher-only — no
-   locking. *)
+   [sentinel.prev] the eviction candidate.  Touched only inside a
+   dispatch cycle, and cycles never overlap — no locking. *)
 
 type lru_node = {
   lru_key : string * int;
@@ -129,20 +116,34 @@ let lru_push_front s node =
   s.lru_next.lru_prev <- node;
   s.lru_next <- node
 
-type t = {
+type ticket = {
+  engine : t;
+  mutable result : reply option;  (* under [engine.qm] *)
+  submitted : float;
+}
+
+and job = {
+  j_instance : string;
+  j_net : Temporal.Tgraph.t;
+  j_spec : Corpus.spec option;
+  j_source : int;
+  j_deadline : float;  (* absolute {!Obs.Clock.wall_s}; infinity = none *)
+  j_ticket : ticket;
+}
+
+and t = {
   corpus : Corpus.t;
   cfg : config;
   qm : Mutex.t;
-  qc : Condition.t;
+  qc : Condition.t;  (* broadcast at the end of every cycle *)
   queue : job Queue.t;
   mutable queue_len : int;
   mutable queue_peak : int;
   mutable accepting : bool;
-  mutable stopping : bool;
-  mutable dispatcher : Thread.t option;
+  mutable running : bool;  (* a dispatch cycle is in progress *)
   cache : (string * int, lru_node) Hashtbl.t;
   cache_lru : lru_node;  (* sentinel of the recency list *)
-  (* monotonically increasing tallies, dispatcher/submit side *)
+  (* monotonically increasing tallies, cycle/submit side *)
   mutable n_queries : int;
   mutable n_shed : int;
   mutable n_expired : int;
@@ -174,8 +175,7 @@ let create ?(config = default_config) corpus =
     queue_len = 0;
     queue_peak = 0;
     accepting = true;
-    stopping = false;
-    dispatcher = None;
+    running = false;
     cache = Hashtbl.create 256;
     cache_lru = lru_sentinel ();
     n_queries = 0;
@@ -194,8 +194,6 @@ let create ?(config = default_config) corpus =
     g_depth = Obs.Metrics.gauge "serve.queue_depth";
     h_latency = Obs.Metrics.histogram "serve.latency_ms";
   }
-
-let corpus t = t.corpus
 
 let stats t =
   Mutex.lock t.qm;
@@ -217,26 +215,18 @@ let stats t =
 (* ------------------------------------------------------------------ *)
 (* Tickets *)
 
+(* The awaiter reads the result once the cycle's closing broadcast
+   wakes it. *)
 let resolve t ticket reply =
-  Mutex.lock ticket.tm;
-  (* First writer wins; the dispatcher is the only writer so this is
-     belt and braces. *)
+  Mutex.lock t.qm;
+  (* First writer wins: a failed instance group answers Internal
+     without overwriting the replies it already gave. *)
   (match ticket.result with
   | None -> ticket.result <- Some reply
   | Some _ -> ());
-  Condition.signal ticket.tc;
-  Mutex.unlock ticket.tm;
+  Mutex.unlock t.qm;
   Obs.Metrics.observe t.h_latency
-    ((Unix.gettimeofday () -. ticket.submitted) *. 1000.)
-
-let await ticket =
-  Mutex.lock ticket.tm;
-  while ticket.result = None do
-    Condition.wait ticket.tc ticket.tm
-  done;
-  let r = Option.get ticket.result in
-  Mutex.unlock ticket.tm;
-  r
+    ((Obs.Clock.wall_s () -. ticket.submitted) *. 1000.)
 
 (* ------------------------------------------------------------------ *)
 (* Admission *)
@@ -257,20 +247,13 @@ let submit t ~instance ~source ?deadline_s () =
         ( Proto.Bad_arg,
           Printf.sprintf "source %d out of range [0, %d)" source n )
     else begin
-      let now = Unix.gettimeofday () in
+      let now = Obs.Clock.wall_s () in
       let deadline =
         match deadline_s with
         | Some d when d > 0. -> now +. d
         | _ -> infinity
       in
-      let ticket =
-        {
-          tm = Mutex.create ();
-          tc = Condition.create ();
-          result = None;
-          submitted = now;
-        }
-      in
+      let ticket = { engine = t; result = None; submitted = now } in
       let job =
         {
           j_instance = instance;
@@ -296,7 +279,6 @@ let submit t ~instance ~source ?deadline_s () =
           t.queue_len <- t.queue_len + 1;
           if t.queue_len > t.queue_peak then t.queue_peak <- t.queue_len;
           t.n_queries <- t.n_queries + 1;
-          Condition.signal t.qc;
           Admitted ticket
         end
       in
@@ -436,9 +418,8 @@ let compute_rows net sources ~still_wanted =
   in
   (Array.concat (Array.to_list per_group), Atomic.get sweeps)
 
-(* One dispatch cycle: drain the queue and answer everything drained.
-   Runs in the dispatcher thread (or a test driving the engine
-   synchronously); must never raise. *)
+(* One dispatch cycle: take the whole queue and answer every job taken.
+   Runs on an awaiting thread (see [await]); must never raise. *)
 let process_pending t =
   Mutex.lock t.qm;
   let jobs = Queue.fold (fun acc j -> j :: acc) [] t.queue in
@@ -461,7 +442,7 @@ let process_pending t =
   let expired_total = ref 0 in
   let handle_instance id =
     let group = List.rev !(Hashtbl.find by_instance id) in
-    let now = Unix.gettimeofday () in
+    let now = Obs.Clock.wall_s () in
     let expired, live =
       List.partition (fun j -> now > j.j_deadline) group
     in
@@ -535,7 +516,7 @@ let process_pending t =
       if Array.length sources > 0 then begin
         let net = (List.hd pending).j_net in
         let still_wanted src =
-          let now = Unix.gettimeofday () in
+          let now = Obs.Clock.wall_s () in
           List.exists
             (fun j -> now <= j.j_deadline)
             !(Hashtbl.find waiters src)
@@ -601,55 +582,48 @@ let process_pending t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Dispatcher lifecycle *)
+(* Flat combining: the threads that wait for answers run the cycles *)
 
-let dispatcher_loop t =
-  let rec loop () =
-    Mutex.lock t.qm;
-    while t.queue_len = 0 && not t.stopping do
-      Condition.wait t.qc t.qm
-    done;
-    let stop_now = t.stopping && t.queue_len = 0 in
-    let draining = t.stopping in
-    Mutex.unlock t.qm;
-    if stop_now then ()
-    else begin
-      (* Coalescing window: let concurrent clients pile onto this
-         cycle.  Skipped while draining — flush fast. *)
-      if t.cfg.batch_window_s > 0. && not draining then
-        Thread.delay t.cfg.batch_window_s;
-      process_pending t;
-      loop ()
-    end
-  in
-  loop ()
-
-let start t =
-  Mutex.lock t.qm;
-  let already = t.dispatcher <> None in
+(* Called, and returns, with [qm] held.  [running] keeps every other
+   thread from starting a cycle meanwhile; the closing broadcast wakes
+   them to re-check, however the cycle ends. *)
+let run_cycle t =
+  t.running <- true;
+  (* Coalescing window: let concurrent clients pile onto this cycle.
+     Skipped while draining — flush fast. *)
+  let window = if t.accepting then t.cfg.batch_window_s else 0. in
   Mutex.unlock t.qm;
-  if already then invalid_arg "Engine.start: already started";
-  let th = Thread.create dispatcher_loop t in
-  Mutex.lock t.qm;
-  t.dispatcher <- Some th;
-  Mutex.unlock t.qm
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.lock t.qm;
+      t.running <- false;
+      Condition.broadcast t.qc)
+    (fun () ->
+      if window > 0. then Thread.delay window;
+      process_pending t)
 
-let stop_accepting t =
-  Mutex.lock t.qm;
-  t.accepting <- false;
-  Mutex.unlock t.qm
+(* An unanswered job is either still queued or inside the running
+   cycle.  So a thread that finds no cycle running runs one, and that
+   cycle takes its own job: no thread runs more than one cycle per
+   query. *)
+let await ticket =
+  let t = ticket.engine in
+  Mutex.protect t.qm (fun () ->
+      let rec wait () =
+        match ticket.result with
+        | Some r -> r
+        | None ->
+          if (not t.running) && t.queue_len > 0 then run_cycle t
+          else Condition.wait t.qc t.qm;
+          wait ()
+      in
+      wait ())
+
+let start (_ : t) = ()
 
 let drain t =
-  Mutex.lock t.qm;
-  t.accepting <- false;
-  t.stopping <- true;
-  Condition.broadcast t.qc;
-  let th = t.dispatcher in
-  t.dispatcher <- None;
-  Mutex.unlock t.qm;
-  match th with
-  | Some th -> Thread.join th
-  | None ->
-    (* Never started (synchronous tests): flush inline so the drain
-       contract — no queued job left unanswered — holds regardless. *)
-    process_pending t
+  Mutex.protect t.qm (fun () ->
+      t.accepting <- false;
+      while t.running || t.queue_len > 0 do
+        if t.running then Condition.wait t.qc t.qm else run_cycle t
+      done)

@@ -4,12 +4,17 @@
     one (instance, source) arrival row, so the row is the unit of
     work, caching, and batching.  Connection threads {!submit}
     (instance, source, deadline) jobs into a {e bounded} admission
-    queue; a single dispatcher drains it, groups by instance, dedupes
-    sources, and computes missing rows on the global {!Exec.Pool} —
-    {!Temporal.Batch.arrival_lanes} sources per word-parallel
-    {!Temporal.Batch} sweep on either backend; the lane budget keeps a
-    sweep's arrival matrix within max(2^20, n) words, so the implicit
-    backend's O(n)-scratch contract holds.
+    queue.  A dispatch cycle takes the whole queue, groups by
+    instance, dedupes sources, and computes missing rows on the global
+    {!Exec.Pool} — {!Temporal.Batch.arrival_lanes} sources per
+    word-parallel {!Temporal.Batch} sweep on either backend; the lane
+    budget keeps a sweep's arrival matrix within max(2^20, n) words,
+    so the implicit backend's O(n)-scratch contract holds.
+
+    There is no engine thread: a thread in {!await} whose ticket is
+    unanswered runs the next cycle itself when none is running, and
+    every other awaiter sleeps until that cycle ends.  One cycle runs
+    at a time.
 
     Robustness contract: submissions past [queue_max] are shed with
     [Resource_exhausted] (never queued — {!stats}[.queue_peak] proves
@@ -25,7 +30,8 @@
 type config = {
   queue_max : int;  (** admission bound (jobs queued, not in flight) *)
   batch_window_s : float;
-      (** dispatcher coalescing sleep once a cycle has work; [0.] = none *)
+      (** a cycle's runner sleeps this long before it takes the queue,
+          so concurrent clients coalesce; [0.] = none *)
   cache_max : int;  (** in-memory rows kept, LRU eviction; [0] = off *)
   store : Store.Objects.t option;  (** persistent row cache *)
   jitter_seed : int64;  (** retry-jitter decorrelation seed *)
@@ -45,11 +51,7 @@ type ticket
 type t
 
 val create : ?config:config -> Corpus.t -> t
-(** No dispatcher is started: tests drive {!process_pending} directly;
-    servers call {!start}.
-    @raise Invalid_argument if [queue_max < 1] or [cache_max < 0]. *)
-
-val corpus : t -> Corpus.t
+(** @raise Invalid_argument if [queue_max < 1] or [cache_max < 0]. *)
 
 type admission = Admitted of ticket | Rejected of Proto.error_code * string
 
@@ -58,29 +60,21 @@ val submit :
 (** Admit a row request.  Rejections: [Unknown_instance],
     [Unavailable] (instance failed to load), [Bad_arg] (source out of
     range), [Shutting_down] (drain begun), [Resource_exhausted] (queue
-    full).  [deadline_s] is relative; absent or [<= 0.] means none. *)
+    full).  [deadline_s] is relative; absent or [<= 0.] means none.
+    The job is computed once some thread {!await}s or {!drain}s. *)
 
 val await : ticket -> reply
-(** Block until the dispatcher answers.  Every admitted ticket is
+(** Block until the ticket is answered, running dispatch cycles on the
+    calling thread whenever none is running.  Every admitted ticket is
     eventually resolved, including through {!drain}. *)
 
-val process_pending : t -> unit
-(** One synchronous dispatch cycle: drain the queue, answer every job
-    drained.  What the dispatcher thread runs; exposed so tests can
-    drive admission/deadline/batching deterministically without
-    threads.  Never raises. *)
-
 val start : t -> unit
-(** Spawn the dispatcher thread.
-    @raise Invalid_argument if already started. *)
-
-val stop_accepting : t -> unit
-(** Flip admission off ([Shutting_down] rejections) without stopping
-    the dispatcher — the first phase of a drain. *)
+(** Does nothing: cycles run on the threads in {!await}.  Kept only
+    for existing callers. *)
 
 val drain : t -> unit
-(** Stop admission, flush every queued job, and join the dispatcher.
-    If the dispatcher was never started, flushes inline.  Idempotent. *)
+(** Stop admission, wait out a running cycle, then run cycles until
+    the queue is empty.  Idempotent. *)
 
 type stats = {
   queries : int;  (** admitted *)

@@ -15,22 +15,6 @@
    key order, one key per line, so downstream checks can grep
    ["queue_peak":] without a JSON parser. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float f =
   if Float.is_nan f || Float.is_integer f then
     Printf.sprintf "%.1f" (if Float.is_nan f then 0. else f)
@@ -145,7 +129,8 @@ let render ~backend ~queue_max ~instances (v : volatile) =
     |> List.map (fun (id, status, detail) ->
            Printf.sprintf
              {|{"id": "%s", "status": "%s", "detail": "%s"}|}
-             (json_escape id) (json_escape status) (json_escape detail))
+             (Obs.Sink.json_escape id) (Obs.Sink.json_escape status)
+             (Obs.Sink.json_escape detail))
     |> String.concat ", "
   in
   let hit_rate =
@@ -157,7 +142,7 @@ let render ~backend ~queue_max ~instances (v : volatile) =
        "{";
        {|  "schema": "ephemeral-serve-ledger/v1",|};
        "  \"deterministic\": {";
-       Printf.sprintf {|    "backend": "%s",|} (json_escape backend);
+       Printf.sprintf {|    "backend": "%s",|} (Obs.Sink.json_escape backend);
        Printf.sprintf {|    "queue_max": %d,|} queue_max;
        Printf.sprintf {|    "instances": [%s]|} rows;
        "  },";

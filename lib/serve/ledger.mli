@@ -10,7 +10,6 @@
     downstream check (schema tag, [queue_peak] bound, CI
     deterministic-section diff) is shard-count-agnostic. *)
 
-val json_escape : string -> string
 val json_float : float -> string
 
 type volatile = {

@@ -348,15 +348,18 @@ type read_result =
 (* Read exactly [k] bytes with an absolute deadline enforced by
    select(2) before every read(2): a peer can stall between bytes for
    at most the remaining window.  A peer that closed with our bytes
-   unread resets the stream (ECONNRESET): that is its end too. *)
+   unread resets the stream (ECONNRESET): that is its end too.  A
+   handled signal interrupts either call with EINTR; both are retried,
+   select with the time that remains. *)
 let read_exact fd buf ~off ~len ~deadline =
   let rec go off len =
     if len = 0 then `Done
     else begin
-      let remaining = deadline -. Unix.gettimeofday () in
+      let remaining = deadline -. Obs.Clock.wall_s () in
       if remaining <= 0. then `Timeout
       else begin
         match Unix.select [ fd ] [] [] remaining with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off len
         | [], _, _ -> `Timeout
         | _ -> (
           match Unix.read fd buf off len with
@@ -369,7 +372,7 @@ let read_exact fd buf ~off ~len ~deadline =
   go off len
 
 let read_frame ?(deadline_s = 30.) fd =
-  let deadline = Unix.gettimeofday () +. deadline_s in
+  let deadline = Obs.Clock.wall_s () +. deadline_s in
   let hdr = Bytes.create 4 in
   match read_exact fd hdr ~off:0 ~len:4 ~deadline with
   | `Eof -> Eof

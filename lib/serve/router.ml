@@ -23,12 +23,12 @@
    replies need no multiplexing and per-client ordering is the stream
    order — the same contract as the single-process server.
 
-   Supervision.  A supervisor thread reaps crashed shards (SIGCHLD
-   flips an atomic; a WNOHANG scan runs every tick regardless) and
-   respawns them under {!Fault.Retry.backoff_delay} with a bounded
-   budget; a shard that keeps dying is left down for good.  While a
-   shard is down its queries answer a typed UNAVAILABLE — never a
-   hang, never a torn frame.  The supervisor is also the shard-kill
+   Supervision.  A supervisor thread reaps crashed shards (a WNOHANG
+   scan every tick) and respawns them under
+   {!Fault.Retry.backoff_delay} with a bounded budget; a shard that
+   keeps dying is left down for good.  While a shard is down its
+   queries answer a typed UNAVAILABLE — never a hang, never a torn
+   frame.  The supervisor is also the shard-kill
    fault site: with [shard_kill > 0] it rolls
    [Plan.roll ~site:"serve.shard_kill" ~a:tick ~b:shard] and SIGKILLs
    live shards, which is how the chaos soak exercises crash-respawn
@@ -70,7 +70,6 @@ type slot = { index : int; socket : string; mutable state : shard_state }
 type t = {
   cfg : config;
   stopping : bool Atomic.t;  (* stops the supervisor *)
-  chld : bool Atomic.t;  (* flipped by the SIGCHLD handler *)
   sm : Mutex.t;  (* guards slots' state *)
   slots : slot array;
   mutable supervisor : Thread.t option;
@@ -144,14 +143,14 @@ let tallies t =
 
 let spawn_slot t slot ~crashes =
   let pid = Shard.spawn (t.cfg.shard_argv slot.index) in
-  slot.state <- Live { pid; since = Unix.gettimeofday (); crashes }
+  slot.state <- Live { pid; since = Obs.Clock.wall_s (); crashes }
 
 let kill_roll_site = "serve.shard_kill"
 
 (* One supervision pass: reap exits, schedule/execute respawns, roll
    the shard-kill fault.  Runs under [t.sm]. *)
 let supervise_tick t ~tick =
-  let now = Unix.gettimeofday () in
+  let now = Obs.Clock.wall_s () in
   Array.iter
     (fun slot ->
       match slot.state with
@@ -190,7 +189,6 @@ let supervisor_loop t =
     Thread.delay 0.05;
     if not (Atomic.get t.stopping) then begin
       incr tick;
-      ignore (Atomic.exchange t.chld false);
       Mutex.lock t.sm;
       supervise_tick t ~tick:!tick;
       Mutex.unlock t.sm
@@ -253,11 +251,11 @@ let session t () =
   {
     Server.query =
       (fun instance payload ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Obs.Clock.wall_s () in
         let r =
           forward t links (Corpus.shard_of ~shards:t.cfg.shards instance) payload
         in
-        Obs.Metrics.observe t.h_latency ((Unix.gettimeofday () -. t0) *. 1000.);
+        Obs.Metrics.observe t.h_latency ((Obs.Clock.wall_s () -. t0) *. 1000.);
         r);
     close = (fun () -> Hashtbl.iter (fun _ fd -> try Unix.close fd with _ -> ()) links);
   }
@@ -300,7 +298,6 @@ let run config =
     {
       cfg = config;
       stopping = Atomic.make false;
-      chld = Atomic.make false;
       sm = Mutex.create ();
       slots =
         Array.init config.shards (fun k ->
@@ -357,8 +354,6 @@ let run config =
       kill_all ();
       Error (Printexc.to_string e)
     | srv ->
-      Sys.set_signal Sys.sigchld
-        (Sys.Signal_handle (fun _ -> Atomic.set t.chld true));
       t.supervisor <- Some (Thread.create supervisor_loop t);
       Server.serve srv;
       Ok ())

@@ -231,7 +231,7 @@ let spawn_conn t fd =
 
 (* Latency percentiles come from [serve.latency_ms] — the engine's
    submit→reply histogram, or the router's forward round trip — and
-   rates from the wall clock, here and nowhere else. *)
+   rates from the elapsed monotonic time, here and nowhere else. *)
 let ledger_json t (v : Ledger.volatile) ~wall_s =
   let h = Obs.Metrics.histogram "serve.latency_ms" in
   let observed = Obs.Metrics.observations h > 0 in
@@ -284,7 +284,7 @@ let drain t =
   t.handler.finish ();
   (* Publish the ledger last, atomically: a crash mid-drain leaves the
      previous file or none — never a torn one. *)
-  let wall_s = Unix.gettimeofday () -. t.started_at in
+  let wall_s = Obs.Clock.wall_s () -. t.started_at in
   (match t.cfg.ledger_path with
   | None -> ()
   | Some path -> (
@@ -322,7 +322,7 @@ let listen config handler =
     conns = [];
     conn_threads = [];
     next_conn = 0;
-    started_at = Unix.gettimeofday ();
+    started_at = Obs.Clock.wall_s ();
   }
 
 let serve t =
@@ -409,20 +409,16 @@ let listen_local ?(config = default_config) ?(engine = Engine.default_config)
       close = ignore;
     }
   in
-  let t =
-    listen config
-      {
-        rows = Corpus.list_rows corpus;
-        backend = Corpus.backend corpus;
-        queue_max = engine.Engine.queue_max;
-        session = (fun () -> session);
-        tallies = (fun () -> Ledger.of_stats (Engine.stats e));
-        quiesce = (fun () -> Engine.drain e);
-        finish = ignore;
-      }
-  in
-  Engine.start e;
-  t
+  listen config
+    {
+      rows = Corpus.list_rows corpus;
+      backend = Corpus.backend corpus;
+      queue_max = engine.Engine.queue_max;
+      session = (fun () -> session);
+      tallies = (fun () -> Ledger.of_stats (Engine.stats e));
+      quiesce = (fun () -> Engine.drain e);
+      finish = ignore;
+    }
 
 let run ?config ?engine corpus = serve (listen_local ?config ?engine corpus)
 

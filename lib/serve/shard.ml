@@ -23,9 +23,9 @@ let spawn argv =
    bound yet, stale socket from a crashed predecessor) and non-PONG
    replies both just retry inside the window. *)
 let wait_ready ?(timeout_s = 10.) socket =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let deadline = Obs.Clock.wall_s () +. timeout_s in
   let rec loop () =
-    if Unix.gettimeofday () >= deadline then
+    if Obs.Clock.wall_s () >= deadline then
       Error (Printf.sprintf "shard on %s not ready after %.1fs" socket timeout_s)
     else
       match Client.connect ~timeout_s:0.2 (Server.Unix_path socket) with
@@ -56,12 +56,12 @@ let poll_exit pid =
    Must only run once no other thread is reaping this pid. *)
 let terminate ?(timeout_s = 10.) pid =
   (try Unix.kill pid Sys.sigterm with _ -> ());
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let deadline = Obs.Clock.wall_s () +. timeout_s in
   let rec wait () =
     match poll_exit pid with
     | Some status -> status
     | None ->
-      if Unix.gettimeofday () >= deadline then begin
+      if Obs.Clock.wall_s () >= deadline then begin
         (try Unix.kill pid Sys.sigkill with _ -> ());
         match Unix.waitpid [] pid with
         | _, status -> status

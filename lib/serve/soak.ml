@@ -138,9 +138,9 @@ let op_name = function
    Shutting_down and a close by the server (the SIGTERM phase).
    Returns whether the transport still works. *)
 let checked_query ctx ~phase ~lenient ~draining client op q =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.wall_s () in
   let r = Client.call ~timeout_s:30. client (request_of op q) in
-  let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  let ms = (Obs.Clock.wall_s () -. t0) *. 1000. in
   (match r with Ok _ -> note_latency ctx ms | Error _ -> ());
   match r with
   | Ok resp -> (
@@ -326,13 +326,13 @@ let phase_slow_loris ctx =
     ignore (Unix.write fd hdr 0 4);
     (* Trickle nothing past the header for longer than the read
        deadline; the server must close rather than hold the slot. *)
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.wall_s () in
     let closed =
       match Proto.read_frame ~deadline_s:(read_timeout_s *. 4.) fd with
       | Proto.Eof -> true
       | _ -> false
     in
-    let waited = Unix.gettimeofday () -. t0 in
+    let waited = Obs.Clock.wall_s () -. t0 in
     check ctx ~phase closed
       (Printf.sprintf "stalled frame not closed after %.1fs" waited);
     check ctx ~phase
@@ -476,7 +476,7 @@ let spawn_server ~exe ~args =
   (pid, stdout_r)
 
 let wait_ready fd ~timeout_s =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let deadline = Obs.Clock.wall_s () +. timeout_s in
   let buf = Buffer.create 64 in
   let b = Bytes.create 256 in
   let rec go () =
@@ -484,7 +484,7 @@ let wait_ready fd ~timeout_s =
        |> List.exists (fun l -> String.length l >= 5 && String.sub l 0 5 = "READY")
     then true
     else begin
-      let remaining = deadline -. Unix.gettimeofday () in
+      let remaining = deadline -. Obs.Clock.wall_s () in
       if remaining <= 0. then false
       else
         match Unix.select [ fd ] [] [] remaining with
@@ -501,11 +501,11 @@ let wait_ready fd ~timeout_s =
   go ()
 
 let wait_exit pid ~timeout_s =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let deadline = Obs.Clock.wall_s () +. timeout_s in
   let rec go () =
     match Unix.waitpid [ Unix.WNOHANG ] pid with
     | 0, _ ->
-      if Unix.gettimeofday () > deadline then None
+      if Obs.Clock.wall_s () > deadline then None
       else begin
         Unix.sleepf 0.05;
         go ()
@@ -622,7 +622,7 @@ let run ~exe ~dir ~seed ~quick ~fault_spec ~backend ~jobs ~shards =
         }
       in
       let rng = Prng.Rng.create seed in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.Clock.wall_s () in
       phase_correctness ctx (Prng.Rng.split rng)
         ~rounds:(if quick then 60 else 300);
       phase_typed_errors ctx;
@@ -641,7 +641,7 @@ let run ~exe ~dir ~seed ~quick ~fault_spec ~backend ~jobs ~shards =
       phase_sigterm ctx (Prng.Rng.split rng) ~pid
         ~threads:(if quick then 3 else 6)
         ~per_thread:(if quick then 15 else 60);
-      let wall_s = Unix.gettimeofday () -. t0 in
+      let wall_s = Obs.Clock.wall_s () -. t0 in
       let server_exit = wait_exit pid ~timeout_s:30. in
       (match server_exit with
       | Some 0 -> check ctx ~phase:"exit" true ""

@@ -466,7 +466,6 @@ let engine_answers_correct_rows () =
     List.init 7 (fun src ->
         (src, expect_admitted (Engine.submit eng ~instance:"t" ~source:src ())))
   in
-  Engine.process_pending eng;
   List.iter
     (fun (src, t) ->
       Alcotest.(check (array int))
@@ -497,9 +496,9 @@ let engine_rejects_bad_submissions () =
   | Engine.Rejected (Proto.Bad_arg, _) -> ()
   | _ -> Alcotest.fail "negative source must be Bad_arg"
 
-(* The admission bound: with the dispatcher never started, the queue
-   fills to exactly queue_max and the next submission is shed — no
-   unbounded buffering, and queue_peak proves it. *)
+(* The admission bound: with no thread awaiting, the queue fills to
+   exactly queue_max and the next submission is shed — no unbounded
+   buffering, and queue_peak proves it. *)
 let engine_sheds_at_bound () =
   let corpus = test_corpus () in
   let config = { Engine.default_config with Engine.queue_max = 2 } in
@@ -509,7 +508,6 @@ let engine_sheds_at_bound () =
   (match Engine.submit eng ~instance:"t" ~source:2 () with
   | Engine.Rejected (Proto.Resource_exhausted, _) -> ()
   | _ -> Alcotest.fail "third submit must be shed");
-  Engine.process_pending eng;
   ignore (expect_row (Engine.await t0));
   ignore (expect_row (Engine.await t1));
   let s = Engine.stats eng in
@@ -525,7 +523,6 @@ let engine_deadline_expires () =
       (Engine.submit eng ~instance:"t" ~source:0 ~deadline_s:0.005 ())
   in
   Unix.sleepf 0.03;
-  Engine.process_pending eng;
   (match Engine.await t with
   | Engine.Err (Proto.Deadline_exceeded, _) -> ()
   | Engine.Row _ -> Alcotest.fail "expired job must answer Deadline_exceeded"
@@ -553,13 +550,11 @@ let engine_cache_and_dedupe () =
   (* Two jobs for the same source in one cycle: one sweep, two answers. *)
   let ta = expect_admitted (Engine.submit eng ~instance:"t" ~source:2 ()) in
   let tb = expect_admitted (Engine.submit eng ~instance:"t" ~source:2 ()) in
-  Engine.process_pending eng;
   let ra = expect_row (Engine.await ta) and rb = expect_row (Engine.await tb) in
   Alcotest.(check (array int)) "deduped rows agree" ra rb;
   check_int "one sweep for duplicate sources" 1 (Engine.stats eng).Engine.sweeps;
   (* A later cycle for the same source hits the row cache: no new sweep. *)
   let tc = expect_admitted (Engine.submit eng ~instance:"t" ~source:2 ()) in
-  Engine.process_pending eng;
   ignore (expect_row (Engine.await tc));
   let s = Engine.stats eng in
   check_int "cache hit counted" 1 s.Engine.cache_hits;
@@ -574,14 +569,12 @@ let engine_store_round_trip () =
       (* First engine computes and persists the row... *)
       let eng1 = Engine.create ~config:(config (Objects.open_ ~dir)) corpus in
       let t1 = expect_admitted (Engine.submit eng1 ~instance:"t" ~source:4 ()) in
-      Engine.process_pending eng1;
       let row1 = expect_row (Engine.await t1) in
       check_int "computed, not store-served" 0
         (Engine.stats eng1).Engine.store_hits;
       (* ...a fresh engine over the same store serves it without a sweep. *)
       let eng2 = Engine.create ~config:(config (Objects.open_ ~dir)) corpus in
       let t2 = expect_admitted (Engine.submit eng2 ~instance:"t" ~source:4 ()) in
-      Engine.process_pending eng2;
       let row2 = expect_row (Engine.await t2) in
       Alcotest.(check (array int)) "persisted row identical" row1 row2;
       let s = Engine.stats eng2 in
@@ -599,7 +592,6 @@ let engine_store_corruption_recovers () =
       let store1 = Objects.open_ ~dir in
       let eng1 = Engine.create ~config:(config store1) corpus in
       let t1 = expect_admitted (Engine.submit eng1 ~instance:"t" ~source:1 ()) in
-      Engine.process_pending eng1;
       ignore (expect_row (Engine.await t1));
       (match Objects.entries store1 with
       | entry :: _ ->
@@ -607,7 +599,6 @@ let engine_store_corruption_recovers () =
       | [] -> Alcotest.fail "row was not persisted");
       let eng2 = Engine.create ~config:(config (Objects.open_ ~dir)) corpus in
       let t2 = expect_admitted (Engine.submit eng2 ~instance:"t" ~source:1 ()) in
-      Engine.process_pending eng2;
       Alcotest.(check (array int))
         "recomputed row correct" (oracle_row corpus 1)
         (expect_row (Engine.await t2));
@@ -625,7 +616,6 @@ let engine_lru_touch_on_hit () =
   let eng = Engine.create ~config corpus in
   let run_one src =
     let t = expect_admitted (Engine.submit eng ~instance:"t" ~source:src ()) in
-    Engine.process_pending eng;
     expect_row (Engine.await t)
   in
   ignore (run_one 0);                     (* cache {0} *)
@@ -645,6 +635,76 @@ let engine_lru_touch_on_hit () =
   let s = Engine.stats eng in
   check_int "evicted row re-swept" 4 s.Engine.sweeps;
   check_int "second eviction" 2 s.Engine.evictions
+
+(* Eight threads submit and await at once over three sources, so
+   cycles share rows and later queries hit the cache.  Whichever
+   thread runs a cycle, every ticket is answered once, with its row. *)
+let engine_concurrent_awaiters () =
+  let corpus = test_corpus () in
+  let sources = [| 0; 3; 5 |] in
+  let oracle = Array.map (oracle_row corpus) sources in
+  let eng = Engine.create corpus in
+  let threads = 8 and per_thread = 50 in
+  let latency = Obs.Metrics.histogram "serve.latency_ms" in
+  let resolved0 = Obs.Metrics.observations latency in
+  let answered = Atomic.make 0 and bad = Atomic.make 0 in
+  let worker k () =
+    for i = 0 to per_thread - 1 do
+      let s = (k + i) mod Array.length sources in
+      match Engine.submit eng ~instance:"t" ~source:sources.(s) () with
+      | Engine.Admitted t -> (
+        match Engine.await t with
+        | Engine.Row r when r = oracle.(s) -> Atomic.incr answered
+        | _ -> Atomic.incr bad)
+      | Engine.Rejected _ -> Atomic.incr bad
+    done
+  in
+  List.init threads (fun k -> Thread.create (worker k) ())
+  |> List.iter Thread.join;
+  check_int "no wrong or refused answer" 0 (Atomic.get bad);
+  check_int "every ticket answered" (threads * per_thread) (Atomic.get answered);
+  check_int "each ticket resolved once" (threads * per_thread)
+    (Obs.Metrics.observations latency - resolved0);
+  let s = Engine.stats eng in
+  check_int "all admitted" (threads * per_thread) s.Engine.queries;
+  check_bool "at most one sweep per distinct source" true
+    (s.Engine.sweeps <= Array.length sources)
+
+(* A drain racing live awaiters: admission stops, every admitted ticket
+   still gets its row, and each thread then sees Shutting_down. *)
+let engine_drain_races_awaiters () =
+  let corpus = test_corpus () in
+  let oracle = Array.init 7 (oracle_row corpus) in
+  let eng = Engine.create corpus in
+  let answered = Atomic.make 0 and bad = Atomic.make 0 in
+  let worker k () =
+    let rec loop i =
+      let src = (k + i) mod 7 in
+      match Engine.submit eng ~instance:"t" ~source:src () with
+      | Engine.Admitted t ->
+        (match Engine.await t with
+        | Engine.Row r when r = oracle.(src) -> Atomic.incr answered
+        | _ -> Atomic.incr bad);
+        loop (i + 1)
+      | Engine.Rejected (Proto.Shutting_down, _) -> true
+      | Engine.Rejected _ -> false
+    in
+    loop 0
+  in
+  let ended = Array.make 8 false in
+  let threads =
+    List.init 8 (fun k -> Thread.create (fun () -> ended.(k) <- worker k ()) ())
+  in
+  while Atomic.get answered < 100 && Atomic.get bad = 0 do
+    Thread.delay 0.001
+  done;
+  Engine.drain eng;
+  List.iter Thread.join threads;
+  check_int "no wrong answer" 0 (Atomic.get bad);
+  check_bool "every thread ended on Shutting_down" true
+    (Array.for_all Fun.id ended);
+  check_int "queries = rows answered" (Atomic.get answered)
+    (Engine.stats eng).Engine.queries
 
 (* ------------------------------------------------------------------ *)
 (* Sharding: the consistent-hash partition and the router's pure merge
@@ -1134,6 +1194,8 @@ let suites =
         case "store round-trip" engine_store_round_trip;
         case "store corruption recovers" engine_store_corruption_recovers;
         case "LRU touch-on-hit" engine_lru_touch_on_hit;
+        case "concurrent awaiters" engine_concurrent_awaiters;
+        case "drain racing live awaiters" engine_drain_races_awaiters;
       ] );
     ( "serve.shard",
       [
