@@ -1,21 +1,28 @@
 module Graph = Sgraph.Graph
 
-(* The derived time-edge stream, materialized lazily as a label-bounded
-   *prefix*.  A view with [bound = B] holds exactly the arcs whose
-   label is <= B, in the same order the dense counting-sorted stream
-   would hold them: label ascending, ties in emission order (edge id
-   ascending, u->v before v->u).  Because the sort is stable and the
-   emission order is fixed, the view for bound B is a byte prefix of
-   the view for bound 2B — both its [arcs] and its [off] — so kernels
-   that exhaust a view keep their stream indices (arrival predecessors,
-   scan positions) and continue exactly where they stopped after an
-   {!extend}.
+(* A time-edge stream materialized lazily as a label-bounded *prefix*.
+   A view with [bound = B] holds exactly the arcs whose label is <= B,
+   in the same order the eager counting-sorted stream would hold them:
+   label ascending, ties in emission order (edge id ascending, u->v
+   before v->u).  Because the sort is stable and the emission order is
+   fixed, the view for bound B is a byte prefix of the view for bound
+   2B — both its [arcs] and its [off] — so kernels that exhaust a view
+   keep their stream indices (arrival predecessors, scan positions) and
+   continue exactly where they stopped after an {!extend}.
+
+   Two sources feed the bands.  A [Derived] stream re-rolls its labels
+   from [Labels] on every band pass, buffers the band's arcs and
+   counting-sorts them.  A [Stored] stream reads a label array, one
+   label per edge, whose complete group offsets were counted when it
+   was built, so a band pass writes each arc straight to its final
+   slot.
 
    On the normalized U-RTN clique the temporal diameter is
    Theta(log n), so sweeps only ever consume labels up to O(log n) out
    of a lifetime of n: the prefix holds ~ m * B / a arcs — O(n log n)
-   for the clique — while the dense stream would hold all m * r.  That
-   ratio is the whole point of the backend.
+   for the clique — while the whole stream would hold all m * r.  For
+   a derived source that ratio bounds the memory; for a stored one it
+   bounds the arcs a trial places.
 
    Concurrency: views are immutable and published through an [Atomic]
    (release/acquire), so readers never lock.  Builders serialize on a
@@ -61,9 +68,14 @@ let label_at v i =
   done;
   !lo
 
+type source =
+  | Derived of Labels.t
+  | Stored of { label : int array; off : int array }
+      (* one label per edge; the whole stream's [lifetime + 2] offsets *)
+
 type t = {
   graph : Graph.t;
-  labels : Labels.t;
+  source : source;
   lifetime : int;
   initial_bound : int;
   cur : view Atomic.t;
@@ -72,12 +84,12 @@ type t = {
 
 let default_initial_bound = 64
 
-let create graph ~labels ~lifetime =
-  check_vertices "Implicit.Stream.create" graph;
-  if lifetime < 1 then invalid_arg "Implicit.Stream.create: lifetime < 1";
+let make name graph source ~lifetime =
+  check_vertices name graph;
+  if lifetime < 1 then invalid_arg (name ^ ": lifetime < 1");
   {
     graph;
-    labels;
+    source;
     lifetime;
     initial_bound = Stdlib.min lifetime default_initial_bound;
     cur =
@@ -85,9 +97,14 @@ let create graph ~labels ~lifetime =
     lock = Mutex.create ();
   }
 
-let graph t = t.graph
-let labels t = t.labels
-let lifetime t = t.lifetime
+let derived graph ~labels ~lifetime =
+  make "Implicit.Stream.derived" graph (Derived labels) ~lifetime
+
+let stored graph ~label ~off ~lifetime =
+  if Array.length label <> Graph.m graph || Array.length off <> lifetime + 2
+  then invalid_arg "Implicit.Stream.stored: array lengths";
+  make "Implicit.Stream.stored" graph (Stored { label; off }) ~lifetime
+
 let view t = Atomic.get t.cur
 
 (* Growable (arc, label) buffer for one collect pass. *)
@@ -111,16 +128,17 @@ let buf_push b a l =
   b.lab.(b.len) <- l;
   b.len <- b.len + 1
 
-(* One roll pass over all edges, keeping arcs with lo < label <= hi in
-   emission order, then a stable counting sort by label appended onto
-   [prev]'s arrays.  All labels in the band exceed [prev.bound], so old
-   arcs + sorted band is exactly the stream prefix for [hi], and
-   [prev.off] is the first [lo + 2] words of the new offsets. *)
-let build_band t (prev : view) ~hi =
+(* A derived band: one roll pass over all edges, keeping arcs with
+   lo < label <= hi in emission order, then a stable counting sort by
+   label appended onto [prev]'s arrays.  All labels in the band exceed
+   [prev.bound], so old arcs + sorted band is exactly the stream prefix
+   for [hi], and [prev.off] is the first [lo + 2] words of the new
+   offsets. *)
+let sort_band t labels (prev : view) ~hi =
   let lo = prev.bound in
   let g = t.graph in
   let undirected = not (Graph.is_directed g) in
-  let r = Labels.rolls_per_edge t.labels in
+  let r = Labels.rolls_per_edge labels in
   let scratch = Array.make r 0 in
   let b = { len = 0; arc = [||]; lab = [||] } in
   let keep u v l =
@@ -130,9 +148,9 @@ let build_band t (prev : view) ~hi =
     end
   in
   Graph.iter_edges g (fun e u v ->
-      if r = 1 then keep u v (Labels.roll t.labels ~edge:e ~k:0)
+      if r = 1 then keep u v (Labels.roll labels ~edge:e ~k:0)
       else
-        for j = 0 to Labels.fill_sorted t.labels ~edge:e scratch - 1 do
+        for j = 0 to Labels.fill_sorted labels ~edge:e scratch - 1 do
           keep u v scratch.(j)
         done);
   Labels.note_bulk_rolls (Graph.m g * r);
@@ -156,41 +174,72 @@ let build_band t (prev : view) ~hi =
   done;
   { bound = hi; complete = hi >= t.lifetime; arcs; off }
 
-let extend t ~past =
-  let v = Atomic.get t.cur in
-  if v.bound > past then true
-  else if v.complete then false
-  else begin
+(* A stored band: the whole stream's offsets already give each group's
+   start, so the arcs with lo < label <= hi go straight to their final
+   slots in one pass over the edges in id order (stable), behind a copy
+   of [prev]'s arcs.  No buffer, no second sort; the offsets of the new
+   view are the first [hi + 2] words of the stored ones.  The pass is
+   one [Graph.iter_edges] callback per edge and allocates nothing per
+   edge. *)
+let place_band t ~label ~off (prev : view) ~hi =
+  let lo = prev.bound in
+  let directions = if Graph.is_directed t.graph then 1 else 2 in
+  let arcs = Array.make off.(hi + 1) 0 in
+  Array.blit prev.arcs 0 arcs 0 (Array.length prev.arcs);
+  let cursor = Array.sub off 0 (hi + 1) in
+  Graph.iter_edges t.graph (fun e u v ->
+      let l = Array.unsafe_get label e in
+      if l > lo && l <= hi then begin
+        let pos = cursor.(l) in
+        cursor.(l) <- pos + directions;
+        arcs.(pos) <- pack u v;
+        if directions = 2 then arcs.(pos + 1) <- pack v u
+      end);
+  let off = Array.sub off 0 (hi + 2) in
+  { bound = hi; complete = hi >= t.lifetime; arcs; off }
+
+let build_band t prev ~hi =
+  match t.source with
+  | Derived labels -> sort_band t labels prev ~hi
+  | Stored { label; off } -> place_band t ~label ~off prev ~hi
+
+(* Publish bands until [enough] holds of the published view, [next v]
+   being the bound of the band built after [v].  Builders re-check
+   under the lock: another domain may have published a deeper prefix
+   while this one waited. *)
+let grow t ~enough ~next =
+  if not (enough (Atomic.get t.cur)) then begin
     Mutex.lock t.lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.lock)
       (fun () ->
-        (* Re-check under the lock: another domain may have published a
-           deeper prefix while we waited.  Each schedule step is built
-           at most once per instance. *)
-        let rec grow () =
+        let rec go () =
           let v = Atomic.get t.cur in
-          if v.bound > past || v.complete then ()
-          else begin
-            let hi =
-              if v.bound = 0 then t.initial_bound
-              else Stdlib.min t.lifetime (2 * v.bound)
-            in
-            Atomic.set t.cur (build_band t v ~hi);
-            grow ()
+          if not (enough v) then begin
+            Atomic.set t.cur (build_band t v ~hi:(next v));
+            go ()
           end
         in
-        grow ());
-    (Atomic.get t.cur).bound > past
-  end
-
-let force_complete t =
-  let rec go () =
-    let v = Atomic.get t.cur in
-    if not v.complete then begin
-      ignore (extend t ~past:v.bound);
-      go ()
-    end
-  in
-  go ();
+        go ())
+  end;
   Atomic.get t.cur
+
+(* The bound schedule: [initial_bound], then doubling, capped at the
+   lifetime.  Each step is built at most once per instance. *)
+let scheduled t v =
+  if v.bound = 0 then t.initial_bound else Stdlib.min t.lifetime (2 * v.bound)
+
+let extend t ~past =
+  (grow t ~enough:(fun v -> v.bound > past || v.complete) ~next:(scheduled t))
+    .bound > past
+
+(* A stored stream finishes in one band, to the lifetime; a derived one
+   keeps to the schedule, so its roll count does not depend on who
+   forced it. *)
+let force_complete t =
+  let next =
+    match t.source with
+    | Stored _ -> fun _ -> t.lifetime
+    | Derived _ -> scheduled t
+  in
+  grow t ~enough:(fun v -> v.complete) ~next

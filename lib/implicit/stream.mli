@@ -1,5 +1,5 @@
-(** The time-edge stream layout, and the lazily-materialized prefix of a
-    derived stream.
+(** The time-edge stream layout, and the lazily-materialized prefix of
+    a stream.
 
     {b Layout.}  Both backends hold a stream as a {!view}: one packed
     word per arc, [(src lsl arc_shift) lor dst], in [arcs], grouped by
@@ -12,10 +12,16 @@
 
     {b Prefixes.}  A {!t}'s view with [bound = B] holds exactly the
     arcs with label [<= B], byte-identical to the corresponding prefix
-    of the dense counting-sorted stream.  Views for growing bounds are
+    of the eager counting-sorted stream.  Views for growing bounds are
     byte prefixes of each other, [arcs] and [off] alike, so kernels
     keep their stream indices across {!extend} and resume scanning
     exactly where they stopped.
+
+    {b Sources.}  A {!derived} stream re-rolls its labels from
+    {!Labels} for every band and sorts the band's arcs.  A {!stored}
+    stream reads a label array, one label per edge, and the whole
+    stream's offsets, counted when the network was built: a band pass
+    writes each arc straight to its final slot.
 
     Views are immutable and published through an [Atomic]; builders
     serialize on a mutex and follow a fixed doubling bound schedule, so
@@ -54,14 +60,24 @@ val label_at : view -> int -> int
 
 type t
 
-val create : Sgraph.Graph.t -> labels:Labels.t -> lifetime:int -> t
-(** No rolls happen here; the first {!extend} builds the first prefix.
+val derived : Sgraph.Graph.t -> labels:Labels.t -> lifetime:int -> t
+(** The stream of a derived labelling.  No rolls happen here; the
+    first {!extend} builds the first prefix.
     @raise Invalid_argument if [lifetime < 1] or the graph has more
     than [2^arc_shift] vertices. *)
 
-val graph : t -> Sgraph.Graph.t
-val labels : t -> Labels.t
-val lifetime : t -> int
+val stored :
+  Sgraph.Graph.t -> label:int array -> off:int array -> lifetime:int -> t
+(** [stored g ~label ~off ~lifetime] is the stream of a one-label-per-
+    edge network: [label.(e)] is edge [e]'s label, in [1..lifetime],
+    and [off] ([lifetime + 2] words) the whole stream's group offsets
+    for those labels, exactly as a view's [off] ({!view}).  Both are
+    trusted, not checked, and both are kept: every band pass reads
+    [label], so the caller must not mutate either afterwards.  Nothing
+    is placed here; the first {!extend} builds the first prefix.
+    @raise Invalid_argument if [lifetime < 1], on array lengths other
+    than [m g] and [lifetime + 2], or on a graph of more than
+    [2^arc_shift] vertices. *)
 
 val view : t -> view
 (** The currently published prefix (initially empty with [bound = 0]).
@@ -76,4 +92,6 @@ val extend : t -> past:int -> bool
     bound. *)
 
 val force_complete : t -> view
-(** Extend to the full lifetime and return the complete stream. *)
+(** Extend to the full lifetime and return the complete stream.  A
+    {!stored} stream gets there in one band pass from wherever it
+    stands; a {!derived} one follows the doubling schedule. *)

@@ -19,6 +19,10 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   Xoshiro256.next_in t bound
 
+let fill_int t ~base bound a =
+  if bound <= 0 then invalid_arg "Rng.fill_int: bound must be positive";
+  Xoshiro256.fill_in t bound ~base a
+
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)

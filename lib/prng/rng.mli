@@ -28,6 +28,14 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)
 
+val fill_int : t -> base:int -> int -> int array -> unit
+(** [fill_int t ~base bound a] sets [a.(i)] to [base + int t bound] for
+    every [i], ascending: draw for draw the values of that loop, and
+    the same state after it.  The bulk form for array fills such as
+    one label per edge: the generator state stays in registers for the
+    whole array instead of a load and store per draw.
+    @raise Invalid_argument if [bound <= 0]. *)
+
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in the inclusive range [\[lo, hi\]].
     @raise Invalid_argument if [hi < lo]. *)

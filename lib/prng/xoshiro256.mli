@@ -29,6 +29,13 @@ val next_in : t -> int -> int
     would bias the remainder.  Allocation-free.
     @raise Invalid_argument if [bound <= 0]. *)
 
+val fill_in : t -> int -> base:int -> int array -> unit
+(** [fill_in t bound ~base a] sets [a.(i)] to [base + next_in t bound]
+    for [i] ascending: the same draws, and the same final state, as that
+    loop, with the state kept in registers across the whole array
+    instead of loaded and stored per draw.  Allocation-free.
+    @raise Invalid_argument if [bound <= 0]. *)
+
 val next_bool : t -> bool
 (** [next_bool t] is the lowest bit of one output.  Allocation-free. *)
 

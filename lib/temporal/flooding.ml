@@ -6,27 +6,19 @@ type result = {
   transmissions : int;
 }
 
-(* Transmission counting consumes every stream entry, so on implicit
-   networks the lazy prefix is extended all the way to the lifetime —
+(* Transmission counting consumes every stream entry, so the prefix is
+   extended to the whole stream before the scan: on implicit networks
    flooding pays the O(total stream) memory the reachability kernels
    avoid.  That is inherent to the statistic (every label of every
-   edge can carry a transmission), not an implementation choice; the
-   scan is still a single pass that resumes across extensions. *)
+   edge can carry a transmission), not an implementation choice. *)
 let iter_stream_all net f =
   let shift = Implicit.Stream.arc_shift and mask = Implicit.Stream.arc_mask in
-  let label = ref 1 in
-  let continue_ = ref true in
-  while !continue_ do
-    let { Implicit.Stream.arcs; off; bound; _ } = Tgraph.stream_prefix net in
-    while !label <= bound do
-      let l = !label in
-      for i = Array.unsafe_get off l to Array.unsafe_get off (l + 1) - 1 do
-        let a = Array.unsafe_get arcs i in
-        f ~src:(a lsr shift) ~dst:(a land mask) ~label:l
-      done;
-      incr label
-    done;
-    if not (Tgraph.stream_extend net ~past:bound) then continue_ := false
+  let { Implicit.Stream.arcs; off; bound; _ } = Tgraph.stream_extend_all net in
+  for l = 1 to bound do
+    for i = Array.unsafe_get off l to Array.unsafe_get off (l + 1) - 1 do
+      let a = Array.unsafe_get arcs i in
+      f ~src:(a lsr shift) ~dst:(a land mask) ~label:l
+    done
   done
 
 let run ?(start_time = 1) net s =

@@ -23,15 +23,15 @@ type result = {
    stream.
 
    The pass scans {!Tgraph.stream_prefix}, not {!Tgraph.stream}: on
-   dense networks the prefix is the whole stream and the outer loop
-   runs once; on implicit ones an exhausted prefix is extended and the
-   scan resumes at the next label (prefixes are byte-stable), so the
-   arcs visited — and hence every probe — are identical to what the
-   dense stream would have produced.  The early-exit test stays per
-   arc, so the sweep stops at the same index inside a group.  An
-   extension is requested only while it can still matter: some vertex
-   unreached, or the arrival bound strictly beyond what the prefix
-   already covers. *)
+   label-set networks the prefix is the whole stream and the outer
+   loop runs once; on single-label and implicit ones an exhausted
+   prefix is extended and the scan resumes at the next label (prefixes
+   are byte-stable), so the arcs visited — and hence every probe — are
+   identical to what the whole stream would have produced.  The
+   early-exit test stays per arc, so the sweep stops at the same index
+   inside a group.  An extension is requested only while it can still
+   matter: some vertex unreached, or the arrival bound strictly beyond
+   what the prefix already covers. *)
 (* Kernel probes, updated once per sweep after the hot loop (never
    inside it) and only while Obs.Control is on — the disabled path
    costs one atomic load per sweep. *)
@@ -106,14 +106,17 @@ let sweep net ~start_time ~s ~arrival ~pred =
       end
       else begin
         finished := true;
-        (* A dense prefix is the whole stream, so ending exactly at its
-           end is exhaustion (the historical [i = total] rule).  An
-           implicit sweep that stops at a prefix edge counts as early:
-           racing builders may have published a deeper view than this
-           sweep consumed, so any rule reading the view here would be
-           jobs-dependent — and the probe must stay byte-identical at
-           any --jobs. *)
-        exhausted := not (Tgraph.is_implicit net)
+        (* Stopping at a prefix edge is exhaustion iff nothing follows
+           in the whole stream: the historical [i = total] rule, exact
+           for a dense network, whose stream length is known up front
+           whether or not its arcs are all placed yet.  An implicit
+           sweep that stops there counts as early: its length is
+           unknown, and racing builders may have published a deeper
+           view than this sweep consumed, so any rule reading the view
+           here would be jobs-dependent — and the probe must stay
+           byte-identical at any --jobs. *)
+        exhausted :=
+          (not (Tgraph.is_implicit net)) && !i = Tgraph.time_edge_count net
       end
     end
   done;

@@ -18,10 +18,12 @@ type labelling =
 (* The time-edge stream in the layout [Implicit.Stream] defines: one
    packed word per arc, counting-sorted by label (stable: ties keep
    emission order — edge id ascending, u->v before v->u), plus the
-   label-group offsets.  [Full] holds the whole stream; [Lazy] holds a
-   label-bounded prefix that grows on demand and is always a byte
-   prefix of what [Full] would hold, so kernels written against
-   {!stream_prefix}/{!stream_extend} behave identically on both. *)
+   label-group offsets.  [Full] holds the whole stream, built at
+   construction ([Sets]); [Lazy] holds a label-bounded prefix that
+   grows on demand ([Single] from its stored labels, [Derived] by
+   re-rolling them) and is always a byte prefix of what [Full] would
+   hold, so kernels written against {!stream_prefix}/{!stream_extend}
+   behave identically on all three. *)
 type stream_rep = Full of Stream.view | Lazy of Stream.t
 
 type t = {
@@ -33,27 +35,20 @@ type t = {
 
 (* Counting sort by label, O(M + a) and deterministic.  Each
    constructor makes one pass over its labels that validates them and
-   counts arcs per label into [off.(l + 1)], then one placement pass
-   that writes each arc's word into its final slot, visiting every
-   edge's labels in ascending order (Label.t is sorted; Single is one
-   label) so stability gives the documented tie order.  Between the
-   two, [offsets] turns the counts into group starts and returns the
-   placement cursor.  The placement is one [Graph.iter_edges] callback
-   per edge, with the shift bound outside it: nothing is allocated per
-   edge. *)
-let offsets off =
+   counts arcs per label into [off.(l + 1)]; [group_starts] then turns
+   the counts into the offsets of the whole stream.  [create] places
+   every arc at once: one pass visiting every edge's labels in
+   ascending order (Label.t is sorted) behind a placement cursor, so
+   stability gives the documented tie order.  [of_flat_arcs] places
+   nothing: it hands its labels and the offsets to a stored
+   [Implicit.Stream], whose band passes write the arcs a sweep reads
+   straight to their slots.  The placement is one [Graph.iter_edges]
+   callback per edge, with the shift bound outside it: nothing is
+   allocated per edge. *)
+let group_starts off =
   for l = 1 to Array.length off - 2 do
     off.(l + 1) <- off.(l + 1) + off.(l)
-  done;
-  Array.sub off 0 (Array.length off - 1)
-
-let full g ~lifetime labelling ~arcs ~off =
-  {
-    graph = g;
-    lifetime;
-    labelling;
-    stream_rep = Full { bound = lifetime; complete = true; arcs; off };
-  }
+  done
 
 let create g ~lifetime labels =
   Stream.check_vertices "Tgraph.create" g;
@@ -71,7 +66,8 @@ let create g ~lifetime labels =
         off.(ls.(i) + 1) <- off.(ls.(i) + 1) + directions
       done)
     labels;
-  let cursor = offsets off in
+  group_starts off;
+  let cursor = Array.sub off 0 (lifetime + 1) in
   let arcs = Array.make off.(lifetime + 1) 0 in
   let shift = Stream.arc_shift in
   Graph.iter_edges g (fun e u v ->
@@ -83,7 +79,12 @@ let create g ~lifetime labels =
         arcs.(pos) <- (u lsl shift) lor v;
         if directions = 2 then arcs.(pos + 1) <- (v lsl shift) lor u
       done);
-  full g ~lifetime (Sets labels) ~arcs ~off
+  {
+    graph = g;
+    lifetime;
+    labelling = Sets labels;
+    stream_rep = Full { bound = lifetime; complete = true; arcs; off };
+  }
 
 let of_flat_arcs g ~lifetime label =
   Stream.check_vertices "Tgraph.of_flat_arcs" g;
@@ -101,16 +102,13 @@ let of_flat_arcs g ~lifetime label =
       invalid_arg "Tgraph.of_flat_arcs: label beyond the lifetime";
     off.(l + 1) <- off.(l + 1) + directions
   done;
-  let cursor = offsets off in
-  let arcs = Array.make off.(lifetime + 1) 0 in
-  let shift = Stream.arc_shift in
-  Graph.iter_edges g (fun e u v ->
-      let l = label.(e) in
-      let pos = cursor.(l) in
-      cursor.(l) <- pos + directions;
-      arcs.(pos) <- (u lsl shift) lor v;
-      if directions = 2 then arcs.(pos + 1) <- (v lsl shift) lor u);
-  full g ~lifetime (Single label) ~arcs ~off
+  group_starts off;
+  {
+    graph = g;
+    lifetime;
+    labelling = Single label;
+    stream_rep = Lazy (Stream.stored g ~label ~off ~lifetime);
+  }
 
 let of_derived g ~a ~seed ~r =
   Stream.check_vertices "Tgraph.of_derived" g;
@@ -119,11 +117,11 @@ let of_derived g ~a ~seed ~r =
     graph = g;
     lifetime = a;
     labelling = Derived labels;
-    stream_rep = Lazy (Stream.create g ~labels ~lifetime:a);
+    stream_rep = Lazy (Stream.derived g ~labels ~lifetime:a);
   }
 
 let is_implicit t =
-  match t.stream_rep with Full _ -> false | Lazy _ -> true
+  match t.labelling with Derived _ -> true | Sets _ | Single _ -> false
 
 (* Re-rolling every site of a derived instance yields, by the
    site-independence of [Implicit.Labels.roll], exactly the label
@@ -193,26 +191,33 @@ let materialized_error fn =
         instance first"
        fn)
 
+(* A single-label stream holds one arc per edge direction, placed or
+   not yet, and finishes in one band pass when a whole-stream reader
+   asks for it. *)
 let time_edge_count t =
-  match t.stream_rep with
-  | Full v -> Array.length v.arcs
-  | Lazy _ -> materialized_error "time_edge_count"
+  match (t.stream_rep, t.labelling) with
+  | Full v, _ -> Array.length v.arcs
+  | Lazy _, Single _ -> Graph.arc_count t.graph
+  | Lazy _, (Sets _ | Derived _) -> materialized_error "time_edge_count"
+
+let stream_extend_all t =
+  match t.stream_rep with Full v -> v | Lazy st -> Stream.force_complete st
+
+let whole_stream fn t =
+  match t.labelling with
+  | Derived _ -> materialized_error fn
+  | Sets _ | Single _ -> stream_extend_all t
 
 let iter_time_edges t f =
-  match t.stream_rep with
-  | Full v ->
-    for l = 1 to v.bound do
-      for i = v.off.(l) to v.off.(l + 1) - 1 do
-        let a = v.arcs.(i) in
-        f ~src:(Stream.arc_src a) ~dst:(Stream.arc_dst a) ~label:l
-      done
+  let v = whole_stream "iter_time_edges" t in
+  for l = 1 to v.bound do
+    for i = v.off.(l) to v.off.(l + 1) - 1 do
+      let a = v.arcs.(i) in
+      f ~src:(Stream.arc_src a) ~dst:(Stream.arc_dst a) ~label:l
     done
-  | Lazy _ -> materialized_error "iter_time_edges"
+  done
 
-let stream t =
-  match t.stream_rep with
-  | Full v -> v
-  | Lazy _ -> materialized_error "stream"
+let stream t = whole_stream "stream" t
 
 (* The prefix interface every sweep kernel scans.  On [Full] networks
    the prefix is the whole stream and [stream_extend] is always false;

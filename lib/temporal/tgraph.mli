@@ -1,10 +1,10 @@
 (** Temporal networks [G = (V, E, L)] (paper, Definition 1).
 
     A static graph plus a label assignment and a lifetime [a] (the network
-    is ephemeral: no label exceeds [a]).  Construction builds the
-    *time-edge* stream — every [(u, v, l)] triple with [l ∈ L_{(u,v)}],
-    both directions for undirected edges — with a stable counting sort by
-    label (O(M + a), no comparator), which is what makes foremost-journey
+    is ephemeral: no label exceeds [a]).  Its *time-edge* stream —
+    every [(u, v, l)] triple with [l ∈ L_{(u,v)}], both directions for
+    undirected edges — is laid out by a stable counting sort by label
+    (O(M + a), no comparator), which is what makes foremost-journey
     computation a single linear sweep.  Ties within a label are in edge-id
     order, [u→v] before [v→u], deterministically.
 
@@ -17,15 +17,18 @@
     accessors allocate per call and exist for convenience and tests.
 
     {b Backends.}  A network is either {e dense} — labels stored in
-    arrays, the full stream materialized at construction — or
-    {e implicit} ({!of_derived}): labels recomputed per query from
-    [(seed, edge, roll)], the stream materialized lazily as a growing
-    label-bounded prefix.  Both present the same interface; kernels
-    written against {!stream_prefix}/{!stream_extend} run unchanged on
-    either, and {!materialize} converts an implicit instance into its
-    byte-identical dense twin.  Only the whole-stream accessors
-    ({!stream}, {!iter_time_edges}, {!time_edge_count}) refuse implicit
-    networks, with an error that names the fix. *)
+    arrays — or {e implicit} ({!of_derived}): labels recomputed per
+    query from [(seed, edge, roll)].  A dense label-set network
+    ({!create}) builds its whole stream at construction; a dense
+    single-label one ({!of_flat_arcs}) and an implicit one build it
+    lazily, as a growing label-bounded prefix, so a sweep that stops
+    early places only the arcs it reads.  All present the same
+    interface; kernels written against {!stream_prefix}/{!stream_extend}
+    run unchanged on each, and {!materialize} converts an implicit
+    instance into its byte-identical dense twin.  The whole-stream
+    accessors ({!stream}, {!iter_time_edges}) finish a dense stream
+    that is still a prefix; they, and {!time_edge_count}, refuse
+    implicit networks, with an error that names the fix. *)
 
 type t
 
@@ -43,7 +46,12 @@ val of_flat_arcs : Sgraph.Graph.t -> lifetime:int -> int array -> t
     edge [e].  Equivalent to [create] with singleton label sets but
     allocates no [Label.t] values — the fast path for UNI-CASE
     assignments such as the normalized U-RTN clique, where [create]
-    would box [m] one-element arrays.  Takes ownership of [label].
+    would box [m] one-element arrays.  One pass validates the labels
+    and counts the arcs of each label; no arc is placed here.  The
+    stream is built lazily, a band of labels at a time, when a sweep
+    first reads past its current prefix, and each band pass reads
+    [label] again: the network takes ownership of the array, which
+    the caller must not mutate afterwards.
     @raise Invalid_argument on a graph of more than
     [2^Implicit.Stream.arc_shift] vertices, a non-positive lifetime, a
     length mismatch, or a label outside [1..lifetime] (the first one in
@@ -67,7 +75,7 @@ val materialize : t -> t
     that genuinely need the whole stream. *)
 
 val is_implicit : t -> bool
-(** True on {!of_derived} networks (lazily-materialized stream). *)
+(** True on {!of_derived} networks (labels recomputed per query). *)
 
 val graph : t -> Sgraph.Graph.t
 val lifetime : t -> int
@@ -86,36 +94,41 @@ val label_count : t -> int
 
 val time_edge_count : t -> int
 (** Number of directed time edges in the sweep stream (undirected edges
-    contribute both directions per label).
+    contribute both directions per label).  Known from construction on
+    dense networks: it places no arc.
     @raise Invalid_argument on implicit networks — the stream is never
     fully materialized there; use {!materialize} first. *)
 
 val iter_time_edges : t -> (src:int -> dst:int -> label:int -> unit) -> unit
-(** Iterate the stream in non-decreasing label order.
+(** Iterate the stream in non-decreasing label order.  On a
+    single-label network whose stream is still a prefix, first places
+    every remaining arc, in one band pass.
     @raise Invalid_argument on implicit networks; use {!materialize}
     or the prefix interface. *)
 
 val time_edge : t -> int -> int * int * int
 (** [time_edge t i] is the [i]-th stream entry as [(src, dst, label)],
-    the label found by a binary search on the view's offsets.  On
-    implicit networks, valid for any index inside the current prefix —
-    in particular for every predecessor index a kernel has produced,
-    even after the prefix has grown. *)
+    the label found by a binary search on the view's offsets.  Valid
+    for any index inside the current prefix — in particular for every
+    predecessor index a kernel has produced, even after the prefix has
+    grown. *)
 
 val stream : t -> Implicit.Stream.view
 (** The whole stream, borrowed (do {e not} mutate): packed arcs grouped
     by label, and the group offsets.  The raw representation for flat
-    kernel loops such as the reverse foremost sweep.
+    kernel loops such as the reverse foremost sweep.  Finishes a
+    single-label network's stream first, like {!iter_time_edges}.
     @raise Invalid_argument on implicit networks; scan
     {!stream_prefix} / {!stream_extend} instead. *)
 
 (** {2 Prefix stream interface}
 
-    What sweep kernels scan.  On dense networks the prefix is the whole
-    stream and never extends; on implicit ones it is the entries with
-    label [<= stream_prefix_bound], a byte prefix of the full stream
-    that grows under {!stream_extend} — so a kernel that exhausts the
-    prefix re-grabs the view and resumes at its saved index or label. *)
+    What sweep kernels scan.  On label-set networks the prefix is the
+    whole stream and never extends; on single-label and implicit ones
+    it is the entries with label [<= stream_prefix_bound], a byte
+    prefix of the whole stream that grows under {!stream_extend} — so
+    a kernel that exhausts the prefix re-grabs the view and resumes at
+    its saved index or label. *)
 
 val stream_prefix : t -> Implicit.Stream.view
 (** The current prefix, borrowed.  Extends replace the view — re-grab
@@ -125,16 +138,24 @@ val stream_prefix : t -> Implicit.Stream.view
 
 val stream_prefix_bound : t -> int
 (** Every stream entry with label [<= stream_prefix_bound t] is in the
-    current prefix.  Equals [lifetime] on dense networks. *)
+    current prefix.  Equals [lifetime] on label-set networks. *)
 
 val stream_complete : t -> bool
-(** Is the current prefix the whole stream?  Always true on dense. *)
+(** Is the current prefix the whole stream?  Always true on label-set
+    networks. *)
 
 val stream_extend : t -> past:int -> bool
 (** [stream_extend t ~past] ensures the prefix reaches strictly past
     label bound [past] (the bound of the view the caller exhausted).
     Returns [false] iff the stream is complete and holds nothing beyond
-    [past].  Always [false] on dense networks. *)
+    [past].  Always [false] on label-set networks. *)
+
+val stream_extend_all : t -> Implicit.Stream.view
+(** Extend the prefix to the whole stream and return it, on either
+    backend: for consumers that read every arc, such as flooding.  A
+    single-label stream gets there in one band pass; an implicit one
+    through the doubling schedule, paying the [O(m·r)] memory that
+    {!stream} refuses to spend silently. *)
 
 (** {2 Scalar per-edge label queries}
 

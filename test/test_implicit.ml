@@ -243,6 +243,38 @@ let oracle_full_prefix =
       Tgraph.stream_prefix net = Tgraph.stream twin
       && Tgraph.stream_prefix_bound net >= Tgraph.lifetime net)
 
+(* Flooding reads every arc through [Tgraph.stream_extend_all], which
+   completes a derived stream in one call: the same stream, and the
+   same roll count, as extending it step by step, and the same floods
+   as the materialized twin. *)
+let label_rolls f =
+  Obs.Metrics.reset ();
+  Obs.Control.set_enabled true;
+  let r = f () in
+  Obs.Control.set_enabled false;
+  (r, Obs.Metrics.count (Obs.Metrics.counter "implicit.label_rolls"))
+
+let oracle_extend_all =
+  qcase ~count:60 ~print:print_derived
+    "derived extend_all = stepwise completion, same rolls" gen_derived_deep
+    (fun params ->
+      let twin = snd (derived_pair params) in
+      let stepped = fresh params and at_once = fresh params in
+      let (), stepwise = label_rolls (fun () -> complete_prefix stepped) in
+      let all, rolls =
+        label_rolls (fun () -> Tgraph.stream_extend_all at_once)
+      in
+      let flood net s =
+        let r = Flooding.run net s in
+        (r.informed_time, r.transmissions)
+      in
+      all = Tgraph.stream_prefix stepped
+      && all = Tgraph.stream twin
+      && rolls = stepwise
+      && List.for_all
+           (fun s -> flood (fresh params) s = flood twin s)
+           (List.init (Tgraph.n twin) Fun.id))
+
 (* Journeys on implicit networks: a predecessor index becomes a label by
    a binary search on the offsets of whatever view is current when the
    journey is rebuilt.  Every sweep runs before any journey is rebuilt,
@@ -478,6 +510,7 @@ let suites =
         oracle_batched_consumers;
         oracle_flooding;
         oracle_full_prefix;
+        oracle_extend_all;
         oracle_journeys;
         case "implicit assignment constructors" assignment_constructors;
         case "boundary cases" boundary_cases;

@@ -1,6 +1,7 @@
 (* Flat-kernel regression suite: the counting-sorted stream, the CSR
-   crossing tables, the single-label fast path, and the per-domain
-   workspace reuse introduced by the flat temporal core.  Everything
+   crossing tables, the single-label fast path and its lazily placed
+   stored stream, and the per-domain workspace reuse introduced by the
+   flat temporal core.  Everything
    here pins the new layout against either a declarative specification
    (stable sort by label) or the seed-era behaviour (full-stream sweep
    with no early exit). *)
@@ -209,23 +210,65 @@ let of_flat_arcs_validates () =
     (Invalid_argument "Tgraph.of_flat_arcs: label beyond the lifetime")
     (fun () -> ignore (Tgraph.of_flat_arcs g ~lifetime:3 [| 1; 4 |]))
 
-(* The counting sort allocates the arc array, the O(lifetime) offsets
-   and placement cursor, and a constant: nothing per edge. *)
-let of_flat_arcs_allocates_no_per_edge () =
-  let n = 64 in
-  let g = Sgraph.Gen.clique Directed n in
-  let m = Graph.m g in
-  let labels = Array.init m (fun e -> 1 + (e * 7 mod n)) in
-  let net, words =
-    allocated_words (fun () -> Tgraph.of_flat_arcs g ~lifetime:n labels)
+(* A single-label network owns its labels and its offsets; arcs come
+   later, one band per [extend], each allocating that band's arcs, its
+   offsets and its cursor.  Nothing grows per edge or per placed arc:
+   what is left over beyond those arrays is the same constant at two
+   sizes. *)
+let of_flat_arcs_allocates_per_band () =
+  let lifetime = 256 and first = 64 in
+  let overheads n =
+    let g = Sgraph.Gen.clique Directed n in
+    let m = Graph.m g in
+    let labels = Array.init m (fun e -> 1 + (e * 7 mod lifetime)) in
+    let net, build =
+      allocated_words (fun () -> Tgraph.of_flat_arcs g ~lifetime labels)
+    in
+    let offsets = float_of_int (lifetime + 3) in
+    check_bool
+      (Printf.sprintf "n = %d: construction %.0f words, offsets %.0f, m = %d"
+         n build offsets m)
+      true
+      (build >= offsets && build <= offsets +. 64.);
+    check_int (Printf.sprintf "n = %d: nothing placed" n) 0
+      (Array.length (Tgraph.stream_prefix net).arcs);
+    let extended, band =
+      allocated_words (fun () -> Tgraph.stream_extend net ~past:0)
+    in
+    let placed = Array.length (Tgraph.stream_prefix net).arcs in
+    check_bool (Printf.sprintf "n = %d: first band published" n) true
+      (extended && Tgraph.stream_prefix_bound net = first);
+    check_int
+      (Printf.sprintf "n = %d: the band is the arcs labelled <= %d" n first)
+      (Array.fold_left
+         (fun acc l -> if l <= first then acc + 1 else acc)
+         0 labels)
+      placed;
+    (* Band arcs, its [first + 2] offsets and [first + 1] cursor words,
+       each with a header. *)
+    let arrays = float_of_int ((placed + 1) + (first + 3) + (first + 2)) in
+    check_bool
+      (Printf.sprintf "n = %d: first extend %.0f words, band arrays %.0f" n
+         band arrays)
+      true
+      (band >= arrays && band <= arrays +. 64.);
+    let rng = Rng.create n in
+    let _, drawn =
+      allocated_words (fun () -> Assignment.uniform_single rng g ~a:lifetime)
+    in
+    let labels_and_offsets = float_of_int ((m + 1) + (lifetime + 3)) in
+    check_bool
+      (Printf.sprintf "n = %d: uniform_single %.0f words, labels + offsets %.0f"
+         n drawn labels_and_offsets)
+      true
+      (drawn >= labels_and_offsets && drawn <= labels_and_offsets +. 64.);
+    (build -. offsets, band -. arrays, drawn -. labels_and_offsets)
   in
-  let arrays = float_of_int ((m + 1) + (n + 3) + (n + 2)) in
-  check_int "stream built" m (Tgraph.time_edge_count net);
-  check_bool
-    (Printf.sprintf "%.0f words for m = %d (arcs + offsets + cursor = %.0f)"
-       words m arrays)
-    true
-    (words >= arrays && words <= arrays +. 128.)
+  let b64, e64, u64 = overheads 64 and b128, e128, u128 = overheads 128 in
+  check_bool "construction overhead independent of m" true (b64 = b128);
+  check_bool "extend overhead independent of m and of the band" true
+    (e64 = e128);
+  check_bool "uniform_single overhead independent of m" true (u64 = u128)
 
 let scalar_queries_match_label_sets =
   qcase ~count:200 ~print:print_params "scalar edge queries = Label ops"
@@ -244,6 +287,170 @@ let scalar_queries_match_label_sets =
                     = Label.next_in ls ~lo:x ~hi:(x + 3))
                (List.init 14 Fun.id))
         (List.init (Graph.m g) Fun.id))
+
+(* ------------------------------------------------------------------ *)
+(* Stored streams: a single-label network's lazy prefix against the
+   eager stream [Tgraph.create] builds from the same labels *)
+
+(* Random CSR graphs of either kind, and the arithmetic shapes; labels
+   are capped below the lifetime in some cases, so later label groups
+   (and whole bands) can be empty. *)
+let gen_stored =
+  QCheck2.Gen.(
+    let* n = int_range 2 12 in
+    let* seed = int_range 0 1_000_000 in
+    let* a = oneof [ int_range 1 63; return 64; int_range 65 300 ] in
+    let* shape = int_range 0 5 in
+    let* cap = oneof [ return max_int; int_range 1 70 ] in
+    return (n, seed, a, shape, cap))
+
+let print_stored (n, seed, a, shape, cap) =
+  Printf.sprintf "(n=%d, seed=%d, a=%d, shape=%d, cap=%d)" n seed a shape cap
+
+let stored_graph ~n ~seed = function
+  | 0 -> Graph.create Directed ~n (random_edge_list ~n ~seed ~directed:true)
+  | 1 -> Graph.create Undirected ~n (random_edge_list ~n ~seed ~directed:false)
+  | 2 -> Sgraph.Gen.clique_implicit Directed n
+  | 3 -> Sgraph.Gen.clique_implicit Undirected n
+  | 4 -> Sgraph.Gen.star_implicit n
+  | _ -> Sgraph.Gen.grid_implicit 2 ((n + 1) / 2)
+
+(* A fresh stored instance per call (its prefix starts empty), and the
+   eager stream of its label-set twin. *)
+let stored_pair (n, seed, a, shape, cap) =
+  let g = stored_graph ~n ~seed shape in
+  let rng = Rng.create (seed + 1) in
+  let labels =
+    Array.init (Graph.m g) (fun _ -> 1 + Rng.int rng (Stdlib.min a cap))
+  in
+  let eager = Tgraph.create g ~lifetime:a (Array.map Label.singleton labels) in
+  ((fun () -> Tgraph.of_flat_arcs g ~lifetime:a (Array.copy labels)), eager)
+
+let is_prefix_of (full : Implicit.Stream.view) (v : Implicit.Stream.view) =
+  let b = v.bound in
+  b >= 0 && b <= full.bound
+  && v.complete = (b = full.bound)
+  && v.off = Array.sub full.off 0 (b + 2)
+  && v.arcs = Array.sub full.arcs 0 full.off.(b + 1)
+
+(* Every view [extend] publishes, from the empty one to the complete
+   one, is a byte prefix of the eager stream. *)
+let stored_views_are_prefixes =
+  qcase ~count:300 ~print:print_stored "extend publishes eager prefixes"
+    gen_stored (fun params ->
+      let stored, eager = stored_pair params in
+      let full = Tgraph.stream eager in
+      let net = stored () in
+      let rec walk () =
+        let v = Tgraph.stream_prefix net in
+        is_prefix_of full v
+        && (v.complete
+           || (Tgraph.stream_extend net ~past:v.bound
+              && Tgraph.stream_prefix_bound net > v.bound
+              && walk ()))
+      in
+      walk ()
+      && not (Tgraph.stream_extend net ~past:(Tgraph.lifetime net)))
+
+(* The whole-stream readers, each on a fresh instance advanced by
+   [steps] extends first: [time_edge_count] answers without placing
+   anything, and [stream], [stream_extend_all] and [iter_time_edges]
+   finish the stream from any bound. *)
+let stored_whole_stream_readers =
+  qcase ~count:300
+    ~print:(fun (p, steps) ->
+      Printf.sprintf "%s, steps=%d" (print_stored p) steps)
+    "whole-stream readers = eager"
+    QCheck2.Gen.(pair gen_stored (int_range 0 4))
+    (fun (params, steps) ->
+      let stored, eager = stored_pair params in
+      let advanced () =
+        let net = stored () in
+        for _ = 1 to steps do
+          let past = Tgraph.stream_prefix_bound net in
+          ignore (Tgraph.stream_extend net ~past)
+        done;
+        net
+      in
+      let counted = advanced () in
+      let before = Tgraph.stream_prefix counted in
+      Tgraph.time_edge_count counted = Tgraph.time_edge_count eager
+      && Tgraph.stream_prefix counted == before
+      && Tgraph.stream (advanced ()) = Tgraph.stream eager
+      && Tgraph.stream_extend_all (advanced ()) = Tgraph.stream eager
+      && actual_stream (advanced ()) = actual_stream eager
+      &&
+      let net = advanced () in
+      ignore (Tgraph.stream net);
+      List.for_all
+        (fun i -> Tgraph.time_edge net i = Tgraph.time_edge eager i)
+        (List.init (Tgraph.time_edge_count eager) Fun.id))
+
+(* Four domains race to complete one instance, one of them through the
+   one-pass [stream], the others step by step: each sees only eager
+   prefixes, and all end on the same complete view. *)
+let stored_racing_extends =
+  qcase ~count:40 ~print:print_stored "racing extends publish one view"
+    gen_stored (fun params ->
+      let stored, eager = stored_pair params in
+      let full = Tgraph.stream eager in
+      let net = stored () in
+      let step_through () =
+        let ok = ref true in
+        while not (Tgraph.stream_complete net) do
+          let v = Tgraph.stream_prefix net in
+          ok := !ok && is_prefix_of full v;
+          ignore (Tgraph.stream_extend net ~past:v.bound)
+        done;
+        (!ok, Tgraph.stream_prefix net)
+      in
+      let racers =
+        List.init 4 (fun d ->
+            Domain.spawn (fun () ->
+                if d = 0 then (true, Tgraph.stream net) else step_through ()))
+      in
+      let results = List.map Domain.join racers in
+      List.for_all (fun (ok, v) -> ok && v = full) results
+      && Tgraph.stream_prefix net = full)
+
+(* Scalar sweep probes on a stored instance equal its eager twin's,
+   including the exhaustion rule: a sweep that ends exactly at a band
+   edge, with only empty label groups after it, scanned the whole
+   stream, as the eager sweep that walks those empty groups finds. *)
+let sweep_probes net s =
+  Obs.Metrics.reset ();
+  Obs.Control.set_enabled true;
+  ignore (Foremost.run net s);
+  Obs.Control.set_enabled false;
+  let c name = Obs.Metrics.count (Obs.Metrics.counter name) in
+  (c "kernel.edges_scanned", c "kernel.early_exits")
+
+let stored_probes_match_eager =
+  qcase ~count:300 ~print:print_stored "Foremost probes = eager" gen_stored
+    (fun params ->
+      let stored, eager = stored_pair params in
+      let shared = stored () in
+      List.for_all
+        (fun s ->
+          let expected = sweep_probes eager s in
+          sweep_probes (stored ()) s = expected
+          && sweep_probes shared s = expected)
+        (List.init (Tgraph.n eager) Fun.id))
+
+let exhaustion_at_band_edge () =
+  (* 0 -63-> 1 -64-> 2, lifetime 100: from 0 the sweep reaches 2 with
+     the last arc of label 64, the first band's last label, and nothing
+     follows. *)
+  let g = Graph.create Directed ~n:3 [ (0, 1); (1, 2) ] in
+  let stored = Tgraph.of_flat_arcs g ~lifetime:100 [| 63; 64 |] in
+  let eager =
+    Tgraph.create g ~lifetime:100 [| Label.singleton 63; Label.singleton 64 |]
+  in
+  Alcotest.(check (pair int int)) "eager: whole stream, exhausted" (2, 0)
+    (sweep_probes eager 0);
+  Alcotest.(check (pair int int)) "stored: same" (2, 0) (sweep_probes stored 0);
+  check_int "stopped at the band edge" 64 (Tgraph.stream_prefix_bound stored);
+  Obs.Metrics.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Foremost: early exit and borrowed workspace vs the seed sweep *)
@@ -348,9 +555,17 @@ let suites =
       [
         of_flat_arcs_matches_create;
         case "of_flat_arcs validations" of_flat_arcs_validates;
-        case "of_flat_arcs allocates nothing per edge"
-          of_flat_arcs_allocates_no_per_edge;
+        case "of_flat_arcs allocates per band, not per edge"
+          of_flat_arcs_allocates_per_band;
         scalar_queries_match_label_sets;
+      ] );
+    ( "kernel.stored",
+      [
+        stored_views_are_prefixes;
+        stored_whole_stream_readers;
+        stored_racing_extends;
+        stored_probes_match_eager;
+        case "exhaustion at a band edge" exhaustion_at_band_edge;
       ] );
     ( "kernel.foremost",
       [ run_matches_seed_sweep; borrowed_matches_run ] );

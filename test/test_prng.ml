@@ -330,6 +330,91 @@ let rng_draws_allocate_nothing () =
     (Printf.sprintf "10k draws: %.0f words, same as 1k" large)
     true (large <= small +. 4.)
 
+(* [Rng.fill_int] fuses a loop of [base + Rng.int g bound] into one
+   pass; it must make exactly that loop's draws and leave the generator
+   where the loop does (the next raw output agrees).  The bounds run
+   from 1 to one above 2^61, where the rejection rule throws away about
+   half of all outputs. *)
+let fill_bounds = [ 1; 7; 1000; 1024; (1 lsl 40) + 17; (1 lsl 61) + 1 ]
+
+let fill_matches_loop g ~base bound len =
+  let twin = Rng.copy g in
+  let filled = Array.make len (-1) in
+  Rng.fill_int g ~base bound filled;
+  let looped = Array.init len (fun _ -> base + Rng.int twin bound) in
+  (filled, looped, Rng.bits64 g = Rng.bits64 twin)
+
+let fill_int_matches_int_loop () =
+  List.iter
+    (fun bound ->
+      List.iter
+        (fun (seed, base, len) ->
+          let filled, looped, same_state =
+            fill_matches_loop (Rng.create seed) ~base bound len
+          in
+          let what =
+            Printf.sprintf "bound %d, seed %d, base %d, %d draws" bound seed
+              base len
+          in
+          Alcotest.(check (array int)) what looped filled;
+          check_bool (what ^ ": same state after") true same_state)
+        [ (1, 0, 0); (7, 1, 1); (42, 0, 1000); (9, 1, 4096) ])
+    fill_bounds
+
+(* Raw outputs a fill of [len] draws consumes at [bound]: step a copy
+   of the generator taken before the fill until it replays the output
+   the filled generator gives next. *)
+let raw_outputs_per_fill ~bound ~len =
+  let g = Rng.create 5 in
+  let before = Rng.copy g in
+  Rng.fill_int g ~base:0 bound (Array.make len 0);
+  let next = Rng.bits64 g in
+  let k = ref 0 in
+  while Rng.bits64 before <> next do
+    incr k
+  done;
+  !k
+
+let fill_int_rejection_and_errors () =
+  check_int "bound 1000: no output rejected" 1000
+    (raw_outputs_per_fill ~bound:1000 ~len:1000);
+  let raw = raw_outputs_per_fill ~bound:((1 lsl 61) + 1) ~len:1000 in
+  check_bool
+    (Printf.sprintf
+       "bound 2^61 + 1: %d outputs for 1000 draws (about half rejected)" raw)
+    true
+    (raw >= 1700 && raw <= 2300);
+  List.iter
+    (fun bound ->
+      Alcotest.check_raises
+        (Printf.sprintf "bound %d" bound)
+        (Invalid_argument "Rng.fill_int: bound must be positive")
+        (fun () -> Rng.fill_int (rng ()) ~base:0 bound [| 0 |]))
+    [ 0; -1; min_int ];
+  let g = rng () in
+  let words len =
+    let a = Array.make len 0 in
+    snd (allocated_words (fun () -> Rng.fill_int g ~base:1 1000 a))
+  in
+  let small = words 1_000 and large = words 100_000 in
+  check_bool
+    (Printf.sprintf "1k fill: %.0f words (constant)" small)
+    true (small <= 32.);
+  check_bool
+    (Printf.sprintf "100k fill: %.0f words, same as 1k" large)
+    true (large <= small)
+
+let fill_int_matches_loop_qc =
+  qcase ~count:200 "fill_int at random bounds = int loop"
+    ~print:(fun (seed, bound, len) ->
+      Printf.sprintf "(seed=%d, bound=%d, len=%d)" seed bound len)
+    QCheck2.Gen.(triple int gen_bound (int_range 0 300))
+    (fun (seed, bound, len) ->
+      let filled, looped, same_state =
+        fill_matches_loop (Rng.create seed) ~base:(seed land 7) bound len
+      in
+      filled = looped && same_state)
+
 (* The derived-label hash rolls 10^10 labels in a full E23 run; like
    the draws above, a roll must not box its int64 chain. *)
 let label_rolls_allocate_nothing () =
@@ -552,6 +637,9 @@ let suites =
         case "rng int and bool" rng_draws_pinned;
         rng_matches_int64_reference;
         case "draws allocate nothing" rng_draws_allocate_nothing;
+        case "fill_int at fixed bounds = int loop" fill_int_matches_int_loop;
+        fill_int_matches_loop_qc;
+        case "fill_int rejection rate and errors" fill_int_rejection_and_errors;
         case "label rolls allocate nothing" label_rolls_allocate_nothing;
       ] );
     ( "prng.sample",
