@@ -13,9 +13,11 @@ module Graph = Sgraph.Graph
    Two sources feed the bands.  A [Derived] stream re-rolls its labels
    from [Labels] on every band pass, buffers the band's arcs and
    counting-sorts them.  A [Stored] stream reads a label array, one
-   label per edge, whose complete group offsets were counted when it
-   was built, so a band pass writes each arc straight to its final
-   slot.
+   label per edge.  Its first band may come with a list of the edges
+   in it, made by whoever drew or validated the labels, so the first
+   band is placed from the list alone; any other band pass counts the
+   whole stream's group offsets first, once, and then writes each arc
+   straight to its final slot.
 
    On the normalized U-RTN clique the temporal diameter is
    Theta(log n), so sweeps only ever consume labels up to O(log n) out
@@ -70,8 +72,16 @@ let label_at v i =
 
 type source =
   | Derived of Labels.t
-  | Stored of { label : int array; off : int array }
-      (* one label per edge; the whole stream's [lifetime + 2] offsets *)
+  | Stored of {
+      label : int array;  (* one label per edge *)
+      mutable first : (int array * int) option;
+          (* the ascending ids of the edges in the first band, until a
+             band is placed *)
+      mutable off : int array;
+          (* the whole stream's [lifetime + 2] offsets once a band pass
+             has counted them, [[||]] before *)
+      mutable counts : int;  (* how often [off] was counted: 0 or 1 *)
+    }
 
 type t = {
   graph : Graph.t;
@@ -83,6 +93,14 @@ type t = {
 }
 
 let default_initial_bound = 64
+
+(* A first band holds about [m * 64 / lifetime] of the [m] edges.  The
+   list is kept only when that is at most an eighth, so a reader of the
+   whole stream, which never uses it, pays for at most [m / 8]
+   positions; below that lifetime the first band is a large share of
+   the stream and one pass over the labels places it about as fast. *)
+let list_bound ~lifetime =
+  if lifetime >= 8 * default_initial_bound then default_initial_bound else 0
 
 let make name graph source ~lifetime =
   check_vertices name graph;
@@ -100,12 +118,28 @@ let make name graph source ~lifetime =
 let derived graph ~labels ~lifetime =
   make "Implicit.Stream.derived" graph (Derived labels) ~lifetime
 
-let stored graph ~label ~off ~lifetime =
-  if Array.length label <> Graph.m graph || Array.length off <> lifetime + 2
-  then invalid_arg "Implicit.Stream.stored: array lengths";
-  make "Implicit.Stream.stored" graph (Stored { label; off }) ~lifetime
+let stored graph ~label ~first ~lifetime =
+  if Array.length label <> Graph.m graph then
+    invalid_arg "Implicit.Stream.stored: one label per edge required";
+  (match first with
+  | None -> ()
+  | Some (pos, len) ->
+    if list_bound ~lifetime = 0 then
+      invalid_arg "Implicit.Stream.stored: no first-band list at this lifetime";
+    if len < 0 || len > Array.length pos then
+      invalid_arg "Implicit.Stream.stored: list length");
+  make "Implicit.Stream.stored" graph
+    (Stored { label; first; off = [||]; counts = 0 })
+    ~lifetime
 
 let view t = Atomic.get t.cur
+
+let group_starts off ~lo ~hi =
+  for l = lo + 1 to hi do
+    off.(l + 1) <- off.(l + 1) + off.(l)
+  done
+
+let directions t = if Graph.is_directed t.graph then 1 else 2
 
 (* Growable (arc, label) buffer for one collect pass. *)
 type buf = {
@@ -161,9 +195,7 @@ let sort_band t labels (prev : view) ~hi =
     let l = b.lab.(i) in
     off.(l + 1) <- off.(l + 1) + 1
   done;
-  for l = lo + 1 to hi do
-    off.(l + 1) <- off.(l + 1) + off.(l)
-  done;
+  group_starts off ~lo ~hi;
   let arcs = Array.make (old_len + b.len) 0 in
   Array.blit prev.arcs 0 arcs 0 old_len;
   let cursor = Array.sub off 0 (hi + 1) in
@@ -174,34 +206,80 @@ let sort_band t labels (prev : view) ~hi =
   done;
   { bound = hi; complete = hi >= t.lifetime; arcs; off }
 
-(* A stored band: the whole stream's offsets already give each group's
-   start, so the arcs with lo < label <= hi go straight to their final
-   slots in one pass over the edges in id order (stable), behind a copy
-   of [prev]'s arcs.  No buffer, no second sort; the offsets of the new
-   view are the first [hi + 2] words of the stored ones.  The pass is
-   one [Graph.iter_edges] callback per edge and allocates nothing per
-   edge. *)
-let place_band t ~label ~off (prev : view) ~hi =
+(* The whole stream's group offsets: one direct loop over the labels,
+   made by the first band pass that needs them, under the builder lock,
+   so racing builders count them once. *)
+let whole_offsets t label =
+  let directions = directions t in
+  let off = Array.make (t.lifetime + 2) 0 in
+  for e = 0 to Array.length label - 1 do
+    let l = Array.unsafe_get label e in
+    off.(l + 1) <- off.(l + 1) + directions
+  done;
+  group_starts off ~lo:0 ~hi:t.lifetime;
+  off
+
+(* A stored band: the offsets give each group's start, so every arc
+   with lo < label <= hi goes straight to its final slot, behind a copy
+   of [prev]'s arcs.  The edges are visited in id order, so ties keep
+   emission order: only the listed ones when the band comes with its
+   list ([Graph.iter_edge_ids]), else all of them.  No buffer, no
+   second sort, and nothing allocated per edge. *)
+let place_band t ~label ~off ~listed (prev : view) ~hi =
   let lo = prev.bound in
-  let directions = if Graph.is_directed t.graph then 1 else 2 in
+  let directions = directions t in
   let arcs = Array.make off.(hi + 1) 0 in
   Array.blit prev.arcs 0 arcs 0 (Array.length prev.arcs);
   let cursor = Array.sub off 0 (hi + 1) in
-  Graph.iter_edges t.graph (fun e u v ->
-      let l = Array.unsafe_get label e in
-      if l > lo && l <= hi then begin
-        let pos = cursor.(l) in
-        cursor.(l) <- pos + directions;
-        arcs.(pos) <- pack u v;
-        if directions = 2 then arcs.(pos + 1) <- pack v u
-      end);
-  let off = Array.sub off 0 (hi + 2) in
+  let place e u v =
+    let l = Array.unsafe_get label e in
+    if l > lo && l <= hi then begin
+      let pos = cursor.(l) in
+      cursor.(l) <- pos + directions;
+      arcs.(pos) <- pack u v;
+      if directions = 2 then arcs.(pos + 1) <- pack v u
+    end
+  in
+  (match listed with
+  | Some (pos, len) -> Graph.iter_edge_ids t.graph pos ~len place
+  | None -> Graph.iter_edges t.graph place);
   { bound = hi; complete = hi >= t.lifetime; arcs; off }
 
+(* The first band's [hi + 2] offsets, counted from its list alone. *)
+let listed_offsets t ~label ~pos ~len ~hi =
+  let directions = directions t in
+  let off = Array.make (hi + 2) 0 in
+  for j = 0 to len - 1 do
+    let l = label.(pos.(j)) in
+    off.(l + 1) <- off.(l + 1) + directions
+  done;
+  group_starts off ~lo:0 ~hi;
+  off
+
+(* A stored stream places its first band from the list when it has one
+   and is asked for exactly that band; [force_complete]'s one band to
+   the lifetime ignores it.  Any other band takes the first [hi + 2] of
+   the whole stream's offsets, counting them first if no band has.
+   Either way the list goes with the first band placed: nothing reads
+   it again. *)
 let build_band t prev ~hi =
   match t.source with
   | Derived labels -> sort_band t labels prev ~hi
-  | Stored { label; off } -> place_band t ~label ~off prev ~hi
+  | Stored s ->
+    let label = s.label in
+    let off, listed =
+      match s.first with
+      | Some (pos, len) when hi = t.initial_bound ->
+        (listed_offsets t ~label ~pos ~len ~hi, s.first)
+      | Some _ | None ->
+        if Array.length s.off = 0 then begin
+          s.off <- whole_offsets t label;
+          s.counts <- s.counts + 1
+        end;
+        (Array.sub s.off 0 (hi + 2), None)
+    in
+    s.first <- None;
+    place_band t ~label ~off ~listed prev ~hi
 
 (* Publish bands until [enough] holds of the published view, [next v]
    being the bound of the band built after [v].  Builders re-check
@@ -243,3 +321,6 @@ let force_complete t =
     | Derived _ -> scheduled t
   in
   grow t ~enough:(fun v -> v.complete) ~next
+
+let offset_counts t =
+  match t.source with Stored s -> s.counts | Derived _ -> 0

@@ -19,9 +19,10 @@
 
     {b Sources.}  A {!derived} stream re-rolls its labels from
     {!Labels} for every band and sorts the band's arcs.  A {!stored}
-    stream reads a label array, one label per edge, and the whole
-    stream's offsets, counted when the network was built: a band pass
-    writes each arc straight to its final slot.
+    stream reads a label array, one label per edge.  Given the list of
+    the edges in its first band, it places that band from the list
+    alone; any other band pass first counts the whole stream's offsets,
+    once, then writes each arc straight to its final slot.
 
     Views are immutable and published through an [Atomic]; builders
     serialize on a mutex and follow a fixed doubling bound schedule, so
@@ -54,6 +55,12 @@ type view = {
       (** [bound + 2] words: label [l] is [arcs.(off.(l) .. off.(l+1) - 1)] *)
 }
 
+val group_starts : int array -> lo:int -> hi:int -> unit
+(** [group_starts off ~lo ~hi] turns arc counts into offsets in place:
+    with [off.(l + 1)] holding label [l]'s count for [lo < l <= hi] and
+    [off.(lo + 1)] already an offset, each [off.(l + 1)] becomes the
+    end of label [l]'s group, so [off.(l)] is its start. *)
+
 val label_at : view -> int -> int
 (** [label_at v i] is the label of arc [i]: a binary search on [off].
     @raise Invalid_argument unless [0 <= i < Array.length v.arcs]. *)
@@ -66,17 +73,39 @@ val derived : Sgraph.Graph.t -> labels:Labels.t -> lifetime:int -> t
     @raise Invalid_argument if [lifetime < 1] or the graph has more
     than [2^arc_shift] vertices. *)
 
+val list_bound : lifetime:int -> int
+(** The label bound of the first-band list a {!stored} stream of this
+    lifetime takes: the first band's bound, 64, when that band is
+    expected to hold at most an eighth of the stream ([lifetime >= 8 *
+    64 = 512]), else [0]: no list.  Below that lifetime a reader of
+    the whole stream would pay for more unused positions than a pass
+    over the labels saves. *)
+
 val stored :
-  Sgraph.Graph.t -> label:int array -> off:int array -> lifetime:int -> t
-(** [stored g ~label ~off ~lifetime] is the stream of a one-label-per-
-    edge network: [label.(e)] is edge [e]'s label, in [1..lifetime],
-    and [off] ([lifetime + 2] words) the whole stream's group offsets
-    for those labels, exactly as a view's [off] ({!view}).  Both are
-    trusted, not checked, and both are kept: every band pass reads
-    [label], so the caller must not mutate either afterwards.  Nothing
-    is placed here; the first {!extend} builds the first prefix.
-    @raise Invalid_argument if [lifetime < 1], on array lengths other
-    than [m g] and [lifetime + 2], or on a graph of more than
+  Sgraph.Graph.t ->
+  label:int array ->
+  first:(int array * int) option ->
+  lifetime:int ->
+  t
+(** [stored g ~label ~first ~lifetime] is the stream of a one-label-
+    per-edge network: [label.(e)] is edge [e]'s label, in
+    [1..lifetime].  [first], given only when [list_bound ~lifetime > 0],
+    is [Some (pos, k)] with [pos.(0 .. k - 1)] the ascending ids of
+    exactly the edges labelled [<= list_bound ~lifetime]; [None] means
+    no list, which is not the same as an empty one.
+
+    Trusted, not checked: every label is in range, and the list is
+    exactly that.  A wrong label or list publishes wrong views.  Both
+    arrays are kept: the first {!extend} places the first band from
+    the list alone and drops it; every other band pass reads [label],
+    so the caller must not mutate either afterwards.  The whole
+    stream's offsets are counted, once and under the builder lock, by
+    the first band pass that needs them: a band past the first, a
+    {!force_complete}, or a first band without a list.  Nothing is
+    placed here.
+    @raise Invalid_argument if [lifetime < 1], on a label array of
+    other than [m g] words, on a list where {!list_bound} gives none or
+    whose length is outside its array, or on a graph of more than
     [2^arc_shift] vertices. *)
 
 val view : t -> view
@@ -94,4 +123,10 @@ val extend : t -> past:int -> bool
 val force_complete : t -> view
 (** Extend to the full lifetime and return the complete stream.  A
     {!stored} stream gets there in one band pass from wherever it
-    stands; a {!derived} one follows the doubling schedule. *)
+    stands, ignoring a first-band list it has not used; a {!derived}
+    one follows the doubling schedule. *)
+
+val offset_counts : t -> int
+(** How many times a {!stored} stream has counted the whole stream's
+    offsets: 0 until a band pass needs them, then 1 however many
+    domains raced to build.  Always 0 on a {!derived} stream. *)

@@ -19,9 +19,9 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   Xoshiro256.next_in t bound
 
-let fill_int t ~base bound a =
+let fill_int t ~base bound ~cut a =
   if bound <= 0 then invalid_arg "Rng.fill_int: bound must be positive";
-  Xoshiro256.fill_in t bound ~base a
+  Xoshiro256.fill_in t bound ~base ~cut a
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

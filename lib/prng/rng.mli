@@ -28,12 +28,22 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)
 
-val fill_int : t -> base:int -> int -> int array -> unit
-(** [fill_int t ~base bound a] sets [a.(i)] to [base + int t bound] for
-    every [i], ascending: draw for draw the values of that loop, and
-    the same state after it.  The bulk form for array fills such as
-    one label per edge: the generator state stays in registers for the
-    whole array instead of a load and store per draw.
+val fill_int : t -> base:int -> int -> cut:int -> int array -> int array * int
+(** [fill_int t ~base bound ~cut a] sets [a.(i)] to [base + int t bound]
+    for every [i], ascending: draw for draw the values of that loop,
+    and the same state after it.  It returns [(pos, k)]: [pos.(0 ..
+    k - 1)] are the indices [i] with [a.(i) <= cut], ascending, and
+    [pos] may be longer than [k].  A [cut] below [base] lists nothing
+    and allocates no list.
+
+    The bulk form for array fills such as one label per edge: the
+    generator state stays in registers for the whole array instead of
+    a load and store per draw, and a caller that needs the small
+    values again (the first label band) gets their positions without a
+    second pass.  With [len = Array.length a], the list starts at the
+    expected count, [len * (cut - base + 1) / bound] rounded up, plus a
+    sixteenth, capped at [len], and doubles when it fills with draws
+    left.
     @raise Invalid_argument if [bound <= 0]. *)
 
 val int_in : t -> int -> int -> int

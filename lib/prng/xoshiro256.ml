@@ -67,37 +67,77 @@ let rec next_in t bound =
   if v <= max_int - bound || v < max_int / bound * bound then v mod bound
   else next_in t bound
 
+(* The list's first capacity: the expected count [len * (top + 1) /
+   bound], rounded up, plus a sixteenth; at most [len], which no list
+   can outgrow.  Floats, since [len * bound] may not fit an int. *)
+let first_capacity ~len ~top bound =
+  if top < 0 || len = 0 then 0
+  else if top >= bound - 1 then len
+  else
+    let expected =
+      float_of_int len *. float_of_int (top + 1) /. float_of_int bound
+    in
+    let e = Float.to_int (Float.ceil expected) in
+    Stdlib.min len (e + (e lsr 4))
+
 (* [next_in] over a whole array, the state held in four local [int64]
    refs that the compiler keeps unboxed in registers: one load and one
-   store of the state per fill instead of per draw.  The step is
-   [step]'s, and the rule is [next_in]'s: accepting exactly
+   store of the state per run of draws instead of per draw.  The step
+   is [step]'s, and the rule is [next_in]'s: accepting exactly
    [v < limit] is the same test, since [limit > max_int - bound]; the
-   limit is computed once per fill. *)
-let fill_in t bound ~base a =
+   limit is computed once per fill.
+
+   The same loop lists the draws at or below [cut]: a draw [r] is
+   listed iff [r <= top = cut - base].  A run of draws stops at [stop],
+   where the list cannot have filled yet (each draw adds at most one
+   position), so the inner loop never checks for room and calls
+   nothing.  Growing the list is a call, and a call inside the loop
+   would spill the four state words to the stack on every draw; it
+   happens between runs, after the state is stored back. *)
+let fill_in t bound ~base ~cut a =
   if bound <= 0 then invalid_arg "Xoshiro256.fill_in: bound must be positive";
   let limit = max_int / bound * bound in
-  let s0 = ref (get t 0) and s1 = ref (get t 8) in
-  let s2 = ref (get t 16) and s3 = ref (get t 24) in
-  let i = ref 0 in
-  while !i < Array.length a do
-    let x0 = !s0 and x1 = !s1 in
-    let result = Int64.mul (rotl (Int64.mul x1 5L) 7) 9L in
-    let x2 = Int64.logxor !s2 x0 in
-    let x3 = Int64.logxor !s3 x1 in
-    s0 := Int64.logxor x0 x3;
-    s1 := Int64.logxor x1 x2;
-    s2 := Int64.logxor x2 (Int64.shift_left x1 17);
-    s3 := rotl x3 45;
-    let v = Int64.to_int (Int64.shift_right_logical result 2) in
-    if v < limit then begin
-      Array.unsafe_set a !i (base + (v mod bound));
-      incr i
+  let n = Array.length a in
+  let top = if cut < base then -1 else cut - base in
+  let pos = ref (Array.make (first_capacity ~len:n ~top bound) 0) in
+  let count = ref 0 and i = ref 0 in
+  while !i < n do
+    let p = !pos in
+    let room = if top < 0 then n else Array.length p - !count in
+    let stop = if room >= n - !i then n else !i + room in
+    let s0 = ref (get t 0) and s1 = ref (get t 8) in
+    let s2 = ref (get t 16) and s3 = ref (get t 24) in
+    while !i < stop do
+      let x0 = !s0 and x1 = !s1 in
+      let result = Int64.mul (rotl (Int64.mul x1 5L) 7) 9L in
+      let x2 = Int64.logxor !s2 x0 in
+      let x3 = Int64.logxor !s3 x1 in
+      s0 := Int64.logxor x0 x3;
+      s1 := Int64.logxor x1 x2;
+      s2 := Int64.logxor x2 (Int64.shift_left x1 17);
+      s3 := rotl x3 45;
+      let v = Int64.to_int (Int64.shift_right_logical result 2) in
+      if v < limit then begin
+        let r = v mod bound in
+        Array.unsafe_set a !i (base + r);
+        if r <= top then begin
+          Array.unsafe_set p !count !i;
+          incr count
+        end;
+        incr i
+      end
+    done;
+    set t 0 !s0;
+    set t 8 !s1;
+    set t 16 !s2;
+    set t 24 !s3;
+    if !i < n && top >= 0 && !count = Array.length p then begin
+      let grown = Array.make (Stdlib.min n (2 * Array.length p)) 0 in
+      Array.blit p 0 grown 0 !count;
+      pos := grown
     end
   done;
-  set t 0 !s0;
-  set t 8 !s1;
-  set t 16 !s2;
-  set t 24 !s3
+  (!pos, !count)
 
 let next_bool t = Int64.logand (step t) 1L = 1L
 

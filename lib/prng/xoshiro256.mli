@@ -29,11 +29,16 @@ val next_in : t -> int -> int
     would bias the remainder.  Allocation-free.
     @raise Invalid_argument if [bound <= 0]. *)
 
-val fill_in : t -> int -> base:int -> int array -> unit
-(** [fill_in t bound ~base a] sets [a.(i)] to [base + next_in t bound]
-    for [i] ascending: the same draws, and the same final state, as that
-    loop, with the state kept in registers across the whole array
-    instead of loaded and stored per draw.  Allocation-free.
+val fill_in :
+  t -> int -> base:int -> cut:int -> int array -> int array * int
+(** [fill_in t bound ~base ~cut a] sets [a.(i)] to [base + next_in t
+    bound] for [i] ascending: the same draws, and the same final state,
+    as that loop, with the state kept in registers across runs of
+    draws instead of loaded and stored per draw.  It also lists the
+    indices whose value is at most [cut], ascending, as [(pos, k)]:
+    the list is [pos.(0 .. k - 1)] ({!Rng.fill_int} gives its sizing).
+    The list grows between runs, never inside the draw loop, so the
+    loop calls nothing.  Allocates the list and nothing else.
     @raise Invalid_argument if [bound <= 0]. *)
 
 val next_bool : t -> bool

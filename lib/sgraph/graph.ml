@@ -63,11 +63,12 @@ let arc_count t =
 let clique_dir_edge ~n ~m u v =
   m - 1 - ((u * (n - 1)) + if v < u then v else v - 1)
 
-let clique_dir_endpoints ~n ~m e =
+let clique_dir_endpoints ~n ~m e ~swap f =
   let k = m - 1 - e in
   let u = k / (n - 1) in
   let j = k mod (n - 1) in
-  (u, if j < u then j else j + 1)
+  let v = if j < u then j else j + 1 in
+  if swap then f e v u else f e u v
 
 (* Undirected: pairs (u, v), u < v, in lex order; [off u] counts the
    pairs in blocks before u's. *)
@@ -77,16 +78,17 @@ let clique_und_edge ~n ~m u v =
   let u, v = if u < v then (u, v) else (v, u) in
   m - 1 - (clique_und_off ~n u + v - u - 1)
 
-let clique_und_endpoints ~n ~m e =
+let clique_und_endpoints ~n ~m e f =
   let k = m - 1 - e in
   (* Float guess for the block, exact for k < 2^53, then an integer
      fixup absorbs the sqrt rounding. *)
   let fn = float_of_int ((2 * n) - 1) in
-  let disc = Float.max 0. ((fn *. fn) -. (8.0 *. float_of_int k)) in
+  let disc = (fn *. fn) -. (8.0 *. float_of_int k) in
+  let disc = if disc > 0. then disc else 0. in
   let u = ref (Stdlib.max 0 (Stdlib.min (n - 2) (int_of_float ((fn -. sqrt disc) /. 2.0)))) in
   while !u < n - 2 && clique_und_off ~n (!u + 1) <= k do incr u done;
   while !u > 0 && clique_und_off ~n !u > k do decr u done;
-  (!u, !u + 1 + (k - clique_und_off ~n !u))
+  f e !u (!u + 1 + (k - clique_und_off ~n !u))
 
 (* ---------------------------------------------------------------- *)
 (* Grid arithmetic.  Emission order (see Gen.grid): per cell (r, c) in
@@ -105,25 +107,30 @@ let grid_h_emit ~rows ~cols r c = grid_cell_start ~rows ~cols r c
 let grid_v_emit ~rows ~cols r c =
   grid_cell_start ~rows ~cols r c + if c < cols - 1 then 1 else 0
 
-let grid_endpoints ~rows ~cols ~m e =
+(* Cell [(r, c)]'s vertex.  Top level, so a decode applies it without
+   building a closure. *)
+let grid_cell ~cols r c = (r * cols) + c
+
+let grid_endpoints ~rows ~cols ~m e f =
   let k = m - 1 - e in
-  let cell r c = (r * cols) + c in
   if cols = 1 then (* vertical chain: k-th emission is (k,0)-(k+1,0) *)
-    (cell k 0, cell (k + 1) 0)
+    f e (grid_cell ~cols k 0) (grid_cell ~cols (k + 1) 0)
   else begin
     let q = k / ((2 * cols) - 1) in
     if q >= rows - 1 then begin
       (* Final row: one horizontal slot per cell. *)
       let c = k - ((rows - 1) * ((2 * cols) - 1)) in
-      (cell (rows - 1) c, cell (rows - 1) (c + 1))
+      f e (grid_cell ~cols (rows - 1) c) (grid_cell ~cols (rows - 1) (c + 1))
     end
     else begin
       let off = k mod ((2 * cols) - 1) in
       if off < 2 * (cols - 1) then
         let c = off / 2 in
-        if off land 1 = 0 then (cell q c, cell q (c + 1))
-        else (cell q c, cell (q + 1) c)
-      else (cell q (cols - 1), cell (q + 1) (cols - 1))
+        if off land 1 = 0 then
+          f e (grid_cell ~cols q c) (grid_cell ~cols q (c + 1))
+        else f e (grid_cell ~cols q c) (grid_cell ~cols (q + 1) c)
+      else
+        f e (grid_cell ~cols q (cols - 1)) (grid_cell ~cols (q + 1) (cols - 1))
     end
   end
 
@@ -254,19 +261,23 @@ let is_implicit t = match t.shape with Csr _ -> false | _ -> true
 
 (* ---------------------------------------------------------------- *)
 
+(* Edge [e]'s endpoints, passed to [f e u v] rather than returned as a
+   pair: the one decode behind [edge_endpoints] and [iter_edge_ids],
+   allocation-free for an [f] that allocates nothing. *)
+let with_endpoints t e f =
+  match t.shape with
+  | Csr c -> f e c.e_src.(e) c.e_dst.(e)
+  | Clique { transposed } ->
+    (* Only a directed clique is ever transposed ([reverse]). *)
+    (match t.kind with
+    | Directed -> clique_dir_endpoints ~n:t.n ~m:(m t) e ~swap:transposed f
+    | Undirected -> clique_und_endpoints ~n:t.n ~m:(m t) e f)
+  | Star -> f e 0 (e + 1)
+  | Grid { rows; cols } -> grid_endpoints ~rows ~cols ~m:(m t) e f
+
 let edge_endpoints t e =
   if e < 0 || e >= m t then invalid_arg "Graph.edge_endpoints: bad edge id";
-  match t.shape with
-  | Csr c -> (c.e_src.(e), c.e_dst.(e))
-  | Clique { transposed } ->
-    let u, v =
-      match t.kind with
-      | Directed -> clique_dir_endpoints ~n:t.n ~m:(m t) e
-      | Undirected -> clique_und_endpoints ~n:t.n ~m:(m t) e
-    in
-    if transposed then (v, u) else (u, v)
-  | Star -> (0, e + 1)
-  | Grid { rows; cols } -> grid_endpoints ~rows ~cols ~m:(m t) e
+  with_endpoints t e (fun _ u v -> (u, v))
 
 let edges t = Array.init (m t) (fun e -> edge_endpoints t e)
 
@@ -317,6 +328,27 @@ let iter_edges t f =
           incr e
         end
       done
+    done
+
+(* The edges a caller listed, in its order: on a CSR two array reads
+   per id, on a shape the arithmetic decode; a visit allocates nothing,
+   and an edge that is not listed is not touched. *)
+let iter_edge_ids t ids ~len f =
+  if len < 0 || len > Array.length ids then
+    invalid_arg "Graph.iter_edge_ids: length outside the id array";
+  let m = m t in
+  match t.shape with
+  | Csr c ->
+    for j = 0 to len - 1 do
+      let e = Array.unsafe_get ids j in
+      if e < 0 || e >= m then invalid_arg "Graph.iter_edge_ids: bad edge id";
+      f e (Array.unsafe_get c.e_src e) (Array.unsafe_get c.e_dst e)
+    done
+  | Clique _ | Star | Grid _ ->
+    for j = 0 to len - 1 do
+      let e = Array.unsafe_get ids j in
+      if e < 0 || e >= m then invalid_arg "Graph.iter_edge_ids: bad edge id";
+      with_endpoints t e f
     done
 
 (* Arcs out of / into a vertex, in edge-id-ascending order — exactly

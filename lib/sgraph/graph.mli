@@ -83,6 +83,17 @@ val edges : t -> (int * int) array
 val iter_edges : t -> (int -> int -> int -> unit) -> unit
 (** [iter_edges g f] calls [f e u v] for every edge id [e] = [(u,v)]. *)
 
+val iter_edge_ids :
+  t -> int array -> len:int -> (int -> int -> int -> unit) -> unit
+(** [iter_edge_ids g ids ~len f] calls [f e u v] for each edge id
+    [e = ids.(j)], [j] ascending from [0] to [len - 1], [(u, v)] being
+    the endpoints {!iter_edges} gives [e].  A visit allocates nothing
+    and reads only the listed edges: two array reads on a CSR graph,
+    the arithmetic decode on a shape.  For passes that touch a known
+    few of the [m] edges, such as placing the arcs of one label band.
+    @raise Invalid_argument if [len] is outside [0 .. Array.length ids]
+    or a listed id is not an edge. *)
+
 val out_neighbors : t -> int -> int array
 (** Targets reachable by one traversable arc out of the vertex (do not
     mutate the returned array). *)

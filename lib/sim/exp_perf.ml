@@ -56,11 +56,12 @@ let run ~quick ~seed =
       "ns/time-edge should stay roughly flat: the foremost sweep is O(M) \
        over the flat label-sorted stream, so doubling n quadruples M and \
        the sweep time together";
-      "build ms is the label draws plus Tgraph.of_flat_arcs' one \
-       validation and histogram pass over the m labels; no arc is placed \
-       there.  The first sweep to read the network places the label \
-       bands it reads, once, and every later query reuses them, so the \
-       timed sweeps (medians over repeats) leave that placement out";
+      "build ms is the label draws, one pass over the m labels that at \
+       n >= 512 also lists the edges of the first label band; nothing is \
+       validated, counted or placed there.  The first sweep to read the \
+       network places the label bands it reads (the first from its list), \
+       once, and every later query reuses them, so the timed sweeps \
+       (medians over repeats) leave that placement out";
       "all-pairs TD = ceil(n/W) bit-parallel batch sweeps (W = \
        Batch.lane_width sources share one word per vertex), so the n \
        scalar sweeps of the old kernel collapse by a factor ~W while \

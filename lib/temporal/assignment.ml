@@ -5,13 +5,11 @@ let of_fun g ~a f = Tgraph.create g ~lifetime:a (Array.init (Graph.m g) f)
 (* Flat fast path: one RNG draw per edge straight into an int array —
    same edge-id draw order as the of_fun route, but no Label.t boxing
    (the normalized U-RTN clique would otherwise allocate m singleton
-   arrays per trial).  [Rng.fill_int] makes exactly the draws of a
-   [1 + Rng.int rng a] loop with the generator state held in registers,
-   and allocates nothing, so the label array is the whole allocation. *)
-let uniform_single rng g ~a =
-  let label = Array.make (Graph.m g) 0 in
-  Prng.Rng.fill_int rng ~base:1 a label;
-  Tgraph.of_flat_arcs g ~lifetime:a label
+   arrays per trial).  [Tgraph.of_uniform_draws] draws through
+   [Rng.fill_int], exactly the draws of a [1 + Rng.int rng a] loop with
+   the generator state held in registers, and that loop is the only
+   pass over the labels: it also lists the first label band. *)
+let uniform_single rng g ~a = Tgraph.of_uniform_draws rng g ~lifetime:a
 
 let normalized_uniform rng g = uniform_single rng g ~a:(Graph.n g)
 

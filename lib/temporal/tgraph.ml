@@ -33,23 +33,22 @@ type t = {
   stream_rep : stream_rep;
 }
 
-(* Counting sort by label, O(M + a) and deterministic.  Each
-   constructor makes one pass over its labels that validates them and
-   counts arcs per label into [off.(l + 1)]; [group_starts] then turns
-   the counts into the offsets of the whole stream.  [create] places
-   every arc at once: one pass visiting every edge's labels in
-   ascending order (Label.t is sorted) behind a placement cursor, so
-   stability gives the documented tie order.  [of_flat_arcs] places
-   nothing: it hands its labels and the offsets to a stored
-   [Implicit.Stream], whose band passes write the arcs a sweep reads
-   straight to their slots.  The placement is one [Graph.iter_edges]
-   callback per edge, with the shift bound outside it: nothing is
-   allocated per edge. *)
-let group_starts off =
-  for l = 1 to Array.length off - 2 do
-    off.(l + 1) <- off.(l + 1) + off.(l)
-  done
+(* Counting sort by label, O(M + a) and deterministic.  [create]
+   makes one pass over its labels that validates them and counts arcs
+   per label into [off.(l + 1)]; [Stream.group_starts] then turns the
+   counts into the offsets of the whole stream, and one placement pass
+   visits every edge's labels in ascending order (Label.t is sorted)
+   behind a placement cursor, so stability gives the documented tie
+   order.  The placement is one [Graph.iter_edges] callback per edge,
+   with the shift bound outside it: nothing is allocated per edge.
 
+   A single-label network places nothing and counts nothing here: it
+   hands its labels to a stored [Implicit.Stream], with the list of
+   the edges in the first band when the lifetime calls for one
+   ([Stream.list_bound]).  [of_flat_arcs] makes that list in its
+   validation pass; [of_uniform_draws] gets it from the draw loop,
+   which is then the only pass over the [m] labels a sweep that stays
+   in the first band ever makes. *)
 let create g ~lifetime labels =
   Stream.check_vertices "Tgraph.create" g;
   if lifetime <= 0 then invalid_arg "Tgraph.create: lifetime must be positive";
@@ -66,7 +65,7 @@ let create g ~lifetime labels =
         off.(ls.(i) + 1) <- off.(ls.(i) + 1) + directions
       done)
     labels;
-  group_starts off;
+  Stream.group_starts off ~lo:0 ~hi:lifetime;
   let cursor = Array.sub off 0 (lifetime + 1) in
   let arcs = Array.make off.(lifetime + 1) 0 in
   let shift = Stream.arc_shift in
@@ -86,6 +85,14 @@ let create g ~lifetime labels =
     stream_rep = Full { bound = lifetime; complete = true; arcs; off };
   }
 
+let single g ~lifetime label ~first =
+  {
+    graph = g;
+    lifetime;
+    labelling = Single label;
+    stream_rep = Lazy (Stream.stored g ~label ~first ~lifetime);
+  }
+
 let of_flat_arcs g ~lifetime label =
   Stream.check_vertices "Tgraph.of_flat_arcs" g;
   if lifetime <= 0 then
@@ -93,22 +100,59 @@ let of_flat_arcs g ~lifetime label =
   let m = Graph.m g in
   if Array.length label <> m then
     invalid_arg "Tgraph.of_flat_arcs: one label per edge required";
-  let directions = if Graph.is_directed g then 1 else 2 in
-  let off = Array.make (lifetime + 2) 0 in
-  for e = 0 to m - 1 do
-    let l = label.(e) in
-    if l < 1 then invalid_arg "Tgraph.of_flat_arcs: labels must be positive";
-    if l > lifetime then
-      invalid_arg "Tgraph.of_flat_arcs: label beyond the lifetime";
-    off.(l + 1) <- off.(l + 1) + directions
+  let cut = Stream.list_bound ~lifetime in
+  (* Sized like [Rng.fill_int]'s list, for uniform labels: the expected
+     count plus a sixteenth; doubled when the caller's labels need it. *)
+  let expected = (m / lifetime * cut) + (m mod lifetime * cut / lifetime) in
+  let pos = ref (Array.make (Stdlib.max 1 (expected + (expected / 16))) 0) in
+  let len = ref 0 and e = ref 0 and bad = ref 0 in
+  (* In runs that cannot fill the list (an edge adds at most one
+     position), every edge is written at [pos.(len)] and counted when
+     its label is in [1..cut], and a label outside [1..lifetime] sets
+     the sign bit of [bad].  The loop has no branch on the label and no
+     call, so its variables stay in registers; the list grows between
+     runs, and a bad label is reported after the pass.  A bad label is
+     never counted, so without a list ([cut = 0], one slot, no runs)
+     nothing is. *)
+  while !e < m do
+    if !len = Array.length !pos then begin
+      let grown = Array.make (Stdlib.min m (2 * !len)) 0 in
+      Array.blit !pos 0 grown 0 !len;
+      pos := grown
+    end;
+    let p = !pos in
+    let stop =
+      if cut = 0 then m else Stdlib.min m (!e + Array.length p - !len)
+    in
+    let k = ref !len in
+    for i = !e to stop - 1 do
+      let l = Array.unsafe_get label i in
+      let below = l - 1 in
+      bad := !bad lor below lor (lifetime - l);
+      Array.unsafe_set p !k i;
+      k := !k + 1 + ((below lor (cut - l)) asr 62)
+    done;
+    len := !k;
+    e := stop
   done;
-  group_starts off;
-  {
-    graph = g;
-    lifetime;
-    labelling = Single label;
-    stream_rep = Lazy (Stream.stored g ~label ~off ~lifetime);
-  }
+  if !bad < 0 then
+    Array.iter
+      (fun l ->
+        if l < 1 then
+          invalid_arg "Tgraph.of_flat_arcs: labels must be positive";
+        if l > lifetime then
+          invalid_arg "Tgraph.of_flat_arcs: label beyond the lifetime")
+      label;
+  single g ~lifetime label ~first:(if cut > 0 then Some (!pos, !len) else None)
+
+(* The labels are drawn here, so they need no validation: the fill
+   keeps them in [1..lifetime] and lists the first band as it draws. *)
+let of_uniform_draws rng g ~lifetime =
+  Stream.check_vertices "Tgraph.of_uniform_draws" g;
+  let label = Array.make (Graph.m g) 0 in
+  let cut = Stream.list_bound ~lifetime in
+  let first = Prng.Rng.fill_int rng ~base:1 lifetime ~cut label in
+  single g ~lifetime label ~first:(if cut > 0 then Some first else None)
 
 let of_derived g ~a ~seed ~r =
   Stream.check_vertices "Tgraph.of_derived" g;

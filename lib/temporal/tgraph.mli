@@ -20,11 +20,12 @@
     arrays — or {e implicit} ({!of_derived}): labels recomputed per
     query from [(seed, edge, roll)].  A dense label-set network
     ({!create}) builds its whole stream at construction; a dense
-    single-label one ({!of_flat_arcs}) and an implicit one build it
-    lazily, as a growing label-bounded prefix, so a sweep that stops
-    early places only the arcs it reads.  All present the same
-    interface; kernels written against {!stream_prefix}/{!stream_extend}
-    run unchanged on each, and {!materialize} converts an implicit
+    single-label one ({!of_flat_arcs}, {!of_uniform_draws}) and an
+    implicit one build it lazily, as a growing label-bounded prefix, so
+    a sweep that stops early places only the arcs it reads.  All present
+    the same interface; kernels written against
+    {!stream_prefix}/{!stream_extend} run unchanged on each, and
+    {!materialize} converts an implicit
     instance into its byte-identical dense twin.  The whole-stream
     accessors ({!stream}, {!iter_time_edges}) finish a dense stream
     that is still a prefix; they, and {!time_edge_count}, refuse
@@ -46,16 +47,35 @@ val of_flat_arcs : Sgraph.Graph.t -> lifetime:int -> int array -> t
     edge [e].  Equivalent to [create] with singleton label sets but
     allocates no [Label.t] values — the fast path for UNI-CASE
     assignments such as the normalized U-RTN clique, where [create]
-    would box [m] one-element arrays.  One pass validates the labels
-    and counts the arcs of each label; no arc is placed here.  The
-    stream is built lazily, a band of labels at a time, when a sweep
-    first reads past its current prefix, and each band pass reads
-    [label] again: the network takes ownership of the array, which
-    the caller must not mutate afterwards.
+    would box [m] one-element arrays.
+
+    One pass validates the labels and, when
+    [Implicit.Stream.list_bound ~lifetime > 0] (lifetime [>= 512]),
+    lists the edges of the first label band; nothing is placed or
+    counted here.  The stream is built lazily, a band of labels at a
+    time, when a sweep first reads past its current prefix: the first
+    band from the list, any later one by a pass over [label].  The
+    whole stream's offsets are counted once, by the first band pass
+    that needs them: a band past the first, a whole-stream reader
+    ({!stream}, {!iter_time_edges}, {!stream_extend_all}), or a first
+    band without a list.  The network takes ownership of the array,
+    which the caller must not mutate afterwards.
     @raise Invalid_argument on a graph of more than
     [2^Implicit.Stream.arc_shift] vertices, a non-positive lifetime, a
     length mismatch, or a label outside [1..lifetime] (the first one in
     edge order). *)
+
+val of_uniform_draws : Prng.Rng.t -> Sgraph.Graph.t -> lifetime:int -> t
+(** [of_uniform_draws rng g ~lifetime] draws one label per edge,
+    uniform on [{1..lifetime}], in edge-id order — the draws of a
+    [1 + Prng.Rng.int rng lifetime] loop, through [Prng.Rng.fill_int] —
+    and builds the network {!of_flat_arcs} would build from them.  The
+    labels are drawn here, so they are not validated again, and the
+    draw loop lists the first band: it is the only pass over the
+    labels until a sweep reads past the first band.
+    @raise Invalid_argument if [lifetime <= 0] (from [Prng.Rng.fill_int])
+    or on a graph of more than [2^Implicit.Stream.arc_shift]
+    vertices. *)
 
 val of_derived : Sgraph.Graph.t -> a:int -> seed:int64 -> r:int -> t
 (** [of_derived g ~a ~seed ~r] is the implicit-backend constructor: a

@@ -155,6 +155,60 @@ let trusted_generators_match_list_path () =
   check_bool "complete bipartite" true
     (graphs_agree (list_bipartite 3 4) (Sgraph.Gen.complete_bipartite 3 4))
 
+(* [Graph.iter_edge_ids] visits exactly the listed ids, in list order,
+   with the endpoints [iter_edges] gives them, on a CSR graph and on
+   every shape (a reversed directed clique too), and allocates nothing. *)
+let iter_edge_ids_matches_iter_edges () =
+  let graphs =
+    [
+      ("csr directed", Graph.create Directed ~n:9 (random_edge_list ~n:9 ~seed:3 ~directed:true));
+      ("csr undirected", Sgraph.Gen.clique Undirected 9);
+      ("clique directed", Sgraph.Gen.clique_implicit Directed 9);
+      ("clique reversed", Graph.reverse (Sgraph.Gen.clique_implicit Directed 9));
+      ("clique undirected", Sgraph.Gen.clique_implicit Undirected 9);
+      ("star", Sgraph.Gen.star_implicit 9);
+      ("grid", Sgraph.Gen.grid_implicit 3 4);
+      ("column", Sgraph.Gen.grid_implicit 5 1);
+    ]
+  in
+  List.iter
+    (fun (name, g) ->
+      let m = Graph.m g in
+      let all = Array.make m (0, 0) in
+      Graph.iter_edges g (fun e u v -> all.(e) <- (u, v));
+      (* Every third edge, then the same ids backwards, past [len]. *)
+      let ids = Array.of_list (List.filter (fun e -> e mod 3 <> 1) (List.init m Fun.id)) in
+      let ids = Array.append ids (Array.of_list (List.rev (Array.to_list ids))) in
+      let len = Array.length ids - 1 in
+      let seen = ref [] in
+      Graph.iter_edge_ids g ids ~len (fun e u v -> seen := (e, u, v) :: !seen);
+      Alcotest.(check (list (triple int int int)))
+        (name ^ ": listed edges, in order")
+        (List.init len (fun j ->
+             let e = ids.(j) in
+             (e, fst all.(e), snd all.(e))))
+        (List.rev !seen);
+      let sum = ref 0 in
+      let words len =
+        snd
+          (allocated_words (fun () ->
+               Graph.iter_edge_ids g ids ~len (fun e u v ->
+                   sum := !sum + e + u + v)))
+      in
+      let one = words 1 and every = words len in
+      check_bool
+        (Printf.sprintf "%s: %.0f words for one id, %.0f for %d" name one every
+           len)
+        true
+        (one <= 32. && every = one);
+      Alcotest.check_raises (name ^ ": bad id")
+        (Invalid_argument "Graph.iter_edge_ids: bad edge id") (fun () ->
+          Graph.iter_edge_ids g [| m |] ~len:1 (fun _ _ _ -> ()));
+      Alcotest.check_raises (name ^ ": length")
+        (Invalid_argument "Graph.iter_edge_ids: length outside the id array")
+        (fun () -> Graph.iter_edge_ids g [| 0 |] ~len:2 (fun _ _ _ -> ())))
+    graphs
+
 (* ------------------------------------------------------------------ *)
 (* Single-label fast path *)
 
@@ -208,67 +262,136 @@ let of_flat_arcs_validates () =
     (fun () -> ignore (Tgraph.of_flat_arcs g ~lifetime:3 [| 0; 1 |]));
   Alcotest.check_raises "beyond lifetime"
     (Invalid_argument "Tgraph.of_flat_arcs: label beyond the lifetime")
-    (fun () -> ignore (Tgraph.of_flat_arcs g ~lifetime:3 [| 1; 4 |]))
+    (fun () -> ignore (Tgraph.of_flat_arcs g ~lifetime:3 [| 1; 4 |]));
+  (* The same checks where the pass also lists the first band, the
+     first offender in edge order named, with bad labels on both sides
+     of the cut and more of them than the list has room for. *)
+  let clique = Sgraph.Gen.clique Directed 20 in
+  let m = Graph.m clique in
+  List.iter
+    (fun (what, message, labels) ->
+      Alcotest.check_raises what (Invalid_argument message) (fun () ->
+          ignore (Tgraph.of_flat_arcs clique ~lifetime:600 labels)))
+    [
+      ( "listing, positive",
+        "Tgraph.of_flat_arcs: labels must be positive",
+        Array.init m (fun e -> if e < 5 then 7 else -5) );
+      ( "listing, beyond lifetime",
+        "Tgraph.of_flat_arcs: label beyond the lifetime",
+        Array.init m (fun e -> if e = 3 then 601 else if e = 9 then 0 else 1) );
+      ( "listing, min_int",
+        "Tgraph.of_flat_arcs: labels must be positive",
+        Array.make m min_int );
+      ( "listing, max_int",
+        "Tgraph.of_flat_arcs: label beyond the lifetime",
+        Array.make m max_int );
+    ];
+  Alcotest.check_raises "no list, every label bad"
+    (Invalid_argument "Tgraph.of_flat_arcs: labels must be positive")
+    (fun () ->
+      ignore (Tgraph.of_flat_arcs clique ~lifetime:100 (Array.make m 0)))
 
-(* A single-label network owns its labels and its offsets; arcs come
-   later, one band per [extend], each allocating that band's arcs, its
-   offsets and its cursor.  Nothing grows per edge or per placed arc:
-   what is left over beyond those arrays is the same constant at two
-   sizes. *)
+(* What a single-label network allocates, on both sides of the list
+   rule (lifetime 256: no list; 1024: a first-band list).  Construction
+   allocates no arc array and no [lifetime + 2] offsets: below the rule
+   a constant, above it the list and a bounded growth slack.  The first
+   extend allocates its band's arcs, its [first + 2] offsets and its
+   cursor (and, without a list, the whole stream's offsets); the first
+   band pass past the first band counts the whole stream's offsets,
+   once; [uniform_single] allocates the labels, the list its fill
+   makes, and a constant.  Nothing grows per edge or per placed arc:
+   each leftover is the same constant at two sizes. *)
 let of_flat_arcs_allocates_per_band () =
-  let lifetime = 256 and first = 64 in
-  let overheads n =
+  let first = 64 in
+  let overheads ~lifetime n =
+    let listed = Implicit.Stream.list_bound ~lifetime > 0 in
+    let what fmt =
+      Printf.ksprintf (Printf.sprintf "lifetime %d, n = %d: %s" lifetime n) fmt
+    in
     let g = Sgraph.Gen.clique Directed n in
     let m = Graph.m g in
     let labels = Array.init m (fun e -> 1 + (e * 7 mod lifetime)) in
+    let at_most b = Array.fold_left (fun acc l -> if l <= b then acc + 1 else acc) 0 labels in
+    let in_first = at_most first in
     let net, build =
       allocated_words (fun () -> Tgraph.of_flat_arcs g ~lifetime labels)
     in
-    let offsets = float_of_int (lifetime + 3) in
+    let list = if listed then float_of_int (in_first + 1) else 0. in
     check_bool
-      (Printf.sprintf "n = %d: construction %.0f words, offsets %.0f, m = %d"
-         n build offsets m)
+      (what "construction %.0f words, list of %d, m = %d" build in_first m)
       true
-      (build >= offsets && build <= offsets +. 64.);
-    check_int (Printf.sprintf "n = %d: nothing placed" n) 0
+      (if listed then build >= list && build <= list +. float_of_int (in_first / 8) +. 64.
+       else build <= 64.);
+    check_int (what "nothing placed") 0
       (Array.length (Tgraph.stream_prefix net).arcs);
-    let extended, band =
-      allocated_words (fun () -> Tgraph.stream_extend net ~past:0)
+    (* One band pass: its words against the arrays it must allocate. *)
+    let band ~whole =
+      let past = Tgraph.stream_prefix_bound net in
+      let extended, words =
+        allocated_words (fun () -> Tgraph.stream_extend net ~past)
+      in
+      let v = Tgraph.stream_prefix net in
+      let hi = v.bound in
+      check_bool (what "band to %d published" hi) true extended;
+      check_int (what "the band holds the arcs labelled <= %d" hi) (at_most hi)
+        (Array.length v.arcs);
+      (* Arcs, [hi + 2] offsets and [hi + 1] cursor words, each with a
+         header, and the whole stream's offsets if this pass counts
+         them. *)
+      let arrays =
+        float_of_int
+          ((Array.length v.arcs + 1) + (hi + 3) + (hi + 2)
+          + if whole then lifetime + 3 else 0)
+      in
+      check_bool
+        (what "band to %d: %.0f words, arrays %.0f" hi words arrays)
+        true
+        (words >= arrays && words <= arrays +. 64.);
+      words -. arrays
     in
-    let placed = Array.length (Tgraph.stream_prefix net).arcs in
-    check_bool (Printf.sprintf "n = %d: first band published" n) true
-      (extended && Tgraph.stream_prefix_bound net = first);
-    check_int
-      (Printf.sprintf "n = %d: the band is the arcs labelled <= %d" n first)
-      (Array.fold_left
-         (fun acc l -> if l <= first then acc + 1 else acc)
-         0 labels)
-      placed;
-    (* Band arcs, its [first + 2] offsets and [first + 1] cursor words,
-       each with a header. *)
-    let arrays = float_of_int ((placed + 1) + (first + 3) + (first + 2)) in
-    check_bool
-      (Printf.sprintf "n = %d: first extend %.0f words, band arrays %.0f" n
-         band arrays)
-      true
-      (band >= arrays && band <= arrays +. 64.);
+    let first_extra = band ~whole:(not listed) in
+    check_int (what "first band") first (Tgraph.stream_prefix_bound net);
+    let second_extra = band ~whole:listed in
+    let third_extra = band ~whole:false in
     let rng = Rng.create n in
+    let cut = Implicit.Stream.list_bound ~lifetime in
+    let fill_words =
+      let copy = Rng.copy rng and into = Array.make m 0 in
+      snd
+        (allocated_words (fun () ->
+             Rng.fill_int copy ~base:1 lifetime ~cut into))
+    in
     let _, drawn =
       allocated_words (fun () -> Assignment.uniform_single rng g ~a:lifetime)
     in
-    let labels_and_offsets = float_of_int ((m + 1) + (lifetime + 3)) in
+    let labels_and_list = float_of_int (m + 1) +. fill_words in
     check_bool
-      (Printf.sprintf "n = %d: uniform_single %.0f words, labels + offsets %.0f"
-         n drawn labels_and_offsets)
+      (what "uniform_single %.0f words, labels + list %.0f" drawn
+         labels_and_list)
       true
-      (drawn >= labels_and_offsets && drawn <= labels_and_offsets +. 64.);
-    (build -. offsets, band -. arrays, drawn -. labels_and_offsets)
+      (drawn >= labels_and_list && drawn <= labels_and_list +. 64.);
+    ( (if listed then 0. else build),
+      first_extra,
+      second_extra,
+      third_extra,
+      drawn -. labels_and_list )
   in
-  let b64, e64, u64 = overheads 64 and b128, e128, u128 = overheads 128 in
-  check_bool "construction overhead independent of m" true (b64 = b128);
-  check_bool "extend overhead independent of m and of the band" true
-    (e64 = e128);
-  check_bool "uniform_single overhead independent of m" true (u64 = u128)
+  List.iter
+    (fun lifetime ->
+      let b64, f64, s64, t64, u64 = overheads ~lifetime 64
+      and b128, f128, s128, t128, u128 = overheads ~lifetime 128 in
+      let same what x y =
+        check_bool
+          (Printf.sprintf "lifetime %d: %s overhead %.0f = %.0f" lifetime what
+             x y)
+          true (x = y)
+      in
+      same "construction" b64 b128;
+      same "first extend" f64 f128;
+      same "second extend" s64 s128;
+      same "third extend" t64 t128;
+      same "uniform_single" u64 u128)
+    [ 256; 1024 ]
 
 let scalar_queries_match_label_sets =
   qcase ~count:200 ~print:print_params "scalar edge queries = Label ops"
@@ -294,12 +417,17 @@ let scalar_queries_match_label_sets =
 
 (* Random CSR graphs of either kind, and the arithmetic shapes; labels
    are capped below the lifetime in some cases, so later label groups
-   (and whole bands) can be empty. *)
+   (and whole bands) can be empty.  Lifetimes fall on both sides of the
+   first-band list rule ([Implicit.Stream.list_bound]): 1-63, 64 and
+   65-300 take no list, 512-2000 take one, and a cap below 70 there
+   puts most edges in the first band, far more than its list expects. *)
 let gen_stored =
   QCheck2.Gen.(
     let* n = int_range 2 12 in
     let* seed = int_range 0 1_000_000 in
-    let* a = oneof [ int_range 1 63; return 64; int_range 65 300 ] in
+    let* a =
+      oneof [ int_range 1 63; return 64; int_range 65 300; int_range 512 2000 ]
+    in
     let* shape = int_range 0 5 in
     let* cap = oneof [ return max_int; int_range 1 70 ] in
     return (n, seed, a, shape, cap))
@@ -315,16 +443,22 @@ let stored_graph ~n ~seed = function
   | 4 -> Sgraph.Gen.star_implicit n
   | _ -> Sgraph.Gen.grid_implicit 2 ((n + 1) / 2)
 
-(* A fresh stored instance per call (its prefix starts empty), and the
-   eager stream of its label-set twin. *)
-let stored_pair (n, seed, a, shape, cap) =
+let stored_labels (n, seed, a, shape, cap) =
   let g = stored_graph ~n ~seed shape in
   let rng = Rng.create (seed + 1) in
-  let labels =
-    Array.init (Graph.m g) (fun _ -> 1 + Rng.int rng (Stdlib.min a cap))
-  in
+  (g, Array.init (Graph.m g) (fun _ -> 1 + Rng.int rng (Stdlib.min a cap)))
+
+(* Fresh stored instances (each prefix starts empty) from every
+   constructor that can make the case's labels, and the eager stream of
+   their label-set twin.  Uncapped labels are the draws of a
+   [1 + Rng.int] loop, so [of_uniform_draws] on the same generator
+   draws them too; capped ones only [of_flat_arcs] can take. *)
+let stored_builds ((_, seed, a, _, cap) as params) =
+  let g, labels = stored_labels params in
   let eager = Tgraph.create g ~lifetime:a (Array.map Label.singleton labels) in
-  ((fun () -> Tgraph.of_flat_arcs g ~lifetime:a (Array.copy labels)), eager)
+  let flat () = Tgraph.of_flat_arcs g ~lifetime:a (Array.copy labels) in
+  let drawn () = Tgraph.of_uniform_draws (Rng.create (seed + 1)) g ~lifetime:a in
+  ((if cap >= a then [ flat; drawn ] else [ flat ]), eager)
 
 let is_prefix_of (full : Implicit.Stream.view) (v : Implicit.Stream.view) =
   let b = v.bound in
@@ -335,27 +469,51 @@ let is_prefix_of (full : Implicit.Stream.view) (v : Implicit.Stream.view) =
 
 (* Every view [extend] publishes, from the empty one to the complete
    one, is a byte prefix of the eager stream. *)
+let views_are_prefixes full net =
+  let rec walk () =
+    let v = Tgraph.stream_prefix net in
+    is_prefix_of full v
+    && (v.complete
+       || (Tgraph.stream_extend net ~past:v.bound
+          && Tgraph.stream_prefix_bound net > v.bound
+          && walk ()))
+  in
+  walk () && not (Tgraph.stream_extend net ~past:(Tgraph.lifetime net))
+
 let stored_views_are_prefixes =
   qcase ~count:300 ~print:print_stored "extend publishes eager prefixes"
     gen_stored (fun params ->
-      let stored, eager = stored_pair params in
+      let builds, eager = stored_builds params in
       let full = Tgraph.stream eager in
-      let net = stored () in
-      let rec walk () =
-        let v = Tgraph.stream_prefix net in
-        is_prefix_of full v
-        && (v.complete
-           || (Tgraph.stream_extend net ~past:v.bound
-              && Tgraph.stream_prefix_bound net > v.bound
-              && walk ()))
-      in
-      walk ()
-      && not (Tgraph.stream_extend net ~past:(Tgraph.lifetime net)))
+      List.for_all (fun build -> views_are_prefixes full (build ())) builds)
 
 (* The whole-stream readers, each on a fresh instance advanced by
    [steps] extends first: [time_edge_count] answers without placing
    anything, and [stream], [stream_extend_all] and [iter_time_edges]
    finish the stream from any bound. *)
+let whole_stream_readers_agree build eager steps =
+  let advanced () =
+    let net = build () in
+    for _ = 1 to steps do
+      let past = Tgraph.stream_prefix_bound net in
+      ignore (Tgraph.stream_extend net ~past)
+    done;
+    net
+  in
+  let counted = advanced () in
+  let before = Tgraph.stream_prefix counted in
+  Tgraph.time_edge_count counted = Tgraph.time_edge_count eager
+  && Tgraph.stream_prefix counted == before
+  && Tgraph.stream (advanced ()) = Tgraph.stream eager
+  && Tgraph.stream_extend_all (advanced ()) = Tgraph.stream eager
+  && actual_stream (advanced ()) = actual_stream eager
+  &&
+  let net = advanced () in
+  ignore (Tgraph.stream net);
+  List.for_all
+    (fun i -> Tgraph.time_edge net i = Tgraph.time_edge eager i)
+    (List.init (Tgraph.time_edge_count eager) Fun.id)
+
 let stored_whole_stream_readers =
   qcase ~count:300
     ~print:(fun (p, steps) ->
@@ -363,55 +521,68 @@ let stored_whole_stream_readers =
     "whole-stream readers = eager"
     QCheck2.Gen.(pair gen_stored (int_range 0 4))
     (fun (params, steps) ->
-      let stored, eager = stored_pair params in
-      let advanced () =
-        let net = stored () in
-        for _ = 1 to steps do
-          let past = Tgraph.stream_prefix_bound net in
-          ignore (Tgraph.stream_extend net ~past)
-        done;
-        net
-      in
-      let counted = advanced () in
-      let before = Tgraph.stream_prefix counted in
-      Tgraph.time_edge_count counted = Tgraph.time_edge_count eager
-      && Tgraph.stream_prefix counted == before
-      && Tgraph.stream (advanced ()) = Tgraph.stream eager
-      && Tgraph.stream_extend_all (advanced ()) = Tgraph.stream eager
-      && actual_stream (advanced ()) = actual_stream eager
-      &&
-      let net = advanced () in
-      ignore (Tgraph.stream net);
+      let builds, eager = stored_builds params in
       List.for_all
-        (fun i -> Tgraph.time_edge net i = Tgraph.time_edge eager i)
-        (List.init (Tgraph.time_edge_count eager) Fun.id))
+        (fun build -> whole_stream_readers_agree build eager steps)
+        builds)
 
-(* Four domains race to complete one instance, one of them through the
-   one-pass [stream], the others step by step: each sees only eager
-   prefixes, and all end on the same complete view. *)
+(* Four domains race to complete one stream, one of them in one call,
+   the others step by step: each sees only eager prefixes, and all end
+   on the same complete view. *)
+let race ~full ~view ~extend ~complete =
+  let step_through () =
+    let ok = ref true in
+    while not (view ()).Implicit.Stream.complete do
+      let v = view () in
+      ok := !ok && is_prefix_of full v;
+      ignore (extend ~past:v.bound)
+    done;
+    (!ok, view ())
+  in
+  let racers =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            if d = 0 then (true, complete ()) else step_through ()))
+  in
+  let results = List.map Domain.join racers in
+  List.for_all (fun (ok, v) -> ok && v = full) results && view () = full
+
+(* The stored stream of a case, built directly, with the first-band
+   list its constructors make when the lifetime takes one. *)
+let stored_stream params =
+  let (_, _, a, _, _) = params in
+  let g, label = stored_labels params in
+  let cut = Implicit.Stream.list_bound ~lifetime:a in
+  let first =
+    if cut = 0 then None
+    else
+      let ids = List.filter (fun e -> label.(e) <= cut) (List.init (Array.length label) Fun.id) in
+      Some (Array.of_list ids, List.length ids)
+  in
+  Implicit.Stream.stored g ~label ~first ~lifetime:a
+
+(* Through [Tgraph], from each constructor; and on the stream itself,
+   where the racers must count the whole stream's offsets once. *)
 let stored_racing_extends =
   qcase ~count:40 ~print:print_stored "racing extends publish one view"
     gen_stored (fun params ->
-      let stored, eager = stored_pair params in
+      let builds, eager = stored_builds params in
       let full = Tgraph.stream eager in
-      let net = stored () in
-      let step_through () =
-        let ok = ref true in
-        while not (Tgraph.stream_complete net) do
-          let v = Tgraph.stream_prefix net in
-          ok := !ok && is_prefix_of full v;
-          ignore (Tgraph.stream_extend net ~past:v.bound)
-        done;
-        (!ok, Tgraph.stream_prefix net)
-      in
-      let racers =
-        List.init 4 (fun d ->
-            Domain.spawn (fun () ->
-                if d = 0 then (true, Tgraph.stream net) else step_through ()))
-      in
-      let results = List.map Domain.join racers in
-      List.for_all (fun (ok, v) -> ok && v = full) results
-      && Tgraph.stream_prefix net = full)
+      List.for_all
+        (fun build ->
+          let net = build () in
+          race ~full
+            ~view:(fun () -> Tgraph.stream_prefix net)
+            ~extend:(Tgraph.stream_extend net)
+            ~complete:(fun () -> Tgraph.stream net))
+        builds
+      &&
+      let st = stored_stream params in
+      race ~full
+        ~view:(fun () -> Implicit.Stream.view st)
+        ~extend:(Implicit.Stream.extend st)
+        ~complete:(fun () -> Implicit.Stream.force_complete st)
+      && Implicit.Stream.offset_counts st = 1)
 
 (* Scalar sweep probes on a stored instance equal its eager twin's,
    including the exhaustion rule: a sweep that ends exactly at a band
@@ -428,14 +599,17 @@ let sweep_probes net s =
 let stored_probes_match_eager =
   qcase ~count:300 ~print:print_stored "Foremost probes = eager" gen_stored
     (fun params ->
-      let stored, eager = stored_pair params in
-      let shared = stored () in
+      let builds, eager = stored_builds params in
       List.for_all
-        (fun s ->
-          let expected = sweep_probes eager s in
-          sweep_probes (stored ()) s = expected
-          && sweep_probes shared s = expected)
-        (List.init (Tgraph.n eager) Fun.id))
+        (fun build ->
+          let shared = build () in
+          List.for_all
+            (fun s ->
+              let expected = sweep_probes eager s in
+              sweep_probes (build ()) s = expected
+              && sweep_probes shared s = expected)
+            (List.init (Tgraph.n eager) Fun.id))
+        builds)
 
 let exhaustion_at_band_edge () =
   (* 0 -63-> 1 -64-> 2, lifetime 100: from 0 the sweep reaches 2 with
@@ -451,6 +625,122 @@ let exhaustion_at_band_edge () =
   Alcotest.(check (pair int int)) "stored: same" (2, 0) (sweep_probes stored 0);
   check_int "stopped at the band edge" 64 (Tgraph.stream_prefix_bound stored);
   Obs.Metrics.reset ()
+
+(* Both constructors on the same drawn labels, and the eager twin; each
+   build allocates its own [m + 1] words of labels. *)
+let drawn_builds g ~lifetime ~seed =
+  let labels =
+    let rng = Rng.create seed in
+    Array.init (Graph.m g) (fun _ -> 1 + Rng.int rng lifetime)
+  in
+  let eager = Tgraph.create g ~lifetime (Array.map Label.singleton labels) in
+  ( labels,
+    [
+      ("of_flat_arcs", fun () -> Tgraph.of_flat_arcs g ~lifetime (Array.copy labels));
+      ("of_uniform_draws", fun () -> Tgraph.of_uniform_draws (Rng.create seed) g ~lifetime);
+    ],
+    eager )
+
+(* The list rule's edge.  At lifetime 511 construction lists nothing
+   and the first extend counts the whole stream's offsets; at 512
+   construction lists the first band and the first extend places it
+   from the list alone, counting nothing.  Either way every view is an
+   eager prefix and the whole-stream readers agree, from both
+   constructors. *)
+let list_rule_edge () =
+  let g = Sgraph.Gen.clique Directed 40 in
+  List.iter
+    (fun lifetime ->
+      let listed = lifetime >= 512 in
+      check_int
+        (Printf.sprintf "lifetime %d: list bound" lifetime)
+        (if listed then 64 else 0)
+        (Implicit.Stream.list_bound ~lifetime);
+      let labels, builds, eager = drawn_builds g ~lifetime ~seed:lifetime in
+      let in_first =
+        Array.fold_left (fun acc l -> if l <= 64 then acc + 1 else acc) 0 labels
+      in
+      let full = Tgraph.stream eager in
+      List.iter
+        (fun (name, build) ->
+          let what fmt =
+            Printf.ksprintf (Printf.sprintf "lifetime %d, %s: %s" lifetime name) fmt
+          in
+          let net, words = allocated_words build in
+          let words = words -. float_of_int (Graph.m g + 1) in
+          check_bool
+            (what "construction %.0f words beyond the labels, %d in the first band"
+               words in_first)
+            true
+            (* Below the rule: the network, and the generator the
+               drawing build seeds; above it, a list of the band too. *)
+            (if listed then words >= float_of_int (in_first + 1) else words <= 128.);
+          let _, first_words =
+            allocated_words (fun () -> Tgraph.stream_extend net ~past:0)
+          in
+          let band = float_of_int ((in_first + 1) + 67 + 66) in
+          check_bool
+            (what "first extend %.0f words, band arrays %.0f" first_words band)
+            true
+            (if listed then first_words <= band +. 64.
+             else first_words >= band +. float_of_int (lifetime + 3));
+          check_bool (what "views are eager prefixes") true
+            (views_are_prefixes full net);
+          check_bool (what "whole-stream readers") true
+            (whole_stream_readers_agree build eager 1))
+        builds)
+    [ 511; 512 ]
+
+(* Every label above the first band: the list is present and empty, the
+   first band is published empty, and every arc comes from later bands. *)
+let empty_first_band () =
+  let g = Sgraph.Gen.clique Directed 12 in
+  let lifetime = 1000 in
+  let labels = Array.init (Graph.m g) (fun e -> 65 + (e * 37 mod (lifetime - 64))) in
+  let eager = Tgraph.create g ~lifetime (Array.map Label.singleton labels) in
+  let build () = Tgraph.of_flat_arcs g ~lifetime (Array.copy labels) in
+  let net = build () in
+  check_bool "first band published" true (Tgraph.stream_extend net ~past:0);
+  check_int "at bound 64" 64 (Tgraph.stream_prefix_bound net);
+  check_int "with no arcs" 0 (Array.length (Tgraph.stream_prefix net).arcs);
+  check_bool "views are eager prefixes" true
+    (views_are_prefixes (Tgraph.stream eager) net);
+  check_bool "whole-stream readers" true (whole_stream_readers_agree build eager 1);
+  List.iter
+    (fun s ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "Foremost probes from %d" s)
+        (sweep_probes eager s) (sweep_probes (build ()) s))
+    (List.init 12 Fun.id);
+  Obs.Metrics.reset ()
+
+(* A lifetime of at most 64: the first band is the whole stream, and no
+   list is made or taken, so an empty list there cannot stand for it. *)
+let short_lifetime_takes_no_list () =
+  let g = Sgraph.Gen.clique Directed 12 in
+  List.iter
+    (fun lifetime ->
+      check_int "no list bound" 0 (Implicit.Stream.list_bound ~lifetime);
+      let _, builds, eager = drawn_builds g ~lifetime ~seed:7 in
+      List.iter
+        (fun (name, build) ->
+          let net = build () in
+          ignore (Tgraph.stream_extend net ~past:0);
+          check_bool
+            (Printf.sprintf "lifetime %d, %s: the first extend places every arc"
+               lifetime name)
+            true
+            (Tgraph.stream_prefix net = Tgraph.stream eager))
+        builds;
+      Alcotest.check_raises
+        (Printf.sprintf "lifetime %d: an empty list is refused" lifetime)
+        (Invalid_argument
+           "Implicit.Stream.stored: no first-band list at this lifetime")
+        (fun () ->
+          ignore
+            (Implicit.Stream.stored g ~label:(Array.make (Graph.m g) 1)
+               ~first:(Some ([||], 0)) ~lifetime)))
+    [ 1; 40; 64 ]
 
 (* ------------------------------------------------------------------ *)
 (* Foremost: early exit and borrowed workspace vs the seed sweep *)
@@ -550,6 +840,7 @@ let suites =
         of_arrays_matches_create;
         case "of_arrays validations" of_arrays_validates;
         case "trusted generators" trusted_generators_match_list_path;
+        case "iter_edge_ids = iter_edges" iter_edge_ids_matches_iter_edges;
       ] );
     ( "kernel.single-label",
       [
@@ -566,6 +857,9 @@ let suites =
         stored_racing_extends;
         stored_probes_match_eager;
         case "exhaustion at a band edge" exhaustion_at_band_edge;
+        case "no list at 511, a list at 512" list_rule_edge;
+        case "a first band with no arcs" empty_first_band;
+        case "lifetime <= 64 takes no list" short_lifetime_takes_no_list;
       ] );
     ( "kernel.foremost",
       [ run_matches_seed_sweep; borrowed_matches_run ] );

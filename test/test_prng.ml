@@ -332,42 +332,74 @@ let rng_draws_allocate_nothing () =
 
 (* [Rng.fill_int] fuses a loop of [base + Rng.int g bound] into one
    pass; it must make exactly that loop's draws and leave the generator
-   where the loop does (the next raw output agrees).  The bounds run
+   where the loop does (the next raw output agrees), and list exactly
+   the ascending indices whose value is at most [cut].  The bounds run
    from 1 to one above 2^61, where the rejection rule throws away about
    half of all outputs. *)
 let fill_bounds = [ 1; 7; 1000; 1024; (1 lsl 40) + 17; (1 lsl 61) + 1 ]
 
-let fill_matches_loop g ~base bound len =
+let listed_reference a ~cut =
+  Array.of_list
+    (List.filter (fun i -> a.(i) <= cut) (List.init (Array.length a) Fun.id))
+
+(* One fill and its [Rng.int] twin: the filled and looped values, the
+   list the fill returned and the one the looped values call for, and
+   whether the next raw outputs agree. *)
+let fill_and_loop g ~base bound ~cut len =
   let twin = Rng.copy g in
   let filled = Array.make len (-1) in
-  Rng.fill_int g ~base bound filled;
+  let pos, k = Rng.fill_int g ~base bound ~cut filled in
   let looped = Array.init len (fun _ -> base + Rng.int twin bound) in
-  (filled, looped, Rng.bits64 g = Rng.bits64 twin)
+  ( filled,
+    looped,
+    Array.sub pos 0 k,
+    listed_reference looped ~cut,
+    Rng.bits64 g = Rng.bits64 twin )
+
+(* A cut below [base] (empty list), one inside the range, and the top
+   value [base + bound - 1] (every index). *)
+let fill_cuts ~base bound = [ base - 1; base + (bound / 3); base + bound - 1 ]
 
 let fill_int_matches_int_loop () =
   List.iter
     (fun bound ->
       List.iter
         (fun (seed, base, len) ->
-          let filled, looped, same_state =
-            fill_matches_loop (Rng.create seed) ~base bound len
-          in
-          let what =
-            Printf.sprintf "bound %d, seed %d, base %d, %d draws" bound seed
-              base len
-          in
-          Alcotest.(check (array int)) what looped filled;
-          check_bool (what ^ ": same state after") true same_state)
+          List.iter
+            (fun cut ->
+              let filled, looped, listed, expected, same_state =
+                fill_and_loop (Rng.create seed) ~base bound ~cut len
+              in
+              let what =
+                Printf.sprintf "bound %d, seed %d, base %d, cut %d, %d draws"
+                  bound seed base cut len
+              in
+              Alcotest.(check (array int)) what looped filled;
+              Alcotest.(check (array int)) (what ^ ": list") expected listed;
+              check_bool (what ^ ": same state after") true same_state)
+            (fill_cuts ~base bound);
+          let all = Rng.fill_int (Rng.create seed) ~base bound ~cut:(base - 1) in
+          check_int
+            (Printf.sprintf "bound %d, %d draws: cut below base lists nothing"
+               bound len)
+            0
+            (snd (all (Array.make len 0)));
+          let top = Rng.fill_int (Rng.create seed) ~base bound ~cut:(base + bound - 1) in
+          check_int
+            (Printf.sprintf "bound %d, %d draws: top cut lists every index"
+               bound len)
+            len
+            (snd (top (Array.make len 0))))
         [ (1, 0, 0); (7, 1, 1); (42, 0, 1000); (9, 1, 4096) ])
     fill_bounds
 
 (* Raw outputs a fill of [len] draws consumes at [bound]: step a copy
    of the generator taken before the fill until it replays the output
    the filled generator gives next. *)
-let raw_outputs_per_fill ~bound ~len =
+let raw_outputs_per_fill ~bound ~cut ~len =
   let g = Rng.create 5 in
   let before = Rng.copy g in
-  Rng.fill_int g ~base:0 bound (Array.make len 0);
+  ignore (Rng.fill_int g ~base:0 bound ~cut (Array.make len 0));
   let next = Rng.bits64 g in
   let k = ref 0 in
   while Rng.bits64 before <> next do
@@ -376,44 +408,125 @@ let raw_outputs_per_fill ~bound ~len =
   !k
 
 let fill_int_rejection_and_errors () =
-  check_int "bound 1000: no output rejected" 1000
-    (raw_outputs_per_fill ~bound:1000 ~len:1000);
-  let raw = raw_outputs_per_fill ~bound:((1 lsl 61) + 1) ~len:1000 in
-  check_bool
-    (Printf.sprintf
-       "bound 2^61 + 1: %d outputs for 1000 draws (about half rejected)" raw)
-    true
-    (raw >= 1700 && raw <= 2300);
+  List.iter
+    (fun cut ->
+      check_int
+        (Printf.sprintf "bound 1000, cut %d: no output rejected" cut)
+        1000
+        (raw_outputs_per_fill ~bound:1000 ~cut ~len:1000);
+      let raw = raw_outputs_per_fill ~bound:((1 lsl 61) + 1) ~cut ~len:1000 in
+      check_bool
+        (Printf.sprintf
+           "bound 2^61 + 1, cut %d: %d outputs for 1000 draws (about half \
+            rejected)"
+           cut raw)
+        true
+        (raw >= 1700 && raw <= 2300))
+    [ -1; 0; 1 lsl 60 ];
   List.iter
     (fun bound ->
       Alcotest.check_raises
         (Printf.sprintf "bound %d" bound)
         (Invalid_argument "Rng.fill_int: bound must be positive")
-        (fun () -> Rng.fill_int (rng ()) ~base:0 bound [| 0 |]))
+        (fun () -> ignore (Rng.fill_int (rng ()) ~base:0 bound ~cut:0 [| 0 |])))
     [ 0; -1; min_int ];
+  (* Without a list a fill allocates a constant; with one, the list and
+     the same constant (these fills stay inside the first capacity). *)
   let g = rng () in
-  let words len =
+  let words ~cut len =
     let a = Array.make len 0 in
-    snd (allocated_words (fun () -> Rng.fill_int g ~base:1 1000 a))
+    let (pos, _), w =
+      allocated_words (fun () -> Rng.fill_int g ~base:1 1000 ~cut a)
+    in
+    (w, if Array.length pos = 0 then 0. else float_of_int (Array.length pos + 1))
   in
-  let small = words 1_000 and large = words 100_000 in
+  let small, no_list = words ~cut:0 1_000 and large, _ = words ~cut:0 100_000 in
+  check_bool "no list: nothing to allocate" true (no_list = 0.);
   check_bool
     (Printf.sprintf "1k fill: %.0f words (constant)" small)
     true (small <= 32.);
   check_bool
     (Printf.sprintf "100k fill: %.0f words, same as 1k" large)
-    true (large <= small)
+    true (large <= small);
+  List.iter
+    (fun len ->
+      let w, list = words ~cut:500 len in
+      check_bool
+        (Printf.sprintf "%d draws, cut at half: %.0f words = list %.0f + %.0f"
+           len w list small)
+        true
+        (list > 0. && w = list +. small))
+    [ 1_000; 100_000 ]
 
 let fill_int_matches_loop_qc =
   qcase ~count:200 "fill_int at random bounds = int loop"
-    ~print:(fun (seed, bound, len) ->
-      Printf.sprintf "(seed=%d, bound=%d, len=%d)" seed bound len)
-    QCheck2.Gen.(triple int gen_bound (int_range 0 300))
-    (fun (seed, bound, len) ->
-      let filled, looped, same_state =
-        fill_matches_loop (Rng.create seed) ~base:(seed land 7) bound len
+    ~print:(fun (seed, bound, len, cut) ->
+      Printf.sprintf "(seed=%d, bound=%d, len=%d, cut=%d)" seed bound len cut)
+    QCheck2.Gen.(
+      let* seed = int in
+      let* bound = gen_bound in
+      let* len = int_range 0 300 in
+      let* cut =
+        oneof
+          [
+            int_range (-2) 20;
+            map (fun x -> x land (bound - 1)) int;
+            return (bound + 7);
+          ]
       in
-      filled = looped && same_state)
+      return (seed, bound, len, cut))
+    (fun (seed, bound, len, cut) ->
+      let filled, looped, listed, expected, same_state =
+        fill_and_loop (Rng.create seed) ~base:(seed land 7) bound ~cut len
+      in
+      filled = looped && listed = expected && same_state)
+
+(* The first capacity [Rng.fill_int] documents: the expected count,
+   rounded up, plus a sixteenth, at most [len]. *)
+let first_capacity ~len ~base bound ~cut =
+  if cut < base || len = 0 then 0
+  else if cut - base >= bound - 1 then len
+  else
+    let e =
+      Float.to_int
+        (Float.ceil
+           (float_of_int len *. float_of_int (cut - base + 1)
+           /. float_of_int bound))
+    in
+    Stdlib.min len (e + (e lsr 4))
+
+(* At 5 values in 1000 over 4096 draws the list starts at 22 slots
+   against about 20.5 expected positions, so a good share of seeds
+   outgrow it; each such fill must still equal its loop, draw for draw,
+   and list every position. *)
+let fill_int_list_grows () =
+  let len = 4096 and bound = 1000 and base = 1 and cut = 5 in
+  let first = first_capacity ~len ~base bound ~cut in
+  let grown = ref 0 in
+  for seed = 0 to 199 do
+    let g = Rng.create seed in
+    let twin = Rng.copy g in
+    let pos, k = Rng.fill_int g ~base bound ~cut (Array.make len 0) in
+    let filled, looped, listed, expected, same_state =
+      fill_and_loop twin ~base bound ~cut len
+    in
+    let what = Printf.sprintf "seed %d, %d listed, first capacity %d" seed k first in
+    Alcotest.(check (array int)) what looped filled;
+    Alcotest.(check (array int)) (what ^ ": list") expected listed;
+    check_bool (what ^ ": same state after") true same_state;
+    (* A list that fills up with draws left grows, whether or not
+       another position comes. *)
+    if k < first then
+      check_int (what ^ ": first capacity kept") first (Array.length pos)
+    else begin
+      if k > first then incr grown;
+      check_bool (what ^ ": the list holds every position") true
+        (Array.length pos >= k && Array.length pos <= Stdlib.min len (4 * first))
+    end
+  done;
+  check_bool
+    (Printf.sprintf "%d of 200 fills outgrew their first capacity" !grown)
+    true (!grown >= 10)
 
 (* The derived-label hash rolls 10^10 labels in a full E23 run; like
    the draws above, a roll must not box its int64 chain. *)
@@ -640,6 +753,7 @@ let suites =
         case "fill_int at fixed bounds = int loop" fill_int_matches_int_loop;
         fill_int_matches_loop_qc;
         case "fill_int rejection rate and errors" fill_int_rejection_and_errors;
+        case "fill_int list outgrows its first capacity" fill_int_list_grows;
         case "label rolls allocate nothing" label_rolls_allocate_nothing;
       ] );
     ( "prng.sample",
