@@ -1,4 +1,5 @@
 module Graph = Sgraph.Graph
+module Cells = Prng.Cells
 
 (* A time-edge stream materialized lazily as a label-bounded *prefix*.
    A view with [bound = B] holds exactly the arcs whose label is <= B,
@@ -12,12 +13,12 @@ module Graph = Sgraph.Graph
 
    Two sources feed the bands.  A [Derived] stream re-rolls its labels
    from [Labels] on every band pass, buffers the band's arcs and
-   counting-sorts them.  A [Stored] stream reads a label array, one
-   label per edge.  Its first band may come with a list of the edges
-   in it, made by whoever drew or validated the labels, so the first
-   band is placed from the list alone; any other band pass counts the
-   whole stream's group offsets first, once, and then writes each arc
-   straight to its final slot.
+   counting-sorts them.  A [Stored] stream reads its labels from
+   two-byte cells, one per edge ([Prng.Cells]).  Its first band may
+   come with a list of the edges in it, made by whoever drew or
+   validated the labels, so the first band is placed from the list
+   alone; any other band pass counts the whole stream's group offsets
+   first, once, and then writes each arc straight to its final slot.
 
    On the normalized U-RTN clique the temporal diameter is
    Theta(log n), so sweeps only ever consume labels up to O(log n) out
@@ -73,7 +74,7 @@ let label_at v i =
 type source =
   | Derived of Labels.t
   | Stored of {
-      label : int array;  (* one label per edge *)
+      label : Cells.t;  (* one label per edge *)
       mutable first : (int array * int) option;
           (* the ascending ids of the edges in the first band, until a
              band is placed *)
@@ -119,7 +120,7 @@ let derived graph ~labels ~lifetime =
   make "Implicit.Stream.derived" graph (Derived labels) ~lifetime
 
 let stored graph ~label ~first ~lifetime =
-  if Array.length label <> Graph.m graph then
+  if Cells.length label <> Graph.m graph then
     invalid_arg "Implicit.Stream.stored: one label per edge required";
   (match first with
   | None -> ()
@@ -212,8 +213,8 @@ let sort_band t labels (prev : view) ~hi =
 let whole_offsets t label =
   let directions = directions t in
   let off = Array.make (t.lifetime + 2) 0 in
-  for e = 0 to Array.length label - 1 do
-    let l = Array.unsafe_get label e in
+  for e = 0 to Cells.length label - 1 do
+    let l = Cells.unsafe_get label (2 * e) in
     off.(l + 1) <- off.(l + 1) + directions
   done;
   group_starts off ~lo:0 ~hi:t.lifetime;
@@ -232,7 +233,7 @@ let place_band t ~label ~off ~listed (prev : view) ~hi =
   Array.blit prev.arcs 0 arcs 0 (Array.length prev.arcs);
   let cursor = Array.sub off 0 (hi + 1) in
   let place e u v =
-    let l = Array.unsafe_get label e in
+    let l = Cells.unsafe_get label (2 * e) in
     if l > lo && l <= hi then begin
       let pos = cursor.(l) in
       cursor.(l) <- pos + directions;
@@ -245,12 +246,17 @@ let place_band t ~label ~off ~listed (prev : view) ~hi =
   | None -> Graph.iter_edges t.graph place);
   { bound = hi; complete = hi >= t.lifetime; arcs; off }
 
-(* The first band's [hi + 2] offsets, counted from its list alone. *)
+(* The first band's [hi + 2] offsets, counted from its list alone.
+   The cell reads are unchecked, so each listed id is checked here. *)
 let listed_offsets t ~label ~pos ~len ~hi =
   let directions = directions t in
+  let m = Cells.length label in
   let off = Array.make (hi + 2) 0 in
   for j = 0 to len - 1 do
-    let l = label.(pos.(j)) in
+    let e = pos.(j) in
+    if e < 0 || e >= m then
+      invalid_arg "Implicit.Stream: a listed edge id is out of range";
+    let l = Cells.unsafe_get label (2 * e) in
     off.(l + 1) <- off.(l + 1) + directions
   done;
   group_starts off ~lo:0 ~hi;

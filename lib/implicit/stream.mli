@@ -19,7 +19,8 @@
 
     {b Sources.}  A {!derived} stream re-rolls its labels from
     {!Labels} for every band and sorts the band's arcs.  A {!stored}
-    stream reads a label array, one label per edge.  Given the list of
+    stream reads its labels from two-byte cells ({!Prng.Cells}), one
+    per edge.  Given the list of
     the edges in its first band, it places that band from the list
     alone; any other band pass first counts the whole stream's offsets,
     once, then writes each arc straight to its final slot.
@@ -83,30 +84,33 @@ val list_bound : lifetime:int -> int
 
 val stored :
   Sgraph.Graph.t ->
-  label:int array ->
+  label:Prng.Cells.t ->
   first:(int array * int) option ->
   lifetime:int ->
   t
 (** [stored g ~label ~first ~lifetime] is the stream of a one-label-
-    per-edge network: [label.(e)] is edge [e]'s label, in
-    [1..lifetime].  [first], given only when [list_bound ~lifetime > 0],
-    is [Some (pos, k)] with [pos.(0 .. k - 1)] the ascending ids of
-    exactly the edges labelled [<= list_bound ~lifetime]; [None] means
-    no list, which is not the same as an empty one.
+    per-edge network: cell [e] of [label], [Prng.Cells.get label
+    (2 * e)], is edge [e]'s label, in [1..lifetime].  [first], given
+    only when [list_bound ~lifetime > 0], is [Some (pos, k)] with
+    [pos.(0 .. k - 1)] the ascending ids of exactly the edges labelled
+    [<= list_bound ~lifetime]; [None] means no list, which is not the
+    same as an empty one.
 
     Trusted, not checked: every label is in range, and the list is
-    exactly that.  A wrong label or list publishes wrong views.  Both
-    arrays are kept: the first {!extend} places the first band from
-    the list alone and drops it; every other band pass reads [label],
-    so the caller must not mutate either afterwards.  The whole
-    stream's offsets are counted, once and under the builder lock, by
-    the first band pass that needs them: a band past the first, a
+    exactly that.  A wrong label or list publishes wrong views; a
+    listed edge id outside [0 .. m g - 1] raises [Invalid_argument]
+    from the band pass that reads it.  Both the cells and the list are
+    kept: the first {!extend} places the first band from the list
+    alone and drops it; every other band pass reads the cells, so the
+    caller must not write either afterwards.  The whole stream's
+    offsets are counted, once and under the builder lock, by the first
+    band pass that needs them: a band past the first, a
     {!force_complete}, or a first band without a list.  Nothing is
     placed here.
-    @raise Invalid_argument if [lifetime < 1], on a label array of
-    other than [m g] words, on a list where {!list_bound} gives none or
-    whose length is outside its array, or on a graph of more than
-    [2^arc_shift] vertices. *)
+    @raise Invalid_argument if [lifetime < 1], on other than [m g]
+    cells, on a list where {!list_bound} gives none or whose length is
+    outside its array, or on a graph of more than [2^arc_shift]
+    vertices. *)
 
 val view : t -> view
 (** The currently published prefix (initially empty with [bound = 0]).

@@ -19,9 +19,11 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   Xoshiro256.next_in t bound
 
-let fill_int t ~base bound ~cut a =
+let fill_int t ~base bound ~cut cells =
   if bound <= 0 then invalid_arg "Rng.fill_int: bound must be positive";
-  Xoshiro256.fill_in t bound ~base ~cut a
+  if base < 0 || bound - 1 > Cells.max_value - base then
+    invalid_arg "Rng.fill_int: values must fit a cell";
+  Xoshiro256.fill_in t bound ~base ~cut cells
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

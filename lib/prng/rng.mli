@@ -25,26 +25,31 @@ val bits64 : t -> int64
 (** [bits64 t] is the next raw 64-bit output. *)
 
 val int : t -> int -> int
-(** [int t bound] is uniform in [\[0, bound)].
+(** [int t bound] is uniform in [\[0, bound)].  A power-of-two bound
+    takes its remainder by a mask instead of a divide: the same value
+    ({!Xoshiro256.next_in}).
     @raise Invalid_argument if [bound <= 0]. *)
 
-val fill_int : t -> base:int -> int -> cut:int -> int array -> int array * int
-(** [fill_int t ~base bound ~cut a] sets [a.(i)] to [base + int t bound]
-    for every [i], ascending: draw for draw the values of that loop,
-    and the same state after it.  It returns [(pos, k)]: [pos.(0 ..
-    k - 1)] are the indices [i] with [a.(i) <= cut], ascending, and
-    [pos] may be longer than [k].  A [cut] below [base] lists nothing
-    and allocates no list.
+val fill_int : t -> base:int -> int -> cut:int -> Cells.t -> int array * int
+(** [fill_int t ~base bound ~cut c] sets cell [i] of [c] to [base +
+    int t bound] for every [i < Cells.length c], ascending: draw for
+    draw the values of that loop, and the same state after it.  It
+    returns [(pos, k)]: [pos.(0 .. k - 1)] are the indices [i] whose
+    value is [<= cut], ascending, and [pos] may be longer than [k].  A
+    [cut] below [base] lists nothing and allocates no list.
 
-    The bulk form for array fills such as one label per edge: the
-    generator state stays in registers for the whole array instead of
-    a load and store per draw, and a caller that needs the small
-    values again (the first label band) gets their positions without a
-    second pass.  With [len = Array.length a], the list starts at the
-    expected count, [len * (cut - base + 1) / bound] rounded up, plus a
-    sixteenth, capped at [len], and doubles when it fills with draws
-    left.
-    @raise Invalid_argument if [bound <= 0]. *)
+    The bulk form for fills such as one label per edge: the generator
+    state stays in registers for the whole fill instead of a load and
+    store per draw, each value takes two bytes, and a caller that
+    needs the small values again (the first label band) gets their
+    positions without a second pass.  With [len = Cells.length c], the
+    list starts at the expected count, [len * (cut - base + 1) /
+    bound] rounded up, plus a sixteenth, capped at [len], and doubles
+    when it fills with draws left.  The fill allocates that list and
+    its result pair, nothing else: the caller owns the cells.
+    @raise Invalid_argument if [bound <= 0], or unless every value
+    fits a cell: [0 <= base] and [base + bound - 1 <= 65535]
+    ([Cells.max_value]). *)
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in the inclusive range [\[lo, hi\]].

@@ -60,11 +60,14 @@ let next t = step t
    [limit >= 2^62 - bound], so below that every [v] is accepted without
    computing [limit]; the division only runs for the top [bound] values.
    [v] fits a native int (max_int = 2^62 - 1), so the remainder is
-   native too. *)
+   native too.  At a power-of-two bound the limit is exactly
+   [2^62 - bound] and the remainder is [v land (bound - 1)]: the same
+   draws, without a divide. *)
 let rec next_in t bound =
   if bound <= 0 then invalid_arg "Xoshiro256.next_in: bound must be positive";
   let v = Int64.to_int (Int64.shift_right_logical (step t) 2) in
-  if v <= max_int - bound || v < max_int / bound * bound then v mod bound
+  if v <= max_int - bound || v < max_int / bound * bound then
+    if bound land (bound - 1) = 0 then v land (bound - 1) else v mod bound
   else next_in t bound
 
 (* The list's first capacity: the expected count [len * (top + 1) /
@@ -80,12 +83,14 @@ let first_capacity ~len ~top bound =
     let e = Float.to_int (Float.ceil expected) in
     Stdlib.min len (e + (e lsr 4))
 
-(* [next_in] over a whole array, the state held in four local [int64]
-   refs that the compiler keeps unboxed in registers: one load and one
-   store of the state per run of draws instead of per draw.  The step
-   is [step]'s, and the rule is [next_in]'s: accepting exactly
+(* [next_in] over a whole cell array, the state held in four local
+   [int64] refs that the compiler keeps unboxed in registers: one load
+   and one store of the state per run of draws instead of per draw.
+   The step is [step]'s, and the rule is [next_in]'s: accepting exactly
    [v < limit] is the same test, since [limit > max_int - bound]; the
-   limit is computed once per fill.
+   limit is computed once per fill, and so is whether the bound is a
+   power of two, which the loop then tests per draw to take the mask
+   instead of the divide.
 
    The same loop lists the draws at or below [cut]: a draw [r] is
    listed iff [r <= top = cut - base].  A run of draws stops at [stop],
@@ -94,10 +99,14 @@ let first_capacity ~len ~top bound =
    nothing.  Growing the list is a call, and a call inside the loop
    would spill the four state words to the stack on every draw; it
    happens between runs, after the state is stored back. *)
-let fill_in t bound ~base ~cut a =
+let fill_in t bound ~base ~cut cells =
   if bound <= 0 then invalid_arg "Xoshiro256.fill_in: bound must be positive";
+  if base < 0 || bound - 1 > Cells.max_value - base then
+    invalid_arg "Xoshiro256.fill_in: values must fit a cell";
   let limit = max_int / bound * bound in
-  let n = Array.length a in
+  let mask = bound - 1 in
+  let pow2 = bound land mask = 0 in
+  let n = Cells.length cells in
   let top = if cut < base then -1 else cut - base in
   let pos = ref (Array.make (first_capacity ~len:n ~top bound) 0) in
   let count = ref 0 and i = ref 0 in
@@ -118,8 +127,8 @@ let fill_in t bound ~base ~cut a =
       s3 := rotl x3 45;
       let v = Int64.to_int (Int64.shift_right_logical result 2) in
       if v < limit then begin
-        let r = v mod bound in
-        Array.unsafe_set a !i (base + r);
+        let r = if pow2 then v land mask else v mod bound in
+        Cells.unsafe_set cells (2 * !i) (base + r);
         if r <= top then begin
           Array.unsafe_set p !count !i;
           incr count

@@ -26,20 +26,25 @@ val next : t -> int64
 val next_in : t -> int -> int
 (** [next_in t bound] is uniform in [\[0, bound)]: the top 62 bits of
     one output, rejected and redrawn when they fall in the tail that
-    would bias the remainder.  Allocation-free.
+    would bias the remainder.  At a power-of-two bound the remainder is
+    a mask, [v land (bound - 1)], which is the same value under the
+    same rejection rule; any other bound divides.  Allocation-free.
     @raise Invalid_argument if [bound <= 0]. *)
 
 val fill_in :
-  t -> int -> base:int -> cut:int -> int array -> int array * int
-(** [fill_in t bound ~base ~cut a] sets [a.(i)] to [base + next_in t
-    bound] for [i] ascending: the same draws, and the same final state,
-    as that loop, with the state kept in registers across runs of
-    draws instead of loaded and stored per draw.  It also lists the
+  t -> int -> base:int -> cut:int -> Cells.t -> int array * int
+(** [fill_in t bound ~base ~cut c] sets cell [i] of [c] to [base +
+    next_in t bound] for [i] ascending: the same draws, and the same
+    final state, as that loop, with the state kept in registers across
+    runs of draws instead of loaded and stored per draw, and the mask
+    taken at a power-of-two bound as in {!next_in}.  It also lists the
     indices whose value is at most [cut], ascending, as [(pos, k)]:
     the list is [pos.(0 .. k - 1)] ({!Rng.fill_int} gives its sizing).
     The list grows between runs, never inside the draw loop, so the
-    loop calls nothing.  Allocates the list and nothing else.
-    @raise Invalid_argument if [bound <= 0]. *)
+    loop calls nothing.  Allocates the list and its result pair, and
+    nothing else.
+    @raise Invalid_argument if [bound <= 0], or unless every value
+    fits a cell: [0 <= base] and [base + bound - 1 <= Cells.max_value]. *)
 
 val next_bool : t -> bool
 (** [next_bool t] is the lowest bit of one output.  Allocation-free. *)

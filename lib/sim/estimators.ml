@@ -38,8 +38,9 @@ let diameter_stats_of ~trials per_trial =
   }
 
 (* At r = 1, uniform_single makes the same draws in the same edge
-   order as uniform_multi, into a flat int array instead of m boxed
-   singleton label sets; every kernel reads both alike. *)
+   order as uniform_multi, into two-byte label cells instead of m boxed
+   singleton label sets (up to a = 65535; past it, the same sets);
+   every kernel reads both alike. *)
 let temporal_diameter rng g ~a ~r ~trials =
   diameter_stats_of ~trials
     (Runner.map rng ~trials (fun _ trial_rng ->

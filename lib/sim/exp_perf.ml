@@ -56,9 +56,10 @@ let run ~quick ~seed =
       "ns/time-edge should stay roughly flat: the foremost sweep is O(M) \
        over the flat label-sorted stream, so doubling n quadruples M and \
        the sweep time together";
-      "build ms is the label draws, one pass over the m labels that at \
-       n >= 512 also lists the edges of the first label band; nothing is \
-       validated, counted or placed there.  The first sweep to read the \
+      "build ms is the label draws, one pass that writes each of the m \
+       labels to a two-byte cell and at n >= 512 also lists the edges of \
+       the first label band; nothing is validated, counted or placed \
+       there.  The first sweep to read the \
        network places the label bands it reads (the first from its list), \
        once, and every later query reuses them, so the timed sweeps \
        (medians over repeats) leave that placement out";

@@ -2,17 +2,6 @@ module Graph = Sgraph.Graph
 
 let of_fun g ~a f = Tgraph.create g ~lifetime:a (Array.init (Graph.m g) f)
 
-(* Flat fast path: one RNG draw per edge straight into an int array —
-   same edge-id draw order as the of_fun route, but no Label.t boxing
-   (the normalized U-RTN clique would otherwise allocate m singleton
-   arrays per trial).  [Tgraph.of_uniform_draws] draws through
-   [Rng.fill_int], exactly the draws of a [1 + Rng.int rng a] loop with
-   the generator state held in registers, and that loop is the only
-   pass over the labels: it also lists the first label band. *)
-let uniform_single rng g ~a = Tgraph.of_uniform_draws rng g ~lifetime:a
-
-let normalized_uniform rng g = uniform_single rng g ~a:(Graph.n g)
-
 (* Implicit twins: one bits64 draw seeds the whole instance; every
    label is recomputed on demand from (seed, edge id, roll index)
    instead of being stored.  [Tgraph.materialize] of the result is
@@ -33,6 +22,21 @@ let draw_multi rng ~r draw_one =
 let uniform_multi rng g ~a ~r =
   if r < 0 then invalid_arg "Assignment.uniform_multi: r must be >= 0";
   of_fun g ~a (fun _ -> draw_multi rng ~r (fun rng -> 1 + Prng.Rng.int rng a))
+
+(* Flat fast path: one RNG draw per edge straight into a two-byte cell
+   — same edge-id draw order as the of_fun route, but no Label.t boxing
+   (the normalized U-RTN clique would otherwise allocate m singleton
+   arrays per trial).  [Tgraph.of_uniform_draws] draws through
+   [Rng.fill_int], exactly the draws of a [1 + Rng.int rng a] loop with
+   the generator state held in registers, and that loop is the only
+   pass over the labels: it also lists the first label band.  Past
+   a = 65535, the most a cell holds, the same draws make
+   [uniform_multi ~r:1]'s singleton sets. *)
+let uniform_single rng g ~a =
+  if a > Prng.Cells.max_value then uniform_multi rng g ~a ~r:1
+  else Tgraph.of_uniform_draws rng g ~lifetime:a
+
+let normalized_uniform rng g = uniform_single rng g ~a:(Graph.n g)
 
 let of_dist rng dist g ~a ~r =
   if r < 0 then invalid_arg "Assignment.of_dist: r must be >= 0";

@@ -1,18 +1,23 @@
 module Graph = Sgraph.Graph
 module Stream = Implicit.Stream
+module Cells = Prng.Cells
 
 (* Three label layouts share one temporal-network type.  [Sets] is the
    general per-edge label-set assignment; [Single] is the flat fast
    path for one-label-per-edge models (UNI-CASE, the normalized U-RTN
-   clique), which stores the label as a bare int — no n² one-element
-   arrays.  [Derived] stores nothing at all: labels are recomputed per
-   query from [(seed, edge, roll)] by [Implicit.Labels], which is what
-   lets instances scale past the O(n²·r) materialization wall.  Every
-   kernel-facing query ([edge_next_label_after], …) dispatches once and
-   works on unboxed ints whichever layout backs the network. *)
+   clique), which stores each label in a two-byte cell ([Prng.Cells],
+   edge [e] at byte [2 e]) — no n² one-element arrays, and a quarter
+   of an int array's bytes.  A label above [Cells.max_value] has no
+   cell, so a one-label network of a longer lifetime is built as
+   [Sets] of singletons.  [Derived] stores nothing at all: labels are
+   recomputed per query from [(seed, edge, roll)] by [Implicit.Labels],
+   which is what lets instances scale past the O(n²·r) materialization
+   wall.  Every kernel-facing query ([edge_next_label_after], …)
+   dispatches once and works on unboxed ints whichever layout backs the
+   network. *)
 type labelling =
   | Sets of Label.t array
-  | Single of int array
+  | Single of Cells.t
   | Derived of Implicit.Labels.t
 
 (* The time-edge stream in the layout [Implicit.Stream] defines: one
@@ -85,21 +90,28 @@ let create g ~lifetime labels =
     stream_rep = Full { bound = lifetime; complete = true; arcs; off };
   }
 
-let single g ~lifetime label ~first =
+let single g ~lifetime cells ~first =
   {
     graph = g;
     lifetime;
-    labelling = Single label;
-    stream_rep = Lazy (Stream.stored g ~label ~first ~lifetime);
+    labelling = Single cells;
+    stream_rep = Lazy (Stream.stored g ~label:cells ~first ~lifetime);
   }
 
-let of_flat_arcs g ~lifetime label =
-  Stream.check_vertices "Tgraph.of_flat_arcs" g;
-  if lifetime <= 0 then
-    invalid_arg "Tgraph.of_flat_arcs: lifetime must be positive";
+(* Names the first bad label in edge order. *)
+let check_flat_labels label ~lifetime =
+  Array.iter
+    (fun l ->
+      if l < 1 then invalid_arg "Tgraph.of_flat_arcs: labels must be positive";
+      if l > lifetime then
+        invalid_arg "Tgraph.of_flat_arcs: label beyond the lifetime")
+    label
+
+(* [of_flat_arcs] up to [Cells.max_value], where every label has a
+   cell: one pass validates, copies and lists. *)
+let of_flat_cells g ~lifetime label =
   let m = Graph.m g in
-  if Array.length label <> m then
-    invalid_arg "Tgraph.of_flat_arcs: one label per edge required";
+  let cells = Cells.create m in
   let cut = Stream.list_bound ~lifetime in
   (* Sized like [Rng.fill_int]'s list, for uniform labels: the expected
      count plus a sixteenth; doubled when the caller's labels need it. *)
@@ -107,13 +119,14 @@ let of_flat_arcs g ~lifetime label =
   let pos = ref (Array.make (Stdlib.max 1 (expected + (expected / 16))) 0) in
   let len = ref 0 and e = ref 0 and bad = ref 0 in
   (* In runs that cannot fill the list (an edge adds at most one
-     position), every edge is written at [pos.(len)] and counted when
-     its label is in [1..cut], and a label outside [1..lifetime] sets
-     the sign bit of [bad].  The loop has no branch on the label and no
-     call, so its variables stay in registers; the list grows between
-     runs, and a bad label is reported after the pass.  A bad label is
-     never counted, so without a list ([cut = 0], one slot, no runs)
-     nothing is. *)
+     position), every label is copied to its cell, every edge is
+     written at [pos.(len)] and counted when its label is in [1..cut],
+     and a label outside [1..lifetime] sets the sign bit of [bad].  The
+     loop has no branch on the label and no call, so its variables stay
+     in registers; the list grows between runs, and a bad label is
+     reported after the pass (its cell holds the label's low 16 bits,
+     and is never read).  A bad label is never counted, so without a
+     list ([cut = 0], one slot, no runs) nothing is. *)
   while !e < m do
     if !len = Array.length !pos then begin
       let grown = Array.make (Stdlib.min m (2 * !len)) 0 in
@@ -129,30 +142,36 @@ let of_flat_arcs g ~lifetime label =
       let l = Array.unsafe_get label i in
       let below = l - 1 in
       bad := !bad lor below lor (lifetime - l);
+      Cells.unsafe_set cells (2 * i) l;
       Array.unsafe_set p !k i;
       k := !k + 1 + ((below lor (cut - l)) asr 62)
     done;
     len := !k;
     e := stop
   done;
-  if !bad < 0 then
-    Array.iter
-      (fun l ->
-        if l < 1 then
-          invalid_arg "Tgraph.of_flat_arcs: labels must be positive";
-        if l > lifetime then
-          invalid_arg "Tgraph.of_flat_arcs: label beyond the lifetime")
-      label;
-  single g ~lifetime label ~first:(if cut > 0 then Some (!pos, !len) else None)
+  if !bad < 0 then check_flat_labels label ~lifetime;
+  single g ~lifetime cells ~first:(if cut > 0 then Some (!pos, !len) else None)
+
+let of_flat_arcs g ~lifetime label =
+  Stream.check_vertices "Tgraph.of_flat_arcs" g;
+  if lifetime <= 0 then
+    invalid_arg "Tgraph.of_flat_arcs: lifetime must be positive";
+  if Array.length label <> Graph.m g then
+    invalid_arg "Tgraph.of_flat_arcs: one label per edge required";
+  if lifetime <= Cells.max_value then of_flat_cells g ~lifetime label
+  else begin
+    check_flat_labels label ~lifetime;
+    create g ~lifetime (Array.map Label.singleton label)
+  end
 
 (* The labels are drawn here, so they need no validation: the fill
    keeps them in [1..lifetime] and lists the first band as it draws. *)
 let of_uniform_draws rng g ~lifetime =
   Stream.check_vertices "Tgraph.of_uniform_draws" g;
-  let label = Array.make (Graph.m g) 0 in
+  let cells = Cells.create (Graph.m g) in
   let cut = Stream.list_bound ~lifetime in
-  let first = Prng.Rng.fill_int rng ~base:1 lifetime ~cut label in
-  single g ~lifetime label ~first:(if cut > 0 then Some first else None)
+  let first = Prng.Rng.fill_int rng ~base:1 lifetime ~cut cells in
+  single g ~lifetime cells ~first:(if cut > 0 then Some first else None)
 
 let of_derived g ~a ~seed ~r =
   Stream.check_vertices "Tgraph.of_derived" g;
@@ -168,26 +187,52 @@ let is_implicit t =
   match t.labelling with Derived _ -> true | Sets _ | Single _ -> false
 
 (* Re-rolling every site of a derived instance yields, by the
-   site-independence of [Implicit.Labels.roll], exactly the label
-   arrays the dense constructors would have been given — so the stream
-   built here is byte-identical to any prefix the [Lazy] form ever
-   publishes (same stable sort over the same emission order).  This is
-   the dense twin used by the equivalence oracle and by the [dense]
-   backend of the scale experiment. *)
+   site-independence of [Implicit.Labels.roll], exactly the labels the
+   dense constructors would have been given — so the stream built here
+   is byte-identical to any prefix the [Lazy] form ever publishes (same
+   stable sort over the same emission order).  This is the dense twin
+   used by the equivalence oracle and by the [dense] backend of the
+   scale experiment.  One roll per edge goes straight to its cell, as
+   [of_flat_arcs] would copy it, with no int array in between; the
+   first band is then listed from the cells.  Past the cell limit, and
+   at more rolls per edge, the rolls become label sets. *)
 let materialize t =
   match t.labelling with
   | Sets _ | Single _ -> t
   | Derived d ->
-    let g = t.graph in
+    let g = t.graph and lifetime = t.lifetime in
     let m = Graph.m g in
     let r = Implicit.Labels.rolls_per_edge d in
     let net =
-      if r = 1 then
-        of_flat_arcs g ~lifetime:t.lifetime
-          (Array.init m (fun e -> Implicit.Labels.roll d ~edge:e ~k:0))
+      if r = 1 && lifetime <= Cells.max_value then begin
+        let cells = Cells.create m in
+        for e = 0 to m - 1 do
+          Cells.unsafe_set cells (2 * e) (Implicit.Labels.roll d ~edge:e ~k:0)
+        done;
+        let cut = Stream.list_bound ~lifetime in
+        let first =
+          if cut = 0 then None
+          else begin
+            let listed e = Cells.unsafe_get cells (2 * e) <= cut in
+            let k = ref 0 in
+            for e = 0 to m - 1 do
+              if listed e then incr k
+            done;
+            let pos = Array.make !k 0 and j = ref 0 in
+            for e = 0 to m - 1 do
+              if listed e then begin
+                pos.(!j) <- e;
+                incr j
+              end
+            done;
+            Some (pos, !k)
+          end
+        in
+        single g ~lifetime cells ~first
+      end
       else begin
         let scratch = Array.make r 0 in
-        create g ~lifetime:t.lifetime
+        create g ~lifetime
           (Array.init m (fun e ->
                let cnt = Implicit.Labels.fill_sorted d ~edge:e scratch in
                Label.of_array (Array.sub scratch 0 cnt)))
@@ -203,7 +248,7 @@ let n t = Graph.n t.graph
 let labels t e =
   match t.labelling with
   | Sets a -> a.(e)
-  | Single l -> Label.singleton l.(e)
+  | Single c -> Label.singleton (Cells.get c (2 * e))
   | Derived d ->
     let acc = ref [] in
     Implicit.Labels.iter d ~edge:e (fun l -> acc := l :: !acc);
@@ -212,7 +257,7 @@ let labels t e =
 let label_count t =
   match t.labelling with
   | Sets a -> Array.fold_left (fun acc ls -> acc + Label.size ls) 0 a
-  | Single l -> Array.length l
+  | Single c -> Cells.length c
   | Derived d ->
     let m = Graph.m t.graph in
     if Implicit.Labels.rolls_per_edge d = 1 then m
@@ -302,25 +347,29 @@ let edge_label_size t e =
 let edge_has_label t e x =
   match t.labelling with
   | Sets a -> Label.mem a.(e) x
-  | Single l -> l.(e) = x
+  | Single c -> Cells.get c (2 * e) = x
   | Derived d -> Implicit.Labels.has d ~edge:e x
 
 let edge_next_label_after t e x =
   match t.labelling with
   | Sets a -> Label.next_after a.(e) x
-  | Single l -> if l.(e) > x then l.(e) else max_int
+  | Single c ->
+    let l = Cells.get c (2 * e) in
+    if l > x then l else max_int
   | Derived d -> Implicit.Labels.next_after d ~edge:e x
 
 let edge_next_label_in t e ~lo ~hi =
   match t.labelling with
   | Sets a -> Label.next_in a.(e) ~lo ~hi
-  | Single l -> if l.(e) > lo && l.(e) <= hi then l.(e) else max_int
+  | Single c ->
+    let l = Cells.get c (2 * e) in
+    if l > lo && l <= hi then l else max_int
   | Derived d -> Implicit.Labels.next_in d ~edge:e ~lo ~hi
 
 let iter_edge_labels t e f =
   match t.labelling with
   | Sets a -> Array.iter f (a.(e) :> int array)
-  | Single l -> f l.(e)
+  | Single c -> f (Cells.get c (2 * e))
   | Derived d -> Implicit.Labels.iter d ~edge:e f
 
 (* ---------------------------------------------------------------- *)

@@ -17,7 +17,7 @@
     accessors allocate per call and exist for convenience and tests.
 
     {b Backends.}  A network is either {e dense} — labels stored in
-    arrays — or {e implicit} ({!of_derived}): labels recomputed per
+    label-set arrays or, one per edge, in two-byte cells — or {e implicit} ({!of_derived}): labels recomputed per
     query from [(seed, edge, roll)].  A dense label-set network
     ({!create}) builds its whole stream at construction; a dense
     single-label one ({!of_flat_arcs}, {!of_uniform_draws}) and an
@@ -49,17 +49,22 @@ val of_flat_arcs : Sgraph.Graph.t -> lifetime:int -> int array -> t
     assignments such as the normalized U-RTN clique, where [create]
     would box [m] one-element arrays.
 
-    One pass validates the labels and, when
-    [Implicit.Stream.list_bound ~lifetime > 0] (lifetime [>= 512]),
-    lists the edges of the first label band; nothing is placed or
-    counted here.  The stream is built lazily, a band of labels at a
-    time, when a sweep first reads past its current prefix: the first
-    band from the list, any later one by a pass over [label].  The
-    whole stream's offsets are counted once, by the first band pass
-    that needs them: a band past the first, a whole-stream reader
-    ({!stream}, {!iter_time_edges}, {!stream_extend_all}), or a first
-    band without a list.  The network takes ownership of the array,
-    which the caller must not mutate afterwards.
+    Up to a lifetime of 65535 ([Prng.Cells.max_value]) the network
+    keeps each label in a two-byte cell, edge [e]'s at byte [2 e]
+    ({!Prng.Cells}).  One pass validates the labels, copies each into
+    its cell and, when [Implicit.Stream.list_bound ~lifetime > 0]
+    (lifetime [>= 512]), lists the edges of the first label band;
+    nothing is placed or counted here.  The stream is built lazily, a
+    band of labels at a time, when a sweep first reads past its current
+    prefix: the first band from the list, any later one by a pass over
+    the cells.  The whole stream's offsets are counted once, by the
+    first band pass that needs them: a band past the first, a
+    whole-stream reader ({!stream}, {!iter_time_edges},
+    {!stream_extend_all}), or a first band without a list.  A longer
+    lifetime has labels no cell holds: after the same validation the
+    network is [create]'s, from singleton sets, with an eager stream.
+    Either way the labels are copied: the caller keeps its array and
+    may write it afterwards.
     @raise Invalid_argument on a graph of more than
     [2^Implicit.Stream.arc_shift] vertices, a non-positive lifetime, a
     length mismatch, or a label outside [1..lifetime] (the first one in
@@ -68,12 +73,15 @@ val of_flat_arcs : Sgraph.Graph.t -> lifetime:int -> int array -> t
 val of_uniform_draws : Prng.Rng.t -> Sgraph.Graph.t -> lifetime:int -> t
 (** [of_uniform_draws rng g ~lifetime] draws one label per edge,
     uniform on [{1..lifetime}], in edge-id order — the draws of a
-    [1 + Prng.Rng.int rng lifetime] loop, through [Prng.Rng.fill_int] —
-    and builds the network {!of_flat_arcs} would build from them.  The
-    labels are drawn here, so they are not validated again, and the
-    draw loop lists the first band: it is the only pass over the
-    labels until a sweep reads past the first band.
-    @raise Invalid_argument if [lifetime <= 0] (from [Prng.Rng.fill_int])
+    [1 + Prng.Rng.int rng lifetime] loop — and builds the network
+    {!of_flat_arcs} would build from them.  It draws straight into the
+    label cells through [Prng.Rng.fill_int], without a divide when the
+    lifetime is a power of two; the labels are drawn here, so they are
+    not validated again, and the draw loop lists the first band: it is
+    the only pass over the labels until a sweep reads past the first
+    band.
+    @raise Invalid_argument unless [1 <= lifetime <= 65535] (from
+    [Prng.Rng.fill_int]: a longer lifetime has labels no cell holds),
     or on a graph of more than [2^Implicit.Stream.arc_shift]
     vertices. *)
 

@@ -212,25 +212,37 @@ let iter_edge_ids_matches_iter_edges () =
 (* ------------------------------------------------------------------ *)
 (* Single-label fast path *)
 
+(* Short lifetimes, and both sides of the cell limit: 65535, the
+   largest label a two-byte cell holds, and 65536, which takes label
+   sets. *)
 let gen_single_params =
   QCheck2.Gen.(
     let* n = int_range 2 8 in
     let* seed = int_range 0 10_000 in
-    let* a = int_range 1 12 in
+    let* a = frequency [ (3, int_range 1 12); (1, oneofl [ 65535; 65536 ]) ] in
     return (n, seed, a))
 
 let print_single_params (n, seed, a) =
   Printf.sprintf "(n=%d, seed=%d, a=%d)" n seed a
 
+(* At a long lifetime, a third of the labels in the first band and the
+   rest among the top twelve. *)
+let flat_label ~seed ~a e =
+  if a <= 12 then 1 + ((seed + (7 * e)) mod a)
+  else if e mod 3 = 0 then 1 + ((seed + e) mod 70)
+  else a - ((seed + (7 * e)) mod 12)
+
+(* [of_flat_arcs] copies the labels: writing the caller's array
+   afterwards changes nothing. *)
 let of_flat_arcs_matches_create =
   qcase ~count:200 ~print:print_single_params
     "of_flat_arcs = create with singletons" gen_single_params
     (fun (n, seed, a) ->
       let g = random_graph ~n ~seed in
-      let flat =
-        Array.init (Graph.m g) (fun e -> 1 + ((seed + (7 * e)) mod a))
-      in
-      let by_flat = Tgraph.of_flat_arcs g ~lifetime:a (Array.copy flat) in
+      let flat = Array.init (Graph.m g) (flat_label ~seed ~a) in
+      let given = Array.copy flat in
+      let by_flat = Tgraph.of_flat_arcs g ~lifetime:a given in
+      Array.fill given 0 (Array.length given) 0;
       let by_sets =
         Tgraph.create g ~lifetime:a (Array.map Label.singleton flat)
       in
@@ -289,18 +301,46 @@ let of_flat_arcs_validates () =
   Alcotest.check_raises "no list, every label bad"
     (Invalid_argument "Tgraph.of_flat_arcs: labels must be positive")
     (fun () ->
-      ignore (Tgraph.of_flat_arcs clique ~lifetime:100 (Array.make m 0)))
+      ignore (Tgraph.of_flat_arcs clique ~lifetime:100 (Array.make m 0)));
+  (* Past the cell limit, where the labels become label sets, the same
+     messages name the same first offender. *)
+  List.iter
+    (fun (what, message, labels) ->
+      Alcotest.check_raises what (Invalid_argument message) (fun () ->
+          ignore (Tgraph.of_flat_arcs clique ~lifetime:65536 labels)))
+    [
+      ( "lifetime 65536, positive",
+        "Tgraph.of_flat_arcs: labels must be positive",
+        Array.init m (fun e -> if e = 4 then 0 else if e = 9 then 65537 else 65536) );
+      ( "lifetime 65536, beyond lifetime",
+        "Tgraph.of_flat_arcs: label beyond the lifetime",
+        Array.init m (fun e -> if e = 3 then 65537 else if e = 9 then 0 else 1) );
+      ( "lifetime 65536, min_int",
+        "Tgraph.of_flat_arcs: labels must be positive",
+        Array.make m min_int );
+      ( "lifetime 65536, max_int",
+        "Tgraph.of_flat_arcs: label beyond the lifetime",
+        Array.make m max_int );
+    ];
+  Alcotest.check_raises "lifetime 65536, length"
+    (Invalid_argument "Tgraph.of_flat_arcs: one label per edge required")
+    (fun () -> ignore (Tgraph.of_flat_arcs g ~lifetime:65536 [| 1 |]))
+
+(* The words of [m] two-byte cells: [2m] bytes and the padding byte
+   take [2m / 8 + 1] words, plus the header. *)
+let cell_words m = float_of_int ((2 * m / 8) + 2)
 
 (* What a single-label network allocates, on both sides of the list
    rule (lifetime 256: no list; 1024: a first-band list).  Construction
-   allocates no arc array and no [lifetime + 2] offsets: below the rule
-   a constant, above it the list and a bounded growth slack.  The first
-   extend allocates its band's arcs, its [first + 2] offsets and its
-   cursor (and, without a list, the whole stream's offsets); the first
-   band pass past the first band counts the whole stream's offsets,
-   once; [uniform_single] allocates the labels, the list its fill
-   makes, and a constant.  Nothing grows per edge or per placed arc:
-   each leftover is the same constant at two sizes. *)
+   allocates the label cells and no arc array and no [lifetime + 2]
+   offsets: below the rule the cells and a constant, above it the
+   cells, the list and a bounded growth slack.  The first extend
+   allocates its band's arcs, its [first + 2] offsets and its cursor
+   (and, without a list, the whole stream's offsets); the first band
+   pass past the first band counts the whole stream's offsets, once;
+   [uniform_single] allocates the cells, the list its fill makes, and
+   a constant.  Nothing grows per edge or per placed arc beyond the
+   cells: each leftover is the same constant at two sizes. *)
 let of_flat_arcs_allocates_per_band () =
   let first = 64 in
   let overheads ~lifetime n =
@@ -316,12 +356,16 @@ let of_flat_arcs_allocates_per_band () =
     let net, build =
       allocated_words (fun () -> Tgraph.of_flat_arcs g ~lifetime labels)
     in
+    let cells = cell_words m in
     let list = if listed then float_of_int (in_first + 1) else 0. in
     check_bool
-      (what "construction %.0f words, list of %d, m = %d" build in_first m)
+      (what "construction %.0f words, cells %.0f, list of %d, m = %d" build
+         cells in_first m)
       true
-      (if listed then build >= list && build <= list +. float_of_int (in_first / 8) +. 64.
-       else build <= 64.);
+      (if listed then
+         build >= cells +. list
+         && build <= cells +. list +. float_of_int (in_first / 8) +. 64.
+       else build >= cells && build <= cells +. 64.);
     check_int (what "nothing placed") 0
       (Array.length (Tgraph.stream_prefix net).arcs);
     (* One band pass: its words against the arrays it must allocate. *)
@@ -356,7 +400,7 @@ let of_flat_arcs_allocates_per_band () =
     let rng = Rng.create n in
     let cut = Implicit.Stream.list_bound ~lifetime in
     let fill_words =
-      let copy = Rng.copy rng and into = Array.make m 0 in
+      let copy = Rng.copy rng and into = Prng.Cells.create m in
       snd
         (allocated_words (fun () ->
              Rng.fill_int copy ~base:1 lifetime ~cut into))
@@ -364,13 +408,13 @@ let of_flat_arcs_allocates_per_band () =
     let _, drawn =
       allocated_words (fun () -> Assignment.uniform_single rng g ~a:lifetime)
     in
-    let labels_and_list = float_of_int (m + 1) +. fill_words in
+    let labels_and_list = cells +. fill_words in
     check_bool
-      (what "uniform_single %.0f words, labels + list %.0f" drawn
+      (what "uniform_single %.0f words, cells + list %.0f" drawn
          labels_and_list)
       true
       (drawn >= labels_and_list && drawn <= labels_and_list +. 64.);
-    ( (if listed then 0. else build),
+    ( (if listed then 0. else build -. cells),
       first_extra,
       second_extra,
       third_extra,
@@ -456,7 +500,7 @@ let stored_labels (n, seed, a, shape, cap) =
 let stored_builds ((_, seed, a, _, cap) as params) =
   let g, labels = stored_labels params in
   let eager = Tgraph.create g ~lifetime:a (Array.map Label.singleton labels) in
-  let flat () = Tgraph.of_flat_arcs g ~lifetime:a (Array.copy labels) in
+  let flat () = Tgraph.of_flat_arcs g ~lifetime:a labels in
   let drawn () = Tgraph.of_uniform_draws (Rng.create (seed + 1)) g ~lifetime:a in
   ((if cap >= a then [ flat; drawn ] else [ flat ]), eager)
 
@@ -547,6 +591,12 @@ let race ~full ~view ~extend ~complete =
   let results = List.map Domain.join racers in
   List.for_all (fun (ok, v) -> ok && v = full) results && view () = full
 
+(* Labels in two-byte cells, the layout a stored stream reads. *)
+let cells_of labels =
+  let c = Prng.Cells.create (Array.length labels) in
+  Array.iteri (fun e l -> Prng.Cells.unsafe_set c (2 * e) l) labels;
+  c
+
 (* The stored stream of a case, built directly, with the first-band
    list its constructors make when the lifetime takes one. *)
 let stored_stream params =
@@ -559,7 +609,7 @@ let stored_stream params =
       let ids = List.filter (fun e -> label.(e) <= cut) (List.init (Array.length label) Fun.id) in
       Some (Array.of_list ids, List.length ids)
   in
-  Implicit.Stream.stored g ~label ~first ~lifetime:a
+  Implicit.Stream.stored g ~label:(cells_of label) ~first ~lifetime:a
 
 (* Through [Tgraph], from each constructor; and on the stream itself,
    where the racers must count the whole stream's offsets once. *)
@@ -626,8 +676,150 @@ let exhaustion_at_band_edge () =
   check_int "stopped at the band edge" 64 (Tgraph.stream_prefix_bound stored);
   Obs.Metrics.reset ()
 
+(* On both sides of the cell limit, [uniform_single] makes the draws of
+   [uniform_multi ~r:1]: the same labels, stream, Foremost probes and
+   diameter.  At 65535 the labels sit in cells and the stream is lazy;
+   at 65536 they are singleton label sets and the stream eager. *)
+let uniform_single_matches_multi () =
+  let g = Sgraph.Gen.clique Directed 24 in
+  List.iter
+    (fun a ->
+      let what fmt = Printf.ksprintf (Printf.sprintf "lifetime %d: %s" a) fmt in
+      let single () = Assignment.uniform_single (Rng.create a) g ~a in
+      let multi () = Assignment.uniform_multi (Rng.create a) g ~a ~r:1 in
+      let s = single () and u = multi () in
+      check_int (what "prefix before any sweep")
+        (if a <= Prng.Cells.max_value then 0 else a)
+        (Tgraph.stream_prefix_bound s);
+      List.iter
+        (fun e ->
+          Alcotest.(check (list int)) (what "labels of edge %d" e)
+            (Label.to_list (Tgraph.labels u e))
+            (Label.to_list (Tgraph.labels s e)))
+        (List.init (Graph.m g) Fun.id);
+      List.iter
+        (fun src ->
+          Alcotest.(check (pair int int))
+            (what "Foremost probes from %d" src)
+            (sweep_probes (multi ()) src)
+            (sweep_probes (single ()) src))
+        [ 0; 5; 23 ];
+      Alcotest.(check (option int)) (what "diameter")
+        (Distance.instance_diameter u)
+        (Distance.instance_diameter s);
+      check_bool (what "stream") true (Tgraph.stream s = Tgraph.stream u))
+    [ 65535; 65536 ];
+  (* Past the limit the sets come from [Assignment]: the cell
+     constructor itself refuses a lifetime no cell holds. *)
+  Alcotest.check_raises "of_uniform_draws at 65536"
+    (Invalid_argument "Rng.fill_int: values must fit a cell") (fun () ->
+      ignore (Tgraph.of_uniform_draws (Rng.create 1) g ~lifetime:65536));
+  Obs.Metrics.reset ()
+
+(* The largest label a cell holds, 65535, comes back whole from every
+   reader: the label queries, the stream, a sweep, and a stored stream
+   built on its own; one past it, 65536, from label sets. *)
+let top_label_round_trips () =
+  let g = Graph.create Directed ~n:3 [ (0, 1); (1, 2); (0, 2) ] in
+  List.iter
+    (fun top ->
+      let what fmt = Printf.ksprintf (Printf.sprintf "label %d: %s" top) fmt in
+      let net = Tgraph.of_flat_arcs g ~lifetime:top [| top; 1; top - 1 |] in
+      Alcotest.(check (list int)) (what "labels") [ top ]
+        (Label.to_list (Tgraph.labels net 0));
+      check_int (what "next after top - 1") top
+        (Tgraph.edge_next_label_after net 0 (top - 1));
+      check_int (what "none after top") max_int
+        (Tgraph.edge_next_label_after net 0 top);
+      check_int (what "next in (top - 1, top]") top
+        (Tgraph.edge_next_label_in net 0 ~lo:(top - 1) ~hi:top);
+      check_bool (what "has top") true (Tgraph.edge_has_label net 0 top);
+      let seen = ref [] in
+      Tgraph.iter_edge_labels net 0 (fun l -> seen := l :: !seen);
+      Alcotest.(check (list int)) (what "iter_edge_labels") [ top ] !seen;
+      Alcotest.(check (array int)) (what "Foremost arrivals from 0")
+        [| 0; top; top - 1 |]
+        (Foremost.arrival_array (Foremost.run net 0));
+      Alcotest.(check (list (triple int int int)))
+        (what "stream")
+        [ (1, 2, 1); (0, 2, top - 1); (0, 1, top) ]
+        (actual_stream net);
+      Alcotest.(check (triple int int int)) (what "last time edge") (0, 1, top)
+        (Tgraph.time_edge net 2))
+    [ 65535; 65536 ];
+  let st =
+    Implicit.Stream.stored g ~label:(cells_of [| 65535; 1; 65534 |])
+      ~first:(Some ([| 1 |], 1)) ~lifetime:65535
+  in
+  let v = Implicit.Stream.force_complete st in
+  check_int "stored: complete at 65535" 65535 v.bound;
+  check_int "stored: last arc's label" 65535 (Implicit.Stream.label_at v 2);
+  check_int "stored: 65535's group" 1 (v.off.(65536) - v.off.(65535))
+
+(* [materialize] rolls a single-roll derived instance straight into
+   cells and lists its first band from them: the network [of_flat_arcs]
+   builds from the same rolls, on both sides of the list rule and of
+   the cell limit.  Each view it publishes is a prefix of the eager
+   twin's stream, the whole-stream readers agree, and so do the probes;
+   the first extend places the same first band. *)
+let materialize_matches_flat () =
+  let g = Sgraph.Gen.clique Directed 30 in
+  let m = Graph.m g in
+  List.iter
+    (fun lifetime ->
+      let what fmt =
+        Printf.ksprintf (Printf.sprintf "lifetime %d: %s" lifetime) fmt
+      in
+      let derived () = Tgraph.of_derived g ~a:lifetime ~seed:99L ~r:1 in
+      let d = Implicit.Labels.make ~seed:99L ~a:lifetime ~r:1 in
+      let rolls = Array.init m (fun e -> Implicit.Labels.roll d ~edge:e ~k:0) in
+      let eager = Tgraph.create g ~lifetime (Array.map Label.singleton rolls) in
+      let flat = Tgraph.of_flat_arcs g ~lifetime rolls in
+      let twin () = Tgraph.materialize (derived ()) in
+      let net = twin () in
+      check_bool (what "dense") false (Tgraph.is_implicit net);
+      check_bool (what "labels") true
+        (List.for_all
+           (fun e ->
+             Label.to_list (Tgraph.labels net e) = [ rolls.(e) ]
+             && Tgraph.edge_next_label_after net e 0 = rolls.(e))
+           (List.init m Fun.id));
+      ignore (Tgraph.stream_extend net ~past:0);
+      ignore (Tgraph.stream_extend flat ~past:0);
+      check_bool (what "first band = of_flat_arcs'") true
+        (Tgraph.stream_prefix net = Tgraph.stream_prefix flat);
+      check_bool (what "views are eager prefixes") true
+        (views_are_prefixes (Tgraph.stream eager) (twin ()));
+      check_bool (what "whole-stream readers") true
+        (whole_stream_readers_agree twin eager 1);
+      List.iter
+        (fun s ->
+          Alcotest.(check (pair int int))
+            (what "Foremost probes from %d" s)
+            (sweep_probes eager s) (sweep_probes (twin ()) s))
+        [ 0; 17 ])
+    [ 100; 600; 65535; 65536 ];
+  Obs.Metrics.reset ()
+
+(* The list's edge ids index unchecked cell reads, so the band pass that
+   reads the list checks them. *)
+let stored_list_ids_checked () =
+  let g = Sgraph.Gen.clique Directed 4 in
+  let m = Graph.m g in
+  List.iter
+    (fun bad ->
+      let st =
+        Implicit.Stream.stored g ~label:(cells_of (Array.make m 1))
+          ~first:(Some ([| 0; bad |], 2)) ~lifetime:600
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "listed id %d" bad)
+        (Invalid_argument "Implicit.Stream: a listed edge id is out of range")
+        (fun () -> ignore (Implicit.Stream.extend st ~past:0)))
+    [ m; -1; max_int ]
+
 (* Both constructors on the same drawn labels, and the eager twin; each
-   build allocates its own [m + 1] words of labels. *)
+   build allocates its own cells ([cell_words m]). *)
 let drawn_builds g ~lifetime ~seed =
   let labels =
     let rng = Rng.create seed in
@@ -636,7 +828,7 @@ let drawn_builds g ~lifetime ~seed =
   let eager = Tgraph.create g ~lifetime (Array.map Label.singleton labels) in
   ( labels,
     [
-      ("of_flat_arcs", fun () -> Tgraph.of_flat_arcs g ~lifetime (Array.copy labels));
+      ("of_flat_arcs", fun () -> Tgraph.of_flat_arcs g ~lifetime labels);
       ("of_uniform_draws", fun () -> Tgraph.of_uniform_draws (Rng.create seed) g ~lifetime);
     ],
     eager )
@@ -667,7 +859,7 @@ let list_rule_edge () =
             Printf.ksprintf (Printf.sprintf "lifetime %d, %s: %s" lifetime name) fmt
           in
           let net, words = allocated_words build in
-          let words = words -. float_of_int (Graph.m g + 1) in
+          let words = words -. cell_words (Graph.m g) in
           check_bool
             (what "construction %.0f words beyond the labels, %d in the first band"
                words in_first)
@@ -698,7 +890,7 @@ let empty_first_band () =
   let lifetime = 1000 in
   let labels = Array.init (Graph.m g) (fun e -> 65 + (e * 37 mod (lifetime - 64))) in
   let eager = Tgraph.create g ~lifetime (Array.map Label.singleton labels) in
-  let build () = Tgraph.of_flat_arcs g ~lifetime (Array.copy labels) in
+  let build () = Tgraph.of_flat_arcs g ~lifetime labels in
   let net = build () in
   check_bool "first band published" true (Tgraph.stream_extend net ~past:0);
   check_int "at bound 64" 64 (Tgraph.stream_prefix_bound net);
@@ -738,7 +930,8 @@ let short_lifetime_takes_no_list () =
            "Implicit.Stream.stored: no first-band list at this lifetime")
         (fun () ->
           ignore
-            (Implicit.Stream.stored g ~label:(Array.make (Graph.m g) 1)
+            (Implicit.Stream.stored g
+               ~label:(cells_of (Array.make (Graph.m g) 1))
                ~first:(Some ([||], 0)) ~lifetime)))
     [ 1; 40; 64 ]
 
@@ -849,6 +1042,9 @@ let suites =
         case "of_flat_arcs allocates per band, not per edge"
           of_flat_arcs_allocates_per_band;
         scalar_queries_match_label_sets;
+        case "uniform_single = uniform_multi ~r:1 at the cell limit"
+          uniform_single_matches_multi;
+        case "label 65535 round-trips" top_label_round_trips;
       ] );
     ( "kernel.stored",
       [
@@ -860,6 +1056,8 @@ let suites =
         case "no list at 511, a list at 512" list_rule_edge;
         case "a first band with no arcs" empty_first_band;
         case "lifetime <= 64 takes no list" short_lifetime_takes_no_list;
+        case "listed edge ids are checked" stored_list_ids_checked;
+        case "materialize = of_flat_arcs of its rolls" materialize_matches_flat;
       ] );
     ( "kernel.foremost",
       [ run_matches_seed_sweep; borrowed_matches_run ] );

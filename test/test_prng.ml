@@ -4,6 +4,7 @@ open Helpers
 module Rng = Prng.Rng
 module Sample = Prng.Sample
 module Dist = Prng.Dist
+module Cells = Prng.Cells
 
 (* --------------------------------------------------------------- *)
 (* Splitmix64 / Xoshiro256 *)
@@ -272,20 +273,23 @@ let rng_draws_pinned () =
 (* [Rng.int] and [Rng.bool] transcribed directly on Int64 over raw
    [bits64] outputs: the reference the allocation-free versions must
    match draw for draw. *)
-let int_reference g bound =
+let int_reference_of next bound =
   let range = Int64.of_int bound in
   let limit = Int64.mul (Int64.div 0x3FFF_FFFF_FFFF_FFFFL range) range in
   let rec draw () =
-    let v = Int64.shift_right_logical (Rng.bits64 g) 2 in
+    let v = Int64.shift_right_logical (next ()) 2 in
     if v < limit then Int64.to_int (Int64.rem v range) else draw ()
   in
   draw ()
 
+let int_reference g bound = int_reference_of (fun () -> Rng.bits64 g) bound
+
 let bool_reference g = Int64.logand (Rng.bits64 g) 1L = 1L
 
-(* Bounds of every magnitude: small ones, any positive int, and ones
+(* Bounds of every magnitude: small ones, any positive int, ones
    above 2^61, where about half of all outputs fall in the rejected
-   tail. *)
+   tail, and every power of two up to 2^61, whose remainder is a mask
+   (at 2^61 half of all outputs are rejected too). *)
 let gen_bound =
   QCheck2.Gen.(
     map
@@ -293,8 +297,9 @@ let gen_bound =
         match kind with
         | 0 -> 1 + (x land 1023)
         | 1 -> max 1 (x land max_int)
-        | _ -> (1 lsl 61) lor (x land ((1 lsl 61) - 1)))
-      (pair (int_range 0 2) int))
+        | 2 -> (1 lsl 61) lor (x land ((1 lsl 61) - 1))
+        | _ -> 1 lsl ((x land max_int) mod 62))
+      (pair (int_range 0 3) int))
 
 let rng_matches_int64_reference =
   qcase ~count:300 "int and bool = Int64 reference"
@@ -317,6 +322,7 @@ let rng_draws_allocate_nothing () =
   let draws k () =
     for _ = 1 to k do
       ignore (Sys.opaque_identity (Rng.int g 1000));
+      ignore (Sys.opaque_identity (Rng.int g 1024));
       ignore (Sys.opaque_identity (Rng.int g ((1 lsl 61) + 1)));
       ignore (Sys.opaque_identity (Rng.bool g))
     done
@@ -330,27 +336,95 @@ let rng_draws_allocate_nothing () =
     (Printf.sprintf "10k draws: %.0f words, same as 1k" large)
     true (large <= small +. 4.)
 
+(* [Rng.int] at fixed bounds against its Int64 reference, and the share
+   of raw outputs the rejection rule throws away: none at small bounds,
+   about half at 2^61 (the mask path) and at 2^61 + 1 (the divide). *)
+let int_bounds =
+  [ 1; 2; 7; 1000; 1024; 65535; 1 lsl 40; (1 lsl 40) + 17; 1 lsl 61;
+    (1 lsl 61) + 1; max_int ]
+
+(* Raw outputs [draw g] consumes: step a copy of the generator taken
+   before it until the copy replays the output [g] gives next. *)
+let raw_outputs_consumed draw =
+  let g = Rng.create 5 in
+  let before = Rng.copy g in
+  draw g;
+  let next = Rng.bits64 g in
+  let k = ref 0 in
+  while Rng.bits64 before <> next do
+    incr k
+  done;
+  !k
+
+let raw_outputs_per_draws ~bound ~draws =
+  raw_outputs_consumed (fun g ->
+      for _ = 1 to draws do
+        ignore (Rng.int g bound)
+      done)
+
+let int_matches_reference_at_fixed_bounds () =
+  List.iter
+    (fun bound ->
+      let g = Rng.create bound in
+      let twin = Rng.copy g in
+      let drawn = Array.init 1000 (fun _ -> Rng.int g bound) in
+      let expected = Array.init 1000 (fun _ -> int_reference twin bound) in
+      Alcotest.(check (array int)) (Printf.sprintf "bound %d" bound) expected drawn;
+      check_bool
+        (Printf.sprintf "bound %d: same state after" bound)
+        true
+        (Rng.bits64 g = Rng.bits64 twin))
+    int_bounds;
+  List.iter
+    (fun bound ->
+      check_int
+        (Printf.sprintf "bound %d: no output rejected" bound)
+        1000
+        (raw_outputs_per_draws ~bound ~draws:1000))
+    [ 1000; 1024; 65535 ];
+  List.iter
+    (fun bound ->
+      let raw = raw_outputs_per_draws ~bound ~draws:1000 in
+      check_bool
+        (Printf.sprintf
+           "bound %d: %d outputs for 1000 draws (about half rejected)" bound raw)
+        true
+        (raw >= 1700 && raw <= 2300))
+    [ 1 lsl 61; (1 lsl 61) + 1 ]
+
 (* [Rng.fill_int] fuses a loop of [base + Rng.int g bound] into one
-   pass; it must make exactly that loop's draws and leave the generator
-   where the loop does (the next raw output agrees), and list exactly
-   the ascending indices whose value is at most [cut].  The bounds run
-   from 1 to one above 2^61, where the rejection rule throws away about
-   half of all outputs. *)
-let fill_bounds = [ 1; 7; 1000; 1024; (1 lsl 40) + 17; (1 lsl 61) + 1 ]
+   pass over two-byte cells; it must write exactly that loop's draws in
+   every cell and leave the generator where the loop does (the next raw
+   output agrees), and list exactly the ascending indices whose value
+   is at most [cut].  The bounds run from 1 to 65535, the most a cell
+   holds, powers of two (the mask) among them. *)
+let fill_bounds = [ 1; 2; 7; 1000; 1024; 4096; 65535 ]
 
 let listed_reference a ~cut =
   Array.of_list
     (List.filter (fun i -> a.(i) <= cut) (List.init (Array.length a) Fun.id))
+
+let cells_contents c = Array.init (Cells.length c) (fun i -> Cells.get c (2 * i))
+
+(* [len] cells, each set to a value the fill cannot draw, so a cell it
+   skipped shows. *)
+let poisoned_cells ~base bound len =
+  let poison = if base + bound <= Cells.max_value then base + bound else base - 1 in
+  let c = Cells.create len in
+  for i = 0 to len - 1 do
+    Cells.unsafe_set c (2 * i) poison
+  done;
+  c
 
 (* One fill and its [Rng.int] twin: the filled and looped values, the
    list the fill returned and the one the looped values call for, and
    whether the next raw outputs agree. *)
 let fill_and_loop g ~base bound ~cut len =
   let twin = Rng.copy g in
-  let filled = Array.make len (-1) in
-  let pos, k = Rng.fill_int g ~base bound ~cut filled in
+  let cells = poisoned_cells ~base bound len in
+  let pos, k = Rng.fill_int g ~base bound ~cut cells in
   let looped = Array.init len (fun _ -> base + Rng.int twin bound) in
-  ( filled,
+  ( cells_contents cells,
     looped,
     Array.sub pos 0 k,
     listed_reference looped ~cut,
@@ -383,60 +457,69 @@ let fill_int_matches_int_loop () =
             (Printf.sprintf "bound %d, %d draws: cut below base lists nothing"
                bound len)
             0
-            (snd (all (Array.make len 0)));
+            (snd (all (Cells.create len)));
           let top = Rng.fill_int (Rng.create seed) ~base bound ~cut:(base + bound - 1) in
           check_int
             (Printf.sprintf "bound %d, %d draws: top cut lists every index"
                bound len)
             len
-            (snd (top (Array.make len 0))))
-        [ (1, 0, 0); (7, 1, 1); (42, 0, 1000); (9, 1, 4096) ])
+            (snd (top (Cells.create len))))
+        [
+          (1, 0, 0); (2, 1, 0); (7, 1, 1); (8, 0, 1); (42, 0, 1000);
+          (43, 1, 1000); (9, 1, 4096); (10, 0, 4096);
+        ])
     fill_bounds
-
-(* Raw outputs a fill of [len] draws consumes at [bound]: step a copy
-   of the generator taken before the fill until it replays the output
-   the filled generator gives next. *)
-let raw_outputs_per_fill ~bound ~cut ~len =
-  let g = Rng.create 5 in
-  let before = Rng.copy g in
-  ignore (Rng.fill_int g ~base:0 bound ~cut (Array.make len 0));
-  let next = Rng.bits64 g in
-  let k = ref 0 in
-  while Rng.bits64 before <> next do
-    incr k
-  done;
-  !k
 
 let fill_int_rejection_and_errors () =
   List.iter
-    (fun cut ->
+    (fun (bound, cut) ->
       check_int
-        (Printf.sprintf "bound 1000, cut %d: no output rejected" cut)
+        (Printf.sprintf "bound %d, cut %d: no output rejected" bound cut)
         1000
-        (raw_outputs_per_fill ~bound:1000 ~cut ~len:1000);
-      let raw = raw_outputs_per_fill ~bound:((1 lsl 61) + 1) ~cut ~len:1000 in
-      check_bool
-        (Printf.sprintf
-           "bound 2^61 + 1, cut %d: %d outputs for 1000 draws (about half \
-            rejected)"
-           cut raw)
-        true
-        (raw >= 1700 && raw <= 2300))
-    [ -1; 0; 1 lsl 60 ];
+        (raw_outputs_consumed (fun g ->
+             ignore (Rng.fill_int g ~base:0 bound ~cut (Cells.create 1000)))))
+    [ (1000, -1); (1000, 0); (1000, 1 lsl 60); (1024, 0); (65535, 100) ];
   List.iter
     (fun bound ->
       Alcotest.check_raises
         (Printf.sprintf "bound %d" bound)
         (Invalid_argument "Rng.fill_int: bound must be positive")
-        (fun () -> ignore (Rng.fill_int (rng ()) ~base:0 bound ~cut:0 [| 0 |])))
+        (fun () ->
+          ignore (Rng.fill_int (rng ()) ~base:0 bound ~cut:0 (Cells.create 1))))
     [ 0; -1; min_int ];
-  (* Without a list a fill allocates a constant; with one, the list and
-     the same constant (these fills stay inside the first capacity). *)
+  (* Every value must fit a cell: the top one, [base + bound - 1], at
+     most 65535, and the base not negative. *)
+  List.iter
+    (fun (base, bound) ->
+      Alcotest.check_raises
+        (Printf.sprintf "base %d, bound %d" base bound)
+        (Invalid_argument "Rng.fill_int: values must fit a cell")
+        (fun () ->
+          ignore (Rng.fill_int (rng ()) ~base bound ~cut:0 (Cells.create 1))))
+    [
+      (0, 65537); (1, 65536); (65535, 2); (65536, 1); (max_int, 1);
+      (max_int, max_int); (-1, 1); (min_int, 2); (0, (1 lsl 40) + 17);
+      (1, (1 lsl 61) + 1); (0, max_int);
+    ];
+  List.iter
+    (fun (base, bound) ->
+      let cells = Cells.create 64 in
+      ignore (Rng.fill_int (rng ()) ~base bound ~cut:0 cells);
+      check_bool
+        (Printf.sprintf "base %d, bound %d fits" base bound)
+        true
+        (Array.for_all
+           (fun v -> v >= base && v < base + bound)
+           (cells_contents cells)))
+    [ (0, 65536); (1, 65535); (65535, 1); (65000, 536) ];
+  (* The caller owns the cells: without a list a fill allocates a
+     constant (its result pair); with one, the list and the same
+     constant (these fills stay inside the first capacity). *)
   let g = rng () in
   let words ~cut len =
-    let a = Array.make len 0 in
+    let c = Cells.create len in
     let (pos, _), w =
-      allocated_words (fun () -> Rng.fill_int g ~base:1 1000 ~cut a)
+      allocated_words (fun () -> Rng.fill_int g ~base:1 1000 ~cut c)
     in
     (w, if Array.length pos = 0 then 0. else float_of_int (Array.length pos + 1))
   in
@@ -458,13 +541,22 @@ let fill_int_rejection_and_errors () =
         (list > 0. && w = list +. small))
     [ 1_000; 100_000 ]
 
+(* Random bounds up to the cell limit, half of them powers of two;
+   [base + bound - 1] is at most 65535. *)
 let fill_int_matches_loop_qc =
   qcase ~count:200 "fill_int at random bounds = int loop"
     ~print:(fun (seed, bound, len, cut) ->
       Printf.sprintf "(seed=%d, bound=%d, len=%d, cut=%d)" seed bound len cut)
     QCheck2.Gen.(
       let* seed = int in
-      let* bound = gen_bound in
+      let* bound =
+        oneof
+          [
+            int_range 1 Cells.max_value;
+            map (fun k -> 1 lsl k) (int_range 0 16);
+          ]
+      in
+      let bound = Stdlib.min bound (Cells.max_value + 1 - (seed land 7)) in
       let* len = int_range 0 300 in
       let* cut =
         oneof
@@ -506,7 +598,7 @@ let fill_int_list_grows () =
   for seed = 0 to 199 do
     let g = Rng.create seed in
     let twin = Rng.copy g in
-    let pos, k = Rng.fill_int g ~base bound ~cut (Array.make len 0) in
+    let pos, k = Rng.fill_int g ~base bound ~cut (Cells.create len) in
     let filled, looped, listed, expected, same_state =
       fill_and_loop twin ~base bound ~cut len
     in
@@ -527,6 +619,94 @@ let fill_int_list_grows () =
   check_bool
     (Printf.sprintf "%d of 200 fills outgrew their first capacity" !grown)
     true (!grown >= 10)
+
+(* No fill above rejects a draw: up to the cell limit a raw output is
+   rejected with probability below 2^-46.  A crafted state makes one.
+   A state's output is [rotl (5 s1) 7 * 9], so [s1 = 5^-1 rotr (9^-1
+   * -1) 7] (inverses mod 2^64) makes it [-1L], whose top 62 bits,
+   [max_int], every bound rejects; stepping the generator backwards
+   [at] times from that state puts the rejected output [at] draws in. *)
+module Xoshiro = Prng.Xoshiro256
+
+let rotr x k =
+  Int64.logor (Int64.shift_right_logical x k) (Int64.shift_left x (64 - k))
+
+let inverse5 = 0xCCCC_CCCC_CCCC_CCCDL and inverse9 = 0x8E38_E38E_38E3_8E39L
+
+(* The xoshiro256** step run backwards: the state one step earlier.
+   [s1 xor s2] is [t xor (t lsl 17)] for the earlier [s1 = t], and
+   [t lsl 68 = 0] makes [y xor (y lsl 17) xor (y lsl 34) xor (y lsl 51)]
+   its inverse. *)
+let unstep (s0, s1, s2, s3) =
+  let x3 = rotr s3 45 in
+  let y = Int64.logxor s1 s2 in
+  let t1 =
+    List.fold_left
+      (fun acc k -> Int64.logxor acc (Int64.shift_left y k))
+      y [ 17; 34; 51 ]
+  in
+  let t0 = Int64.logxor s0 x3 in
+  (t0, t1, Int64.logxor (Int64.logxor s1 t1) t0, Int64.logxor x3 t1)
+
+let rejecting_at at =
+  let s1 = Int64.mul inverse5 (rotr (Int64.mul inverse9 (-1L)) 7) in
+  let rec back k s = if k = 0 then s else back (k - 1) (unstep s) in
+  let s0, s1, s2, s3 =
+    back at (0x5DEE_CE66DL, s1, 0x9E37_79B9_7F4A_7C15L, 42L)
+  in
+  Xoshiro.of_state s0 s1 s2 s3
+
+(* [Xoshiro256.fill_in] must skip the rejected output exactly as a
+   [next_in] loop on a copy does, which the Int64 rule pins in turn:
+   the same cells, the same list, one raw output more than cells, and
+   the same state after.  The rejection falls on the first draw, the
+   second, mid-fill and the last. *)
+let fill_in_rejects_as_next_in () =
+  List.iter
+    (fun (len, at) ->
+      let premise = rejecting_at at in
+      for _ = 1 to at do
+        ignore (Xoshiro.next premise)
+      done;
+      Alcotest.(check int64)
+        (Printf.sprintf "output %d of the crafted state" at)
+        (-1L) (Xoshiro.next premise);
+      List.iter
+        (fun bound ->
+          List.iter
+            (fun cut ->
+              let what =
+                Printf.sprintf "bound %d, cut %d, %d draws, rejected at %d"
+                  bound cut len at
+              in
+              let g = rejecting_at at in
+              let twin = Xoshiro.copy g and reference = Xoshiro.copy g in
+              let before = Xoshiro.copy g in
+              let cells = poisoned_cells ~base:1 bound len in
+              let pos, k = Xoshiro.fill_in g bound ~base:1 ~cut cells in
+              let looped =
+                Array.init len (fun _ -> 1 + Xoshiro.next_in twin bound)
+              in
+              let expected =
+                Array.init len (fun _ ->
+                    1 + int_reference_of (fun () -> Xoshiro.next reference) bound)
+              in
+              Alcotest.(check (array int)) (what ^ ": next_in = Int64 rule")
+                expected looped;
+              Alcotest.(check (array int)) what looped (cells_contents cells);
+              Alcotest.(check (array int)) (what ^ ": list")
+                (listed_reference looped ~cut) (Array.sub pos 0 k);
+              let next = Xoshiro.next g in
+              check_bool (what ^ ": same state after") true
+                (Xoshiro.next twin = next && Xoshiro.next reference = next);
+              let raw = ref 0 in
+              while Xoshiro.next before <> next do
+                incr raw
+              done;
+              check_int (what ^ ": raw outputs") (len + 1) !raw)
+            [ 0; 6; 1 + (bound / 3); bound ])
+        [ 1; 1000; 1024; 65535 ])
+    [ (1, 0); (1000, 0); (1000, 1); (1000, 500); (1000, 999); (4096, 2048) ]
 
 (* The derived-label hash rolls 10^10 labels in a full E23 run; like
    the draws above, a roll must not box its int64 chain. *)
@@ -750,10 +930,14 @@ let suites =
         case "rng int and bool" rng_draws_pinned;
         rng_matches_int64_reference;
         case "draws allocate nothing" rng_draws_allocate_nothing;
+        case "int at fixed bounds = Int64 reference"
+          int_matches_reference_at_fixed_bounds;
         case "fill_int at fixed bounds = int loop" fill_int_matches_int_loop;
         fill_int_matches_loop_qc;
         case "fill_int rejection rate and errors" fill_int_rejection_and_errors;
         case "fill_int list outgrows its first capacity" fill_int_list_grows;
+        case "fill_in rejects as next_in (crafted state)"
+          fill_in_rejects_as_next_in;
         case "label rolls allocate nothing" label_rolls_allocate_nothing;
       ] );
     ( "prng.sample",
