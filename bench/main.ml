@@ -1150,13 +1150,6 @@ let micro_tests () =
              Store.Objects.get bench_store ~key:"bench");
          test "find" (fun () -> Store.Objects.find bench_store ~key:"bench");
        ]);
-    (let wnet128 = Windows.of_tgraph net128 in
-     Test.make_grouped ~name:"windows" ~fmt:"%s %s"
-       [
-         test "dijkstra clique n=128" (fun () ->
-             Windows.earliest_arrival wnet128 0);
-         test "of_tgraph clique n=128" (fun () -> Windows.of_tgraph net128);
-       ]);
     (let small_net = clique_net 32 in
      Test.make_grouped ~name:"connectivity" ~fmt:"%s %s"
        [

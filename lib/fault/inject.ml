@@ -24,7 +24,6 @@ let armed_plan : Plan.t option Atomic.t = Atomic.make None
 let arm plan = Atomic.set armed_plan (if Plan.active plan then Some plan else None)
 let disarm () = Atomic.set armed_plan None
 let armed () = Atomic.get armed_plan <> None
-let plan () = Atomic.get armed_plan
 
 (* Counters are always live (never gated on Obs.Control): injections
    are rare, and the chaos command reports them even without

@@ -22,8 +22,6 @@ val disarm : unit -> unit
 
 val armed : unit -> bool
 
-val plan : unit -> Plan.t option
-
 val before_trial : trial:int -> attempt:int -> unit
 (** Trial-site hook, called before attempt [attempt] of trial [trial]:
     may sleep ([Plan.delay]) and may raise {!Injected}

@@ -36,4 +36,8 @@ val run_hooks : unit -> unit
 
 val reset : unit -> unit
 (** Drop all hooks, disarm any graceful callback and re-enable running
-    (tests). *)
+    (tests).
+
+    Test support: clears the process-wide registry between the test_fault
+    and test_serve cases that check {!on_shutdown}, {!set_graceful} and
+    {!run_hooks}. *)

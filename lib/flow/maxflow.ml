@@ -21,7 +21,6 @@ let create n =
     handle_count = 0;
   }
 
-let node_count t = t.n
 
 let push t v edge =
   let vec = t.adjacency.(v) in

@@ -13,8 +13,6 @@ type t
 val create : int -> t
 (** [create n] — an empty network on nodes [0 .. n-1]. *)
 
-val node_count : t -> int
-
 val add_edge : t -> src:int -> dst:int -> capacity:int -> int
 (** Adds a directed edge (and its residual twin); returns an edge handle
     for {!flow_on}.  Capacities must be non-negative; [max_int] is
@@ -26,8 +24,14 @@ val max_flow : t -> source:int -> sink:int -> int
     @raise Invalid_argument if [source = sink] or out of range. *)
 
 val flow_on : t -> int -> int
-(** Flow routed over the edge handle after {!max_flow}. *)
+(** Flow routed over the edge handle after {!max_flow}.
+
+    Test support: test_connectivity checks the flow {!max_flow} routes on
+    an edge through it. *)
 
 val min_cut_side : t -> source:int -> bool array
 (** After {!max_flow}: the source side of a minimum cut (nodes reachable
-    from the source in the residual network). *)
+    from the source in the residual network).
+
+    Test support: test_connectivity checks {!max_flow}'s value against the
+    capacity across this cut (max-flow = min-cut). *)

@@ -31,7 +31,6 @@ let make ~seed ~a ~r =
   if r < 1 then invalid_arg "Implicit.Labels.make: need r >= 1";
   { seed; a; r }
 
-let seed t = t.seed
 let alpha t = t.a
 let rolls_per_edge t = t.r
 

@@ -20,7 +20,6 @@ type t
 val make : seed:int64 -> a:int -> r:int -> t
 (** @raise Invalid_argument unless [a >= 1] and [r >= 1]. *)
 
-val seed : t -> int64
 val alpha : t -> int
 val rolls_per_edge : t -> int
 

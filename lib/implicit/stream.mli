@@ -133,4 +133,7 @@ val force_complete : t -> view
 val offset_counts : t -> int
 (** How many times a {!stored} stream has counted the whole stream's
     offsets: 0 until a band pass needs them, then 1 however many
-    domains raced to build.  Always 0 on a {!derived} stream. *)
+    domains raced to build.  Always 0 on a {!derived} stream.
+
+    Test support: [kernel.stored] checks through it that racing band
+    passes of a {!stored} stream count its offsets once. *)

@@ -33,6 +33,8 @@ val stats : Temporal.Tgraph.t -> stats
     line, [time agent agent], ['#'] comments and blank lines ignored. *)
 
 val contacts_to_string : Waypoint.contact list -> string
+(** Test support: writes the text test_models parses back with
+    {!contacts_of_string}. *)
 
 val contacts_of_string : string -> (Waypoint.contact list, string) result
 (** Events are normalised ([a < b]) and returned chronologically sorted;

@@ -21,7 +21,10 @@ val tick : t -> int
 (** Ticks simulated so far. *)
 
 val positions : t -> (int * int) array
-(** Current cell of each agent (do not mutate). *)
+(** Current cell of each agent (do not mutate).
+
+    Test support: the mobility tests check {!create}'s placement and
+    {!step}'s one-cell moves through it. *)
 
 val step : t -> unit
 (** Advance one tick: every agent moves one cell towards its waypoint

@@ -16,10 +16,3 @@ let warn_once key fmt =
       Mutex.unlock m;
       if fresh then Printf.eprintf "warning: %s\n%!" msg)
     fmt
-
-let warn fmt = Printf.ksprintf (fun msg -> Printf.eprintf "warning: %s\n%!" msg) fmt
-
-let reset () =
-  Mutex.lock m;
-  Hashtbl.reset seen;
-  Mutex.unlock m

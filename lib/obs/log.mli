@@ -5,12 +5,6 @@
     fired from a per-trial or per-write path appears exactly once per
     process, however many times the path runs. *)
 
-val warn : ('a, unit, string, unit) format4 -> 'a
-(** [warn fmt ...]: one "warning: ..." line on stderr, flushed. *)
-
 val warn_once : string -> ('a, unit, string, unit) format4 -> 'a
-(** [warn_once key fmt ...]: like [warn], but only the first call per
-    [key] (per process) prints.  Domain-safe. *)
-
-val reset : unit -> unit
-(** Forget which keys have fired (tests). *)
+(** [warn_once key fmt ...]: one "warning: ..." line on stderr, flushed,
+    for the first call per [key] (per process) only.  Domain-safe. *)

@@ -34,6 +34,8 @@ val count : counter -> int
 val gauge : string -> gauge
 val set : gauge -> float -> unit
 val value : gauge -> float
+(** Test support: test_obs reads the gauges that {!set} and [Exec.Pool]
+    write through it. *)
 
 val histogram : string -> histogram
 val observe : histogram -> float -> unit
@@ -71,4 +73,8 @@ val snapshot : unit -> (string * value_snapshot) list
 
 val reset : unit -> unit
 (** Forget every registered metric in every shard (tests and repeated
-    in-process runs). *)
+    in-process runs).
+
+    Test support: the telemetry tests start from an empty registry, so the
+    counters and histograms they check were written by the code under
+    test. *)

@@ -16,10 +16,5 @@ type error = { line : int; message : string }
 val parse : string -> (Span.record, string) result
 (** Parse one trace line (no trailing newline). *)
 
-val fold_file :
-  string -> init:'a -> f:('a -> Span.record -> 'a) -> ('a, error) result
-(** Fold over every line of a trace file in order, stopping at the
-    first malformed line. *)
-
 val read_file : string -> (Span.record list, error) result
 (** All records of a trace file, in file order. *)

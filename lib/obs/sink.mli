@@ -30,9 +30,6 @@ val open_jsonl : string -> t
 val attach : t -> unit
 (** Subscribe the sink to {!Span.on_record}. *)
 
-val emit : t -> Span.record -> unit
-(** Write one record as a whole line; after {!close}, a counted no-op. *)
-
 val close : t -> unit
 (** Flush, fsync, close and atomically publish at the path given to
     {!open_jsonl}; idempotent.  Does not unsubscribe — use

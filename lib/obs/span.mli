@@ -38,6 +38,8 @@ val on_record : (record -> unit) -> unit
     first, since children close before their parent). *)
 
 val clear_handlers : unit -> unit
+(** Test support: the telemetry tests detach the {!on_record} handlers
+    they install. *)
 
 (** {2 Cross-domain context} *)
 
@@ -65,4 +67,7 @@ val totals : unit -> (string * totals) list
 
 val reset : unit -> unit
 (** Drop aggregates and the calling domain's dangling nesting state
-    (not handlers). *)
+    (not handlers).
+
+    Test support: the telemetry tests start from empty aggregates, so the
+    {!totals} they check were recorded by the code under test. *)

@@ -53,4 +53,7 @@ val mean_rounds :
   trials:int ->
   float * float
 (** [(mean, stddev)] of the completion round over random sources and
-    coin flips; incomplete runs count as the cap. *)
+    coin flips; incomplete runs count as the cap.
+
+    Test support: test_phonecall compares {!spread}'s completion rounds
+    across strategies through it. *)

@@ -15,9 +15,6 @@ type t =
   | Point of int
       (** the constant label [min k a] — degenerate, for ablations *)
 
-val pp : Format.formatter -> t -> unit
-(** Human-readable name, e.g. ["geometric(0.05)"]. *)
-
 val to_string : t -> string
 
 val draw : t -> a:int -> Rng.t -> int

@@ -65,4 +65,3 @@ module Zipf_cache = struct
     !lo + 1
 end
 
-let zipf rng ~s ~n = Zipf_cache.draw (Zipf_cache.create ~s ~n) rng

@@ -24,16 +24,13 @@ val binomial : Rng.t -> n:int -> p:float -> int
 (** [binomial rng ~n ~p] counts successes in [n] Bernoulli([p]) trials.
     Exact (trial-by-trial); intended for the moderate [n] used here. *)
 
-val zipf : Rng.t -> s:float -> n:int -> int
-(** [zipf rng ~s ~n] draws from the Zipf distribution with exponent [s] on
-    [{1..n}] by inverting the exact CDF (binary search on cumulative
-    weights); O(n) set-up cost per call — prefer {!Zipf_cache} in loops. *)
-
 module Zipf_cache : sig
   type t
 
   val create : s:float -> n:int -> t
-  (** Precomputes the cumulative weights once. *)
+  (** The Zipf distribution with exponent [s] on [{1..n}], drawn by
+      inverting the exact CDF (binary search on cumulative weights);
+      precomputes the cumulative weights once. *)
 
   val draw : t -> Rng.t -> int
   (** O(log n) per draw. *)

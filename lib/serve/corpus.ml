@@ -205,22 +205,6 @@ let load ?shard ~backend lines =
   in
   { backend; instances = Array.of_list (List.rev instances) }
 
-let read_file path =
-  match open_in path with
-  | exception Sys_error m -> Error m
-  | ic ->
-    let rec read acc =
-      match input_line ic with
-      | line -> read (line :: acc)
-      | exception End_of_file -> List.rev acc
-    in
-    let lines = read [] in
-    close_in ic;
-    Ok lines
-
-let load_file ?shard ~backend path =
-  Result.map (load ?shard ~backend) (read_file path)
-
 let backend t = t.backend
 
 let find t id =

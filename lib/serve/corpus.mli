@@ -54,14 +54,6 @@ val load : ?shard:int * int -> backend:Sim.Backend.t -> string list -> t
     ownership {e before} building — a shard pays nothing for lines it
     does not own.  An empty partition is a valid (unhealthy) corpus. *)
 
-val read_file : string -> (string list, string) result
-(** The raw lines of a manifest file; [Error] when unreadable. *)
-
-val load_file :
-  ?shard:int * int -> backend:Sim.Backend.t -> string -> (t, string) result
-(** [Error] only when the file itself cannot be read. *)
-
-val load_spec : Sim.Backend.t -> spec -> instance
 val backend : t -> Sim.Backend.t
 val find : t -> string -> instance option
 val instances : t -> instance list

@@ -10,8 +10,6 @@
     downstream check (schema tag, [queue_peak] bound, CI
     deterministic-section diff) is shard-count-agnostic. *)
 
-val json_float : float -> string
-
 type volatile = {
   queries : int;
   shed : int;

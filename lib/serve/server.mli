@@ -24,8 +24,6 @@ type address = Unix_path of string | Tcp of string * int
 val parse_address : string -> (address, string) result
 (** ["tcp:HOST:PORT"] is TCP; anything else is a Unix socket path. *)
 
-val address_to_string : address -> string
-
 type config = {
   address : address;
   read_timeout_s : float;  (** per-frame deadline on connection reads *)

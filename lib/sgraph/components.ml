@@ -21,17 +21,6 @@ let component_count g =
 
 let is_connected g = Graph.n g <= 1 || component_count g = 1
 
-let component_sizes g =
-  let comp = components g in
-  let k = Array.fold_left Stdlib.max (-1) comp + 1 in
-  let sizes = Array.make k 0 in
-  Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) comp;
-  sizes
-
-let largest_component g =
-  if Graph.n g = 0 then 0
-  else Array.fold_left Stdlib.max 0 (component_sizes g)
-
 (* Tarjan's SCC, iterative to survive deep graphs. *)
 let strongly_connected_components g =
   let n = Graph.n g in
@@ -89,10 +78,3 @@ let strongly_connected_components g =
     if index.(v) = -1 then visit v
   done;
   comp
-
-let is_strongly_connected g =
-  let n = Graph.n g in
-  n <= 1
-  ||
-  let comp = strongly_connected_components g in
-  Array.for_all (fun c -> c = comp.(0)) comp

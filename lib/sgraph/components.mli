@@ -14,14 +14,6 @@ val component_count : Graph.t -> int
 val is_connected : Graph.t -> bool
 (** Ignoring direction; [true] for the empty and 1-vertex graph. *)
 
-val component_sizes : Graph.t -> int array
-(** Size of each component, indexed by component id. *)
-
-val largest_component : Graph.t -> int
-(** Size of the largest component; [0] for the empty graph. *)
-
 val strongly_connected_components : Graph.t -> int array
 (** Tarjan's algorithm; component ids in reverse topological order of the
     condensation.  Equals {!components} on undirected graphs. *)
-
-val is_strongly_connected : Graph.t -> bool

@@ -51,7 +51,10 @@ val wheel : int -> Graph.t
 
 val barbell : int -> Graph.t
 (** [barbell k]: two [K_k] cliques joined by one bridge edge; [k >= 2].
-    [2k] vertices; a classic small-cut stress case. *)
+    [2k] vertices; a classic small-cut stress case.
+
+    Test support: a small-cut fixture among the graphs test_opt checks
+    [Temporal.Opt]'s labelings on. *)
 
 val lollipop : int -> int -> Graph.t
 (** [lollipop k len]: a [K_k] clique with a path of [len] extra vertices

@@ -467,7 +467,6 @@ let in_arcs t v =
     arr
 
 let out_neighbors t v = Array.map snd (out_arcs t v)
-let in_neighbors t v = Array.map snd (in_arcs t v)
 
 let find_edge t u v =
   match t.shape with

@@ -59,7 +59,10 @@ val implicit_grid : rows:int -> cols:int -> t
     @raise Invalid_argument if either dimension is [< 1]. *)
 
 val is_implicit : t -> bool
-(** True when the graph is an arithmetic shape rather than a CSR. *)
+(** True when the graph is an arithmetic shape rather than a CSR.
+
+    Test support: test_serve and test_implicit check through it that the
+    implicit backend builds shapes and the dense one CSRs. *)
 
 val kind : t -> kind
 val is_directed : t -> bool
@@ -97,8 +100,6 @@ val iter_edge_ids :
 val out_neighbors : t -> int -> int array
 (** Targets reachable by one traversable arc out of the vertex (do not
     mutate the returned array). *)
-
-val in_neighbors : t -> int -> int array
 
 val out_arcs : t -> int -> (int * int) array
 (** [(edge id, target)] pairs for each traversable arc out of the vertex.

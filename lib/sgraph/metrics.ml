@@ -8,32 +8,11 @@ let eccentricity g v =
     dist;
   !ecc
 
-let fold_eccentricities g combine init =
+let diameter g =
   let n = Graph.n g in
   if n = 0 then invalid_arg "Metrics: empty graph";
-  let acc = ref init in
+  let d = ref 0 in
   for v = 0 to n - 1 do
-    acc := combine !acc (eccentricity g v)
+    d := Stdlib.max !d (eccentricity g v)
   done;
-  !acc
-
-let diameter g = fold_eccentricities g Stdlib.max 0
-
-let radius g = fold_eccentricities g Stdlib.min Traverse.unreachable
-
-let average_distance g =
-  let n = Graph.n g in
-  let total = ref 0 and pairs = ref 0 in
-  for v = 0 to n - 1 do
-    let dist = Traverse.bfs g v in
-    Array.iteri
-      (fun u d ->
-        if u <> v && d <> Traverse.unreachable then begin
-          total := !total + d;
-          incr pairs
-        end)
-      dist
-  done;
-  if !pairs = 0 then Float.nan else float_of_int !total /. float_of_int !pairs
-
-let distance_matrix g = Array.init (Graph.n g) (fun v -> Traverse.bfs g v)
+  !d

@@ -12,13 +12,3 @@ val diameter : Graph.t -> int
     the graph is not (strongly, if directed) connected; [0] for a
     single vertex.
     @raise Invalid_argument on the empty graph. *)
-
-val radius : Graph.t -> int
-(** Minimum eccentricity. *)
-
-val average_distance : Graph.t -> float
-(** Mean hop distance over ordered reachable pairs [(u <> v)]; [nan] if
-    there are none. *)
-
-val distance_matrix : Graph.t -> int array array
-(** [n x n] hop distances ({!Traverse.unreachable} where disconnected). *)

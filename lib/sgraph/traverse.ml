@@ -5,7 +5,7 @@ let unreachable = max_int
    [parent] is optional so the distance-only callers skip the second
    write.  The flat int queue replaces [Stdlib.Queue] — each vertex is
    enqueued at most once, so [n] slots suffice and nothing allocates. *)
-let bfs_core g s ~reverse ~dist ~queue ~parent =
+let bfs_core g s ~dist ~queue ~parent =
   let n = Graph.n g in
   if s < 0 || s >= n then invalid_arg "Traverse.bfs: source out of range";
   Array.fill dist 0 n unreachable;
@@ -24,11 +24,10 @@ let bfs_core g s ~reverse ~dist ~queue ~parent =
   while !head < !tail do
     let u = queue.(!head) in
     incr head;
-    if reverse then Graph.iter_in g u (fun _ v -> visit u v)
-    else Graph.iter_out g u (fun _ v -> visit u v)
+    Graph.iter_out g u (fun _ v -> visit u v)
   done
 
-let bfs_into g s ~dist ~queue = bfs_core g s ~reverse:false ~dist ~queue ~parent:None
+let bfs_into g s ~dist ~queue = bfs_core g s ~dist ~queue ~parent:None
 
 let bfs g s =
   let n = Graph.n g in
@@ -42,37 +41,5 @@ let bfs_tree g s =
   let dist = Array.make (Stdlib.max 1 n) unreachable in
   let parent = Array.make (Stdlib.max 1 n) (-1) in
   let queue = Array.make (Stdlib.max 1 n) 0 in
-  bfs_core g s ~reverse:false ~dist ~queue ~parent:(Some parent);
+  bfs_core g s ~dist ~queue ~parent:(Some parent);
   (dist, parent)
-
-let bfs_reverse g s =
-  let n = Graph.n g in
-  let dist = Array.make (Stdlib.max 1 n) unreachable in
-  let queue = Array.make (Stdlib.max 1 n) 0 in
-  bfs_core g s ~reverse:true ~dist ~queue ~parent:None;
-  dist
-
-let dfs_order g root =
-  let n = Graph.n g in
-  if root < 0 || root >= n then invalid_arg "Traverse.dfs_order: root out of range";
-  let visited = Array.make n false in
-  let order = ref [] in
-  let stack = Stack.create () in
-  Stack.push root stack;
-  while not (Stack.is_empty stack) do
-    let u = Stack.pop stack in
-    if not visited.(u) then begin
-      visited.(u) <- true;
-      order := u :: !order;
-      let neighbors = Graph.out_neighbors g u in
-      (* Push in reverse so lower-indexed neighbours are visited first. *)
-      for i = Array.length neighbors - 1 downto 0 do
-        if not visited.(neighbors.(i)) then Stack.push neighbors.(i) stack
-      done
-    end
-  done;
-  List.rev !order
-
-let reachable_count g s =
-  let dist = bfs g s in
-  Array.fold_left (fun acc d -> if d <> unreachable then acc + 1 else acc) 0 dist

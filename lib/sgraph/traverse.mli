@@ -19,11 +19,3 @@ val bfs_tree : Graph.t -> int -> int array * int array
 (** [bfs_tree g s] is [(dist, parent)]; [parent.(v) = -1] for [s] and for
     unreachable vertices. *)
 
-val bfs_reverse : Graph.t -> int -> int array
-(** Distances *to* the given vertex (BFS along incoming arcs). *)
-
-val dfs_order : Graph.t -> int -> int list
-(** Preorder list of the vertices reachable from the root. *)
-
-val reachable_count : Graph.t -> int -> int
-(** Number of vertices reachable from the vertex (including itself). *)

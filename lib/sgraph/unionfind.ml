@@ -25,5 +25,4 @@ let union t x y =
     true
   end
 
-let same t x y = find t x = find t y
 let count t = t.count

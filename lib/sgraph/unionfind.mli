@@ -11,6 +11,5 @@ val find : t -> int -> int
 val union : t -> int -> int -> bool
 (** Merge the two sets; [true] iff they were distinct. *)
 
-val same : t -> int -> int -> bool
 val count : t -> int
 (** Current number of disjoint sets. *)

@@ -16,5 +16,4 @@ val get : Store.Objects.t -> Experiments.t -> seed:int -> quick:bool -> Outcome.
 
 val put : Store.Objects.t -> Experiments.t -> seed:int -> quick:bool -> Outcome.t -> unit
 
-val to_codec : Outcome.t -> Store.Codec.outcome
 val of_codec : Store.Codec.outcome -> Outcome.t

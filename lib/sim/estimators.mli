@@ -52,7 +52,10 @@ val flooding_time :
   Stats.Summary.t * int
 (** Mean §3.5-protocol broadcast completion time from a random source on
     sampled assignments; the [int] counts trials that failed to inform
-    everyone. *)
+    everyone.
+
+    Test support: test_sim checks through it that
+    [Flooding.broadcast_time] completes on sampled multi-label cliques. *)
 
 type expansion_stats = {
   attempts : int;

@@ -17,7 +17,7 @@
 
     {b Checkpointing and resume.}  When a {!Store.Checkpoint} context
     is active ([ephemeral run --resume]), each top-level [map] call
-    claims a checkpoint slot and runs through {!map_resumable}: trials
+    claims a checkpoint slot and resumes against it by itself: trials
     execute in chunks whose bounds depend only on [trials], finished
     chunks are persisted as they complete, and chunks already on disk
     are loaded instead of recomputed.  Loading is sound because of the
@@ -53,16 +53,6 @@ val map : Prng.Rng.t -> trials:int -> (int -> Prng.Rng.t -> 'a) -> 'a array
     must not mutate shared state (beyond Obs instrumentation, which is
     domain-safe). *)
 
-val map_resumable :
-  Store.Checkpoint.slot -> Prng.Rng.t -> trials:int -> (int -> Prng.Rng.t -> 'a) -> 'a array
-(** [map] against an explicit checkpoint slot: chunks of
-    [Store.Checkpoint.chunk_size ~trials] trials are loaded from the
-    slot when present and executed-then-saved when not.  The result is
-    identical to [map rng ~trials f]; only the work done differs.
-    [map] delegates here automatically for top-level calls under an
-    active context — call this directly only in tests or custom
-    drivers that manage slots themselves. *)
-
 val foreach : Prng.Rng.t -> trials:int -> (int -> Prng.Rng.t -> unit) -> unit
 (** [foreach rng ~trials f] runs [f i rng_i] for [i = 0 .. trials-1],
     sequentially, in the calling domain.  Unsupervised: its closures
@@ -70,11 +60,16 @@ val foreach : Prng.Rng.t -> trials:int -> (int -> Prng.Rng.t -> unit) -> unit
     be unsound — fault plans target [map]-based experiments. *)
 
 val collect : Prng.Rng.t -> trials:int -> (Prng.Rng.t -> 'a) -> 'a list
+(** Test support: test_sim and test_obs check {!map}'s per-trial streams
+    and order through it. *)
 
 val summarize : Prng.Rng.t -> trials:int -> (Prng.Rng.t -> float) -> Stats.Summary.t
 (** Trials run in parallel; the summary is folded sequentially in
     trial order, so even float accumulation matches a sequential run
-    bit for bit. *)
+    bit for bit.
+
+    Test support: test_sim and test_obs check {!map}'s trial count and its
+    telemetry switch through it. *)
 
 val count : Prng.Rng.t -> trials:int -> (Prng.Rng.t -> bool) -> int
 (** Number of trials returning [true]. *)

@@ -34,6 +34,3 @@ let mean xs =
 
 let mean_interval ?confidence ?resamples ?widen rng xs =
   interval ?confidence ?resamples ?widen ~statistic:mean rng xs
-
-let median_interval ?confidence ?resamples ?widen rng xs =
-  interval ?confidence ?resamples ?widen ~statistic:Quantile.median rng xs

@@ -30,11 +30,3 @@ val mean_interval :
   Prng.Rng.t ->
   float array ->
   Ci.interval
-
-val median_interval :
-  ?confidence:float ->
-  ?resamples:int ->
-  ?widen:float ->
-  Prng.Rng.t ->
-  float array ->
-  Ci.interval

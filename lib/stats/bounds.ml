@@ -1,5 +1,3 @@
-let chernoff_below ~mean ~beta = exp (-.(beta *. beta) *. mean /. 2.)
-let chernoff_two_sided ~mean ~beta = 2. *. exp (-.(beta *. beta) *. mean /. 3.)
 
 let harmonic d =
   let h = ref 0. in
@@ -18,5 +16,3 @@ let gnp_connectivity_threshold ~n = log (float_of_int n) /. float_of_int n
 
 let thm5_lower_bound ~n ~a =
   float_of_int a /. float_of_int n *. log (float_of_int n)
-
-let union_bound ps = Float.min 1. (Float.max 0. (List.fold_left ( +. ) 0. ps))

@@ -1,17 +1,9 @@
 (** Theoretical quantities from the paper, as executable formulas.
 
     The experiment tables print these side by side with measurements:
-    Chernoff tail bounds used throughout §3, the Theorem 7 sufficient
-    label count, its coupon-collector refinement (§5, final note), and the
-    Erdős–Rényi connectivity threshold that drives Theorem 5. *)
-
-val chernoff_below : mean:float -> beta:float -> float
-(** [chernoff_below ~mean ~beta] bounds
-    [P(X <= (1-beta)·mean) <= exp(-beta²·mean/2)] for a binomial with the
-    given mean — the form used in §3.1–3.2. *)
-
-val chernoff_two_sided : mean:float -> beta:float -> float
-(** Bound on [P(|X - mean| >= beta·mean)], [2·exp(-beta²·mean/3)]. *)
+    the Theorem 7 sufficient label count, its coupon-collector
+    refinement (§5, final note), and the Theorem 5 lower bound, with the
+    Erdős–Rényi connectivity threshold that drives it. *)
 
 val harmonic : int -> float
 (** [harmonic d] is [H_d = 1 + 1/2 + ... + 1/d]. *)
@@ -32,6 +24,3 @@ val gnp_connectivity_threshold : n:int -> float
 val thm5_lower_bound : n:int -> a:int -> float
 (** Theorem 5: with lifetime [a >= n], the temporal diameter is
     [Ω((a/n)·ln n)]; this is the bound value [(a/n)·ln n]. *)
-
-val union_bound : float list -> float
-(** Sum of failure probabilities, clamped to [\[0, 1\]]. *)

@@ -33,7 +33,6 @@ let add t x =
     t.counts.(bin) <- t.counts.(bin) + 1
   end
 
-let add_int t x = add t (float_of_int x)
 let count t = t.count
 let underflow t = t.underflow
 let overflow t = t.overflow

@@ -11,7 +11,6 @@ val create : lo:float -> hi:float -> bins:int -> t
     @raise Invalid_argument if [bins <= 0] or [hi <= lo]. *)
 
 val add : t -> float -> unit
-val add_int : t -> int -> unit
 val count : t -> int
 val underflow : t -> int
 val overflow : t -> int

@@ -18,14 +18,6 @@ let sorted_copy xs =
 let quantile xs q = of_sorted (sorted_copy xs) q
 let median xs = quantile xs 0.5
 
-let iqr xs =
-  let sorted = sorted_copy xs in
-  of_sorted sorted 0.75 -. of_sorted sorted 0.25
-
-let quantiles xs qs =
-  let sorted = sorted_copy xs in
-  List.map (fun q -> (q, of_sorted sorted q)) qs
-
 let merge_sorted xs ys =
   let nx = Array.length xs and ny = Array.length ys in
   if nx = 0 then Array.copy ys

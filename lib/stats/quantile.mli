@@ -3,25 +3,15 @@
     Linear-interpolation quantiles (type-7, the R/NumPy default), computed
     from a sorted copy of the data. *)
 
-val of_sorted : float array -> float -> float
-(** [of_sorted xs q] with [xs] ascending and [q] in [\[0, 1\]].
+val quantile : float array -> float -> float
+(** [quantile xs q] with [q] in [\[0, 1\]], from a sorted copy of [xs].
     @raise Invalid_argument on empty input or [q] outside [\[0,1\]]. *)
 
-val quantile : float array -> float -> float
-(** [quantile xs q] sorts a copy of [xs] then applies {!of_sorted}. *)
-
 val median : float array -> float
-
-val iqr : float array -> float
-(** Inter-quartile range, [q0.75 - q0.25]. *)
-
-val quantiles : float array -> float list -> (float * float) list
-(** [quantiles xs qs] evaluates several quantiles sharing one sort;
-    returns [(q, value)] pairs in the order given. *)
 
 val merge_sorted : float array -> float array -> float array
 (** [merge_sorted xs ys] with both inputs ascending: their ascending
     union (with duplicates), in linear time.  Combines per-shard sorted
-    samples (e.g. collected by parallel trial runs) so [of_sorted] on
+    samples (e.g. collected by parallel trial runs) so [quantile] on
     the result equals [quantile] on the concatenation — quantiles are
     order-statistics, so merging loses nothing. *)

@@ -32,4 +32,3 @@ let fit points =
 
 let fit_against ~f points = fit (List.map (fun (x, y) -> (f x, y)) points)
 let fit_log points = fit_against ~f:log points
-let predict { alpha; beta; _ } x = alpha +. (beta *. x)

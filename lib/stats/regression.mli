@@ -22,13 +22,6 @@ val fit_arrays : float array -> float array -> fit
 (** Same on parallel arrays.
     @raise Invalid_argument if lengths differ. *)
 
-val fit_against : f:(float -> float) -> (float * float) list -> fit
-(** [fit_against ~f points] fits [y = alpha + beta·f(x)]. *)
-
 val fit_log : (float * float) list -> fit
 (** [fit_log points] fits [y = alpha + beta·ln x] — the paper's Θ(log n)
     shape test. *)
-
-val predict : fit -> float -> float
-(** [predict fit x] evaluates the fitted line (in the transformed
-    coordinate the fit was computed in; for {!fit_log} pass [ln x]). *)

@@ -65,22 +65,3 @@ let of_array xs =
 let pp ppf t =
   Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" t.n (mean t)
     (stddev t) t.min t.max
-
-(* Serialization hooks (Store.Codec).  Kept last: the record re-uses
-   the field names of [t], and letting it shadow them above would
-   break inference in the accessors. *)
-
-type raw = {
-  n : int;
-  mean : float;
-  m2 : float;
-  min : float;
-  max : float;
-  total : float;
-}
-
-let to_raw (t : t) : raw =
-  { n = t.n; mean = t.mean; m2 = t.m2; min = t.min; max = t.max; total = t.total }
-
-let of_raw (r : raw) : t =
-  { n = r.n; mean = r.mean; m2 = r.m2; min = r.min; max = r.max; total = r.total }

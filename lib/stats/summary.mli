@@ -37,22 +37,7 @@ val max : t -> float
 val total : t -> float
 
 val of_array : float array -> t
+(** Test support: builds, through {!add}, the summaries on which
+    test_stats checks {!mean}, {!variance}, {!min} and {!max}. *)
+
 val pp : Format.formatter -> t -> unit
-
-(** {2 Serialization hooks}
-
-    The exact accumulator state, for binary codecs (lib/store).
-    [of_raw (to_raw t)] observes identically to [t], bit for bit —
-    including the [nan] min/max of an empty summary. *)
-
-type raw = {
-  n : int;
-  mean : float;
-  m2 : float;
-  min : float;
-  max : float;
-  total : float;
-}
-
-val to_raw : t -> raw
-val of_raw : raw -> t

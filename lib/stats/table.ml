@@ -13,7 +13,6 @@ let create ~title ~columns =
 
 let title t = t.title
 let columns t = t.columns
-let degraded t = t.degraded
 let set_degraded t = t.degraded <- true
 
 (* The marker every renderer appends: partial results must be visible

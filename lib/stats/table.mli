@@ -21,7 +21,6 @@ val add_row : t -> cell list -> unit
 val rows : t -> cell list list
 (** Rows in insertion order. *)
 
-val degraded : t -> bool
 val set_degraded : t -> unit
 (** Mark the table as holding partial results (a [--keep-going] run
     that dropped failed trials).  Every renderer then appends an
@@ -33,7 +32,10 @@ val cell_to_string : cell -> string
 val column_floats : t -> string -> float list
 (** [column_floats t name] extracts a column's numeric values ([Int],
     [Float] and [Pct] cells; [Str] cells are skipped).
-    @raise Not_found if no column has that name. *)
+    @raise Not_found if no column has that name.
+
+    Test support: test_sim reads experiment tables' columns through it to
+    check their shape. *)
 
 val to_ascii : t -> string
 (** Box-drawing-free aligned text, title included. *)

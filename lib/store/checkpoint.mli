@@ -25,6 +25,8 @@ val activate : dir:string -> run_key:string -> unit
 
 val deactivate : unit -> unit
 val active : unit -> bool
+(** Test support: test_store checks through it that no context is active
+    before {!activate}, when {!next_slot} hands out none. *)
 
 type slot
 (** One top-level [Runner.map] call within an active context. *)
@@ -55,4 +57,7 @@ val clean : dir:string -> run_key:string -> unit
     complete). *)
 
 val pending_chunks : dir:string -> run_key:string -> int
-(** How many chunk files a run has on disk (0 if none). *)
+(** How many chunk files a run has on disk (0 if none).
+
+    Test support: test_store counts through it the chunk files
+    {!save_chunk} writes and a corrupt {!load_chunk} deletes. *)

@@ -5,7 +5,7 @@
 
      offset 0   magic "EPHS"            (4 bytes)
      offset 4   format version          (u8)
-     offset 5   kind                    (u8: 1 summary, 2 table, 3 outcome)
+     offset 5   kind                    (u8: 3, an outcome)
      offset 6   payload length          (u32 LE)
      offset 10  payload                 (length bytes)
      end        CRC-32 of bytes [0, 10+length)   (u32 LE)
@@ -19,8 +19,6 @@
 let magic = "EPHS"
 let format_version = 1
 
-let kind_summary = 1
-let kind_table = 2
 let kind_outcome = 3
 
 type outcome = {
@@ -60,15 +58,6 @@ let w_cell buf = function
     w_u8 buf 3;
     w_f64 buf x
 
-let w_summary buf s =
-  let r = Stats.Summary.to_raw s in
-  w_i64 buf r.n;
-  w_f64 buf r.mean;
-  w_f64 buf r.m2;
-  w_f64 buf r.min;
-  w_f64 buf r.max;
-  w_f64 buf r.total
-
 let w_table buf t =
   w_str buf (Stats.Table.title t);
   w_list buf w_str (Stats.Table.columns t);
@@ -82,21 +71,16 @@ let w_outcome buf (o : outcome) =
 (* ------------------------------------------------------------------ *)
 (* Framing *)
 
-let frame ~kind payload =
+let frame payload =
   let buf = Buffer.create (String.length payload + 16) in
   Buffer.add_string buf magic;
   w_u8 buf format_version;
-  w_u8 buf kind;
+  w_u8 buf kind_outcome;
   w_u32 buf (String.length payload);
   Buffer.add_string buf payload;
   let crc = Crc32.digest (Buffer.contents buf) in
   Buffer.add_int32_le buf crc;
   Buffer.contents buf
-
-let encode ~kind write v =
-  let payload = Buffer.create 1024 in
-  write payload v;
-  frame ~kind (Buffer.contents payload)
 
 (* ------------------------------------------------------------------ *)
 (* Readers *)
@@ -155,15 +139,6 @@ let r_cell r =
   | 3 -> Stats.Table.Pct (r_f64 r)
   | tag -> raise (Bad (Printf.sprintf "unknown cell tag %d" tag))
 
-let r_summary r =
-  let n = r_i64 r in
-  let mean = r_f64 r in
-  let m2 = r_f64 r in
-  let min = r_f64 r in
-  let max = r_f64 r in
-  let total = r_f64 r in
-  Stats.Summary.of_raw { n; mean; m2; min; max; total }
-
 let r_table r =
   let title = r_str r in
   let columns = r_list r r_str in
@@ -181,7 +156,7 @@ let r_outcome r =
 
 let header_len = 10 (* magic + version + kind + payload length *)
 
-let unframe ~kind s =
+let unframe s =
   let total = String.length s in
   if total < header_len + 4 then raise (Bad "object shorter than header");
   if String.sub s 0 4 <> magic then raise (Bad "bad magic");
@@ -190,7 +165,8 @@ let unframe ~kind s =
   if version <> format_version then
     raise (Bad (Printf.sprintf "stale format version %d (want %d)" version format_version));
   let k = r_u8 r in
-  if k <> kind then raise (Bad (Printf.sprintf "kind %d where %d expected" k kind));
+  if k <> kind_outcome then
+    raise (Bad (Printf.sprintf "kind %d where %d expected" k kind_outcome));
   let len = r_u32 r in
   if len <> total - header_len - 4 then raise (Bad "length mismatch");
   let stored =
@@ -202,22 +178,20 @@ let unframe ~kind s =
   if stored <> actual then raise (Bad "CRC mismatch");
   { s = String.sub s header_len len; pos = 0 }
 
-let decode ~kind read s =
+(* ------------------------------------------------------------------ *)
+(* Public API *)
+
+let encode_outcome o =
+  let payload = Buffer.create 1024 in
+  w_outcome payload o;
+  frame (Buffer.contents payload)
+
+let decode_outcome s =
   match
-    let r = unframe ~kind s in
-    let v = read r in
+    let r = unframe s in
+    let v = r_outcome r in
     if r.pos <> String.length r.s then raise (Bad "trailing payload bytes");
     v
   with
   | v -> Ok v
   | exception Bad msg -> Error msg
-
-(* ------------------------------------------------------------------ *)
-(* Public API *)
-
-let encode_summary s = encode ~kind:kind_summary w_summary s
-let decode_summary s = decode ~kind:kind_summary r_summary s
-let encode_table t = encode ~kind:kind_table w_table t
-let decode_table s = decode ~kind:kind_table r_table s
-let encode_outcome o = encode ~kind:kind_outcome w_outcome o
-let decode_outcome s = decode ~kind:kind_outcome r_outcome s

@@ -27,11 +27,5 @@ type outcome = {
 (** Structural mirror of [Sim.Outcome.t] (the store cannot depend on
     [sim], which sits above it); [Sim.Cache] converts. *)
 
-val encode_summary : Stats.Summary.t -> string
-val decode_summary : string -> (Stats.Summary.t, string) result
-
-val encode_table : Stats.Table.t -> string
-val decode_table : string -> (Stats.Table.t, string) result
-
 val encode_outcome : outcome -> string
 val decode_outcome : string -> (outcome, string) result

@@ -43,7 +43,10 @@ val degrade : what:string -> unit
     and bumps ["store.degraded"]. *)
 
 val reset_degraded : unit -> unit
-(** Clear the latch (tests). *)
+(** Clear the latch (tests).
+
+    Test support: clears the latch that the fault-armed test_fault cases
+    set through the degradation paths they check. *)
 
 val read_file : string -> string option
 (** Whole-file read; [None] if the file cannot be opened. *)
@@ -52,9 +55,3 @@ val remove_if_exists : string -> unit
 
 val remove_tree : string -> unit
 (** Recursive best-effort delete of a file or directory. *)
-
-val fsync_channel : out_channel -> unit
-(** Flush then fsync (best-effort) an output channel. *)
-
-val fsync_dir : string -> unit
-(** Best-effort fsync of a directory entry (after a rename). *)

@@ -225,7 +225,6 @@ let open_ ~dir =
   load_manifest t;
   t
 
-let dir t = t.dir
 let entries t = t.entries
 let find t ~key = Hashtbl.find_opt t.tbl key
 

@@ -25,8 +25,6 @@ val open_ : dir:string -> t
 (** Create the layout if missing and load the manifest.  Malformed
     (e.g. crash-truncated) manifest lines are skipped. *)
 
-val dir : t -> string
-
 val entries : t -> entry list
 (** Every manifest line in publish order (oldest first); the last
     entry for a key is the live one. *)

@@ -40,7 +40,7 @@ let lane_width = Sys.int_size
 
 (* Bit helpers on OCaml's native ints.  Masks with bit 62 set do not
    fit a 63-bit literal, so popcount splits into two halves narrow
-   enough for 32-bit SWAR; [ntz] expects a power of two. *)
+   enough for 32-bit SWAR. *)
 
 let pop32 x =
   let x = x - ((x lsr 1) land 0x55555555) in
@@ -51,32 +51,6 @@ let pop32 x =
   ((x * 0x01010101) lsr 24) land 0xFF
 
 let popcount x = pop32 (x land 0x7FFFFFFF) + pop32 ((x lsr 31) land 0xFFFFFFFF)
-
-let ntz b =
-  if b = 0 then invalid_arg "Batch.ntz: zero";
-  let n = ref 0 and x = ref b in
-  if !x land 0x7FFFFFFF = 0 then begin
-    n := !n + 31;
-    x := !x lsr 31
-  end;
-  if !x land 0xFFFF = 0 then begin
-    n := !n + 16;
-    x := !x lsr 16
-  end;
-  if !x land 0xFF = 0 then begin
-    n := !n + 8;
-    x := !x lsr 8
-  end;
-  if !x land 0xF = 0 then begin
-    n := !n + 4;
-    x := !x lsr 4
-  end;
-  if !x land 0x3 = 0 then begin
-    n := !n + 2;
-    x := !x lsr 2
-  end;
-  if !x land 0x1 = 0 then incr n;
-  !n
 
 (* All [k] low bits set, valid for 1 <= k <= lane_width (1 lsl
    lane_width is unspecified, so the full word is spelled -1). *)

@@ -100,7 +100,10 @@ val all_saturated : t -> bool
 val eccentricity : t -> lane:int -> int option
 (** Max arrival over all targets of the lane's source — the label of
     the group that saturated the lane — or [None] while some vertex is
-    unreached.  O(1): maintained by the sweep itself. *)
+    unreached.  O(1): maintained by the sweep itself.
+
+    Test support: test_batch checks each lane of a sweep against
+    [Foremost.max_distance] through it. *)
 
 (** {2 All-source batching}
 
@@ -140,8 +143,3 @@ val map_batches : ?start_time:int -> Tgraph.t -> (t -> 'a) -> 'a array
 (** {2 Bit utilities} *)
 
 val popcount : int -> int
-
-val ntz : int -> int
-(** Number of trailing zeros; the argument must be non-zero (intended
-    for isolated low bits [x land (-x)]).
-    @raise Invalid_argument on zero. *)

@@ -20,7 +20,12 @@ val add_label : t -> int -> int -> int -> unit
 (** [add_label b u v l] is [add_edge b u v [l]]. *)
 
 val edge_count : t -> int
+(** Test support: test_ops checks how {!add_edge} and {!add_label} merge
+    edges through it. *)
+
 val label_count : t -> int
+(** Test support: test_ops checks how {!add_edge} and {!add_label} merge
+    label sets through it. *)
 
 val build : ?lifetime:int -> t -> Tgraph.t
 (** Freeze.  The lifetime defaults to the largest label used (at least

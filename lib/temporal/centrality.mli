@@ -16,7 +16,11 @@ val out_closeness : Tgraph.t -> float array
     [\[0, 1\]]; higher = reaches others earlier. *)
 
 val in_closeness : Tgraph.t -> float array
-(** Same over distances *into* each vertex: [Σ 1/δ(v,u)]. *)
+(** Same over distances *into* each vertex: [Σ 1/δ(v,u)].
+
+    Test support: test_implicit checks through it that the batched sweeps
+    of a derived network equal its materialized twin's; test_taxonomy
+    checks it on a fixture. *)
 
 val broadcast_time : Tgraph.t -> int array
 (** Per source, the completion time of flooding from it ([max_int] when
@@ -28,7 +32,10 @@ val best_broadcaster : Tgraph.t -> int * int
 
 val reach_counts : Tgraph.t -> int array
 (** Number of vertices each vertex can reach by a journey (itself
-    included). *)
+    included).
+
+    Test support: test_batch, test_implicit and test_crosschecks check
+    [Batch.sweep_reach] through it. *)
 
 val rank : float array -> int array
 (** Vertices sorted by descending score (ties by index). *)

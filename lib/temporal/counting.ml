@@ -42,4 +42,3 @@ let foremost_journeys net s =
   done;
   counts
 
-let unique_optimum net ~s ~t = (foremost_journeys net s).(t) = 1

@@ -8,16 +8,11 @@
     ({!Expanded}): nodes sorted by time are a topological order, and for
     [v ≠ s] only travel arcs can enter the earliest-arrival node of [v],
     so the count at that node is exactly the number of foremost
-    journeys.  Saturating arithmetic (counts cap at {!saturated}) keeps
+    journeys.  Saturating arithmetic (counts cap at [max_int / 4]) keeps
     dense instances safe. *)
-
-val saturated : int
-(** The saturation ceiling ([max_int / 4]). *)
 
 val foremost_journeys : Tgraph.t -> int -> int array
 (** [foremost_journeys net s] gives, per vertex, the number of distinct
     foremost [(s,v)]-journeys ([1] at the source by convention, [0] if
-    unreachable); values clip at {!saturated}. *)
+    unreachable); values clip at [max_int / 4]. *)
 
-val unique_optimum : Tgraph.t -> s:int -> t:int -> bool
-(** Exactly one foremost journey — the fragile case. *)

@@ -14,10 +14,16 @@
     reference benches and equivalence tests compare against. *)
 
 val distance : Tgraph.t -> int -> int -> int option
-(** δ(u, v) for a single pair; [None] when no journey exists. *)
+(** δ(u, v) for a single pair; [None] when no journey exists.
+
+    Test support: tests read single distances of the networks they build
+    through it ([Foremost.run] underneath). *)
 
 val eccentricity : Tgraph.t -> int -> int option
-(** Max δ(s, v) over all [v]; [None] if some vertex is unreachable. *)
+(** Max δ(s, v) over all [v]; [None] if some vertex is unreachable.
+
+    Test support: test_foremost checks through it the borrowed-workspace
+    eccentricity that {!instance_diameter_scalar} folds. *)
 
 val instance_diameter : Tgraph.t -> int option
 (** Max δ over all ordered pairs — one {e batched} foremost pass per
@@ -42,7 +48,10 @@ val all_pairs : Tgraph.t -> int array array
 (** [all_pairs net] has δ(u, v) at [(u, v)], [max_int] when unreachable
     and [0] on the diagonal.  Batched over {!Batch.arrival_lanes}-wide
     slices, so kernel scratch stays O(n) words on either backend (the
-    n² output is the caller's ask, not an intermediate). *)
+    n² output is the caller's ask, not an intermediate).
+
+    Test support: test_batch and test_implicit check the batched all-pairs
+    sweep ([Batch.map_batches]) through it. *)
 
 val average : Tgraph.t -> float
 (** Mean δ over ordered reachable pairs [u <> v]; [nan] when none.

@@ -89,7 +89,6 @@ let build net =
     arcs;
   { net; nodes; ids; start; events; arcs; out_adjacency }
 
-let network t = t.net
 let node_count t = Array.length t.nodes
 let node t id = t.nodes.(id)
 let start_node t v = t.start.(v)

@@ -21,7 +21,6 @@ type arc =
 
 val build : Tgraph.t -> t
 
-val network : t -> Tgraph.t
 val node_count : t -> int
 
 val node : t -> int -> int * int
@@ -34,9 +33,14 @@ val arcs : t -> arc array
 (** All arcs (do not mutate). *)
 
 val arc_count : t -> int
+(** Test support: test_connectivity checks that {!build} emits arcs
+    through it. *)
 
 val earliest_arrival : t -> int -> int array
 (** [earliest_arrival exp s] recomputes temporal distances from [s] *via
     the static expansion* (per vertex, the minimum event time among
     reachable nodes; [max_int] if none, [0] at the source) — an
-    independent cross-check of {!Foremost}, property-tested equal. *)
+    independent cross-check of {!Foremost}, property-tested equal.
+
+    Test support: the independent oracle test_connectivity checks
+    [Foremost.run] against. *)

@@ -37,7 +37,6 @@ let run net s =
     departures;
   { source = s; duration; best_start }
 
-let source r = r.source
 let duration r v = if r.duration.(v) = max_int then None else Some r.duration.(v)
 
 let window r v =

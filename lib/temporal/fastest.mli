@@ -16,8 +16,6 @@ type result
 val run : Tgraph.t -> int -> result
 (** @raise Invalid_argument on a bad source. *)
 
-val source : result -> int
-
 val duration : result -> int -> int option
 (** Minimum transit time to the vertex; [Some 0] for the source itself,
     [None] if unreachable. *)
@@ -30,4 +28,7 @@ val max_duration : result -> int option
     unreachable. *)
 
 val journey_to : Tgraph.t -> result -> int -> Journey.t option
-(** Witness journey achieving {!duration}. *)
+(** Witness journey achieving {!duration}.
+
+    Test support: test_taxonomy checks through it that {!run}'s durations
+    have witness journeys. *)

@@ -21,6 +21,26 @@ let iter_stream_all net f =
     done
   done
 
+(* The record of a finished sweep: who was informed, and when the last
+   of them was if everyone was. *)
+let finish s informed_time transmissions =
+  let informed_count = ref 0 and completion = ref 0 in
+  Array.iter
+    (fun t ->
+      if t < max_int then begin
+        incr informed_count;
+        if t > !completion then completion := t
+      end)
+    informed_time;
+  let all = !informed_count = Array.length informed_time in
+  {
+    source = s;
+    informed_time;
+    informed_count = !informed_count;
+    completion_time = (if all then Some !completion else None);
+    transmissions;
+  }
+
 let run ?(start_time = 1) net s =
   if start_time < 1 then invalid_arg "Flooding.run: start_time must be >= 1";
   let n = Tgraph.n net in
@@ -37,28 +57,15 @@ let run ?(start_time = 1) net s =
         incr transmissions;
         if label < informed_time.(dst) then informed_time.(dst) <- label
       end);
-  let informed_count = ref 0 and completion = ref 0 in
-  Array.iter
-    (fun t ->
-      if t < max_int then begin
-        incr informed_count;
-        if t > !completion then completion := t
-      end)
-    informed_time;
-  {
-    source = s;
-    informed_time;
-    informed_count = !informed_count;
-    completion_time = (if !informed_count = n then Some !completion else None);
-    transmissions = !transmissions;
-  }
+  finish s informed_time !transmissions
 
 (* Flooding's informed times obey the same relaxation as foremost
    arrivals, so completion time is just the max over the borrowed
    arrival array — no result record, no transmission counting. *)
 let broadcast_time net s =
   let n = Tgraph.n net in
-  if s < 0 || s >= n then invalid_arg "Flooding.run: source out of range";
+  if s < 0 || s >= n then
+    invalid_arg "Flooding.broadcast_time: source out of range";
   let arrival = Foremost.arrivals_borrowed net s in
   let completion = ref 0 and all = ref true in
   for v = 0 to n - 1 do
@@ -86,18 +93,4 @@ let run_budgeted ?(start_time = 1) ~k net s =
         incr transmissions;
         if label < informed_time.(dst) then informed_time.(dst) <- label
       end);
-  let informed_count = ref 0 and completion = ref 0 in
-  Array.iter
-    (fun t ->
-      if t < max_int then begin
-        incr informed_count;
-        if t > !completion then completion := t
-      end)
-    informed_time;
-  {
-    source = s;
-    informed_time;
-    informed_count = !informed_count;
-    completion_time = (if !informed_count = n then Some !completion else None);
-    transmissions = !transmissions;
-  }
+  finish s informed_time !transmissions

@@ -54,4 +54,6 @@ val journey_to : Tgraph.t -> result -> int -> Journey.t option
 val brute_force_distance : Tgraph.t -> ?start_time:int -> int -> int -> int option
 (** Reference implementation: exhaustive search over all journeys (label-
     respecting DFS).  Exponential in principle, fine on the small
-    instances the tests use; the property tests pin {!run} against it. *)
+    instances the tests use; the property tests pin {!run} against it.
+
+    Test support: the oracle the property tests check {!run} against. *)

@@ -17,14 +17,23 @@ val arrival : t -> int option
 (** Label of the last step; [None] for the empty journey. *)
 
 val departure : t -> int option
-(** Label of the first step. *)
+(** Label of the first step.
+
+    Test support: tests read the witnesses that [Foremost], [Fastest] and
+    [Shortest] build through it. *)
 
 val length : t -> int
-(** Number of time edges used. *)
+(** Number of time edges used.
+
+    Test support: tests read the witnesses that [Foremost], [Fastest] and
+    [Shortest] build through it. *)
 
 val vertices : t -> int list
 (** Visited vertices in order, [src :: dst of every step]; empty for the
-    empty journey. *)
+    empty journey.
+
+    Test support: tests read the witnesses that [Foremost], [Fastest] and
+    [Shortest] build through it. *)
 
 val strictly_increasing : t -> bool
 (** Labels strictly increase along the journey. *)
@@ -38,6 +47,10 @@ val valid_in : Tgraph.t -> t -> bool
 
 val is_journey : Tgraph.t -> source:int -> target:int -> t -> bool
 (** {!valid_in}, anchored at the given endpoints.  The empty journey is a
-    valid [(v, v)]-journey. *)
+    valid [(v, v)]-journey.
+
+    Test support: the validity oracle that the tests of every
+    journey-building algorithm ([Foremost], [Fastest], [Shortest],
+    [Restless], [Expansion]) check their witnesses with. *)
 
 val pp : Format.formatter -> t -> unit

@@ -20,15 +20,24 @@ val restrict_window : Tgraph.t -> lo:int -> hi:int -> Tgraph.t
 val shift : Tgraph.t -> int -> Tgraph.t
 (** [shift net d] adds [d] to every label (lifetime becomes
     [lifetime + d]).
-    @raise Invalid_argument if some label would leave [>= 1]. *)
+    @raise Invalid_argument if some label would leave [>= 1].
+
+    Test support: test_crosschecks checks through it that [Profile]
+    arrivals commute with a time shift. *)
 
 val scale : Tgraph.t -> int -> Tgraph.t
 (** [scale net k] multiplies every label and the lifetime by [k >= 1].
-    @raise Invalid_argument if [k < 1]. *)
+    @raise Invalid_argument if [k < 1].
+
+    Test support: test_ops checks through it that [Foremost] distances
+    scale with the labels. *)
 
 val reverse_time : Tgraph.t -> Tgraph.t
 (** Labels [l ↦ lifetime + 1 - l]; directed networks also get their arcs
-    reversed (undirected ones are their own arc-reversal). *)
+    reversed (undirected ones are their own arc-reversal).
+
+    Test support: test_ops checks [Reverse_foremost] against foremost
+    arrivals in reversed time through it. *)
 
 val union : Tgraph.t -> Tgraph.t -> Tgraph.t
 (** Per-edge union of the label sets of two networks over the *same*

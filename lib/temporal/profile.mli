@@ -22,7 +22,10 @@ val compute : Tgraph.t -> source:int -> target:int -> step list
 
 val arrival_at : step list -> int -> int option
 (** Evaluate the profile at a departure time.
-    @raise Not_found if the time precedes the profile's first step. *)
+    @raise Not_found if the time precedes the profile's first step.
+
+    Test support: test_taxonomy and test_crosschecks read {!compute}'s
+    steps through it. *)
 
 val latest_useful_departure : step list -> int option
 (** The last departure time with a finite arrival, if any. *)

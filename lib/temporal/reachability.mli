@@ -15,7 +15,10 @@ val treach : Tgraph.t -> bool
 
 val missing_pairs : Tgraph.t -> (int * int) list
 (** All ordered pairs that are statically but not temporally reachable
-    (empty iff {!treach}). *)
+    (empty iff {!treach}).
+
+    Test support: test_batch and test_reachability check the batched reach
+    sweep behind {!treach} through it. *)
 
 val reachable_pair_count : Tgraph.t -> int
 (** Ordered pairs [u <> v] joined by a journey. *)

@@ -78,8 +78,6 @@ let run ?(start_time = 1) ~delta net s =
     preds = Array.map Buffer_.preds buffers;
   }
 
-let source r = r.source
-let delta r = r.delta
 
 let distance r v =
   if v = r.source then Some 0

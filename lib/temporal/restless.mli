@@ -24,9 +24,6 @@ val run : ?start_time:int -> delta:int -> Tgraph.t -> int -> result
     @raise Invalid_argument if [delta < 1], a bad source, or
     [start_time < 1]. *)
 
-val source : result -> int
-val delta : result -> int
-
 val distance : result -> int -> int option
 (** Earliest restless arrival; [Some 0] at the source, [None] if no
     restless walk reaches the vertex. *)
@@ -36,14 +33,23 @@ val reachable_count : result -> int
 val journey_to : result -> int -> Journey.t option
 (** A witness restless walk arriving at {!distance}; [Some []] at the
     source.  Always satisfies [Journey.is_journey] on the network it was
-    computed from, plus the waiting bound ({!is_restless}). *)
+    computed from, plus the waiting bound ({!is_restless}).
+
+    Test support: test_taxonomy checks through it that {!run}'s distances
+    have witness walks. *)
 
 val is_restless : result -> Journey.t -> bool
 (** Do consecutive labels of the journey respect this result's waiting
-    bound [delta]? *)
+    bound [delta]?
+
+    Test support: test_taxonomy checks through it that {!journey_to}'s
+    walks respect the waiting bound. *)
 
 val path_exists_exhaustive :
   delta:int -> Tgraph.t -> s:int -> t:int -> bool
 (** Is there a Δ-restless {e simple path} [s → t]?  Exhaustive search
     (the problem is NP-hard); small networks only.
-    @raise Invalid_argument for networks with more than 20 vertices. *)
+    @raise Invalid_argument for networks with more than 20 vertices.
+
+    Test support: the oracle test_taxonomy checks {!run}'s reachability
+    against. *)

@@ -24,7 +24,10 @@ val deadline : result -> int
 
 val latest_presence : result -> int -> int option
 (** [L(v)]; [None] when no journey from [v] reaches [t] by the deadline
-    at all.  [Some deadline] for [t] itself. *)
+    at all.  [Some deadline] for [t] itself.
+
+    Test support: test_ops and test_taxonomy check {!run}'s latest
+    departures through it. *)
 
 val latest_departure : result -> int -> int option
 (** The largest first-label over all [(v,t)]-journeys meeting the
@@ -32,7 +35,9 @@ val latest_departure : result -> int -> int option
     unreachable, and for [t] itself (a departure needs an edge). *)
 
 val reachable_count : result -> int
-(** Vertices that can reach the target (target included). *)
+(** Vertices that can reach the target (target included).
+
+    Test support: test_taxonomy checks {!run}'s reach through it. *)
 
 val journey_from : Tgraph.t -> result -> int -> Journey.t option
 (** A witness journey departing at {!latest_departure}; [Some []] for

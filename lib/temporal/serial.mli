@@ -18,9 +18,10 @@ val to_string : Tgraph.t -> string
 val of_string : string -> (Tgraph.t, string) result
 (** Parse; [Error message] pinpoints the offending line. *)
 
-val to_channel : out_channel -> Tgraph.t -> unit
 val of_file : string -> (Tgraph.t, string) result
 val to_file : string -> Tgraph.t -> unit
+(** Test support: writes the file test_connectivity reads back with
+    {!of_file}. *)
 
 val to_dot : ?name:string -> Tgraph.t -> string
 (** Graphviz source; edges annotated with their label sets. *)

@@ -56,7 +56,6 @@ let run ?(start_time = 1) net s =
     levels = Array.of_list (List.rev !levels);
   }
 
-let source r = r.source
 let hops r v = if r.hops.(v) < 0 then None else Some r.hops.(v)
 
 let arrival_at_best_hops r v =

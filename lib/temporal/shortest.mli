@@ -19,8 +19,6 @@ val run : ?start_time:int -> Tgraph.t -> int -> result
     that hop count) from [s] for journeys departing at [>= start_time].
     @raise Invalid_argument on a bad source or [start_time < 1]. *)
 
-val source : result -> int
-
 val hops : result -> int -> int option
 (** Fewest time edges of any journey to the vertex; [Some 0] for the
     source, [None] if unreachable. *)
@@ -34,7 +32,10 @@ val max_hops : result -> int option
 
 val journey_to : Tgraph.t -> result -> int -> Journey.t option
 (** A witness journey with exactly {!hops} steps; [Some []] for the
-    source. *)
+    source.
+
+    Test support: test_taxonomy checks through it that {!run}'s hop counts
+    have witness journeys. *)
 
 val pareto : result -> int -> (int * int) list
 (** [pareto r v] is the full hops-vs-arrival trade-off to [v]: the
@@ -42,4 +43,7 @@ val pareto : result -> int -> (int * int) list
     in increasing hops / strictly decreasing arrival order.  Its first
     point is [({!hops}, {!arrival_at_best_hops})] and its last arrival
     equals the foremost distance.  Empty when unreachable; [[(0, 0)]]
-    at the source. *)
+    at the source.
+
+    Test support: test_taxonomy checks {!run}'s per-hop arrival levels
+    through it, anchored to {!hops} and [Foremost]. *)

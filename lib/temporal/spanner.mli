@@ -26,4 +26,6 @@ val prune : ?order:[ `Latest_first | `Earliest_first ] -> Tgraph.t -> result
 
 val is_minimal : Tgraph.t -> bool
 (** No single label can be removed without breaking [Treach].  (Every
-    {!prune} output satisfies this; property-tested.) *)
+    {!prune} output satisfies this; property-tested.)
+
+    Test support: the oracle test_ops checks {!prune}'s output against. *)

@@ -45,8 +45,6 @@ let mutual_graph net =
   done;
   Graph.create Undirected ~n !edges
 
-let open_connectivity_count net = 2 * Graph.m (mutual_graph net)
-
 let popcount mask =
   let rec count mask acc =
     if mask = 0 then acc else count (mask land (mask - 1)) (acc + 1)

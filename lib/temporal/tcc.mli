@@ -36,10 +36,6 @@ val mutual_graph : Tgraph.t -> Sgraph.Graph.t
 (** Undirected graph with an edge [{u, v}] iff journeys exist both
     ways. *)
 
-val open_connectivity_count : Tgraph.t -> int
-(** Ordered pairs [u ≠ v] with journeys both ways
-    ([2 ·] edges of {!mutual_graph}). *)
-
 val condensation : Tgraph.t -> Sgraph.Graph.t * int array
 (** The DAG of chain-components: one vertex per {!scc} class, an arc
     [C → C'] when some member of [C] reaches some member of [C'] by a

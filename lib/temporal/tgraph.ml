@@ -50,10 +50,10 @@ type t = {
    A single-label network places nothing and counts nothing here: it
    hands its labels to a stored [Implicit.Stream], with the list of
    the edges in the first band when the lifetime calls for one
-   ([Stream.list_bound]).  [of_flat_arcs] makes that list in its
-   validation pass; [of_uniform_draws] gets it from the draw loop,
-   which is then the only pass over the [m] labels a sweep that stays
-   in the first band ever makes. *)
+   ([Stream.list_bound]).  [of_flat_arcs] and [materialize] list it
+   from the cells they filled; [of_uniform_draws] gets it from the draw
+   loop, which is then the only pass over the [m] labels a sweep that
+   stays in the first band ever makes. *)
 let create g ~lifetime labels =
   Stream.check_vertices "Tgraph.create" g;
   if lifetime <= 0 then invalid_arg "Tgraph.create: lifetime must be positive";
@@ -100,69 +100,49 @@ let single g ~lifetime cells ~first =
 
 (* Names the first bad label in edge order. *)
 let check_flat_labels label ~lifetime =
-  Array.iter
-    (fun l ->
-      if l < 1 then invalid_arg "Tgraph.of_flat_arcs: labels must be positive";
-      if l > lifetime then
-        invalid_arg "Tgraph.of_flat_arcs: label beyond the lifetime")
-    label
+  for e = 0 to Array.length label - 1 do
+    let l = label.(e) in
+    if l < 1 then invalid_arg "Tgraph.of_flat_arcs: labels must be positive";
+    if l > lifetime then
+      invalid_arg "Tgraph.of_flat_arcs: label beyond the lifetime"
+  done
 
-(* [of_flat_arcs] up to [Cells.max_value], where every label has a
-   cell: one pass validates, copies and lists. *)
-let of_flat_cells g ~lifetime label =
-  let m = Graph.m g in
-  let cells = Cells.create m in
+(* The edges whose label cell is in the first band, ascending, when the
+   lifetime calls for that list ([Stream.list_bound]). *)
+let first_band cells ~m ~lifetime =
   let cut = Stream.list_bound ~lifetime in
-  (* Sized like [Rng.fill_int]'s list, for uniform labels: the expected
-     count plus a sixteenth; doubled when the caller's labels need it. *)
-  let expected = (m / lifetime * cut) + (m mod lifetime * cut / lifetime) in
-  let pos = ref (Array.make (Stdlib.max 1 (expected + (expected / 16))) 0) in
-  let len = ref 0 and e = ref 0 and bad = ref 0 in
-  (* In runs that cannot fill the list (an edge adds at most one
-     position), every label is copied to its cell, every edge is
-     written at [pos.(len)] and counted when its label is in [1..cut],
-     and a label outside [1..lifetime] sets the sign bit of [bad].  The
-     loop has no branch on the label and no call, so its variables stay
-     in registers; the list grows between runs, and a bad label is
-     reported after the pass (its cell holds the label's low 16 bits,
-     and is never read).  A bad label is never counted, so without a
-     list ([cut = 0], one slot, no runs) nothing is. *)
-  while !e < m do
-    if !len = Array.length !pos then begin
-      let grown = Array.make (Stdlib.min m (2 * !len)) 0 in
-      Array.blit !pos 0 grown 0 !len;
-      pos := grown
-    end;
-    let p = !pos in
-    let stop =
-      if cut = 0 then m else Stdlib.min m (!e + Array.length p - !len)
-    in
-    let k = ref !len in
-    for i = !e to stop - 1 do
-      let l = Array.unsafe_get label i in
-      let below = l - 1 in
-      bad := !bad lor below lor (lifetime - l);
-      Cells.unsafe_set cells (2 * i) l;
-      Array.unsafe_set p !k i;
-      k := !k + 1 + ((below lor (cut - l)) asr 62)
+  if cut = 0 then None
+  else begin
+    let k = ref 0 in
+    for e = 0 to m - 1 do
+      if Cells.unsafe_get cells (2 * e) <= cut then incr k
     done;
-    len := !k;
-    e := stop
-  done;
-  if !bad < 0 then check_flat_labels label ~lifetime;
-  single g ~lifetime cells ~first:(if cut > 0 then Some (!pos, !len) else None)
+    let pos = Array.make !k 0 and j = ref 0 in
+    for e = 0 to m - 1 do
+      if Cells.unsafe_get cells (2 * e) <= cut then begin
+        pos.(!j) <- e;
+        incr j
+      end
+    done;
+    Some (pos, !k)
+  end
 
 let of_flat_arcs g ~lifetime label =
   Stream.check_vertices "Tgraph.of_flat_arcs" g;
   if lifetime <= 0 then
     invalid_arg "Tgraph.of_flat_arcs: lifetime must be positive";
-  if Array.length label <> Graph.m g then
+  let m = Graph.m g in
+  if Array.length label <> m then
     invalid_arg "Tgraph.of_flat_arcs: one label per edge required";
-  if lifetime <= Cells.max_value then of_flat_cells g ~lifetime label
-  else begin
-    check_flat_labels label ~lifetime;
-    create g ~lifetime (Array.map Label.singleton label)
+  check_flat_labels label ~lifetime;
+  if lifetime <= Cells.max_value then begin
+    let cells = Cells.create m in
+    for e = 0 to m - 1 do
+      Cells.unsafe_set cells (2 * e) label.(e)
+    done;
+    single g ~lifetime cells ~first:(first_band cells ~m ~lifetime)
   end
+  else create g ~lifetime (Array.map Label.singleton label)
 
 (* The labels are drawn here, so they need no validation: the fill
    keeps them in [1..lifetime] and lists the first band as it draws. *)
@@ -209,26 +189,7 @@ let materialize t =
         for e = 0 to m - 1 do
           Cells.unsafe_set cells (2 * e) (Implicit.Labels.roll d ~edge:e ~k:0)
         done;
-        let cut = Stream.list_bound ~lifetime in
-        let first =
-          if cut = 0 then None
-          else begin
-            let listed e = Cells.unsafe_get cells (2 * e) <= cut in
-            let k = ref 0 in
-            for e = 0 to m - 1 do
-              if listed e then incr k
-            done;
-            let pos = Array.make !k 0 and j = ref 0 in
-            for e = 0 to m - 1 do
-              if listed e then begin
-                pos.(!j) <- e;
-                incr j
-              end
-            done;
-            Some (pos, !k)
-          end
-        in
-        single g ~lifetime cells ~first
+        single g ~lifetime cells ~first:(first_band cells ~m ~lifetime)
       end
       else begin
         let scratch = Array.make r 0 in

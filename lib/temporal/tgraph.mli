@@ -51,9 +51,9 @@ val of_flat_arcs : Sgraph.Graph.t -> lifetime:int -> int array -> t
 
     Up to a lifetime of 65535 ([Prng.Cells.max_value]) the network
     keeps each label in a two-byte cell, edge [e]'s at byte [2 e]
-    ({!Prng.Cells}).  One pass validates the labels, copies each into
-    its cell and, when [Implicit.Stream.list_bound ~lifetime > 0]
-    (lifetime [>= 512]), lists the edges of the first label band;
+    ({!Prng.Cells}).  The labels are validated and copied into their
+    cells and, when [Implicit.Stream.list_bound ~lifetime > 0]
+    (lifetime [>= 512]), the edges of the first label band are listed;
     nothing is placed or counted here.  The stream is built lazily, a
     band of labels at a time, when a sweep first reads past its current
     prefix: the first band from the list, any later one by a pass over
@@ -170,7 +170,10 @@ val stream_prefix_bound : t -> int
 
 val stream_complete : t -> bool
 (** Is the current prefix the whole stream?  Always true on label-set
-    networks. *)
+    networks.
+
+    Test support: test_implicit checks a derived network's prefix growth
+    through it. *)
 
 val stream_extend : t -> past:int -> bool
 (** [stream_extend t ~past] ensures the prefix reaches strictly past
@@ -191,6 +194,8 @@ val stream_extend_all : t -> Implicit.Stream.view
     sentinel. *)
 
 val edge_label_size : t -> int -> int
+(** Test support: test_kernel and test_implicit check each layout's
+    per-edge label count through it. *)
 
 val edge_has_label : t -> int -> int -> bool
 (** [edge_has_label t e x] — is [x ∈ L_e]? *)
@@ -220,7 +225,10 @@ val crossings_out : t -> int -> (int * int * Label.t) array
     {!iter_crossings_out} plus the scalar queries on hot paths. *)
 
 val crossings_in : t -> int -> (int * int * Label.t) array
-(** [(edge id, source, labels)] for each arc entering [v] (allocates). *)
+(** [(edge id, source, labels)] for each arc entering [v] (allocates).
+
+    Test support: test_temporal_core and test_crosschecks check the arcs
+    into a vertex through it. *)
 
 val can_cross_at : t -> src:int -> dst:int -> int -> bool
 (** Is some arc [src → dst] available exactly at the given time? *)

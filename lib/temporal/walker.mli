@@ -40,7 +40,10 @@ val mean_coverage :
   trials:int ->
   float * float
 (** [(mean fraction of vertices visited, cover rate)] over walks from
-    uniformly random sources on the given instance. *)
+    uniformly random sources on the given instance.
+
+    Test support: test_models checks {!walk}'s coverage of a densely
+    available clique through it. *)
 
 val pack :
   ?laziness:float ->
@@ -50,4 +53,7 @@ val pack :
   int * int option
 (** Several independent walkers released simultaneously (the
     multi-walker setting of [2]): [(jointly visited vertices, joint
-    cover time)].  Duplicate sources are allowed. *)
+    cover time)].  Duplicate sources are allowed.
+
+    Test support: test_models checks {!walk}'s first visits, and a fully
+    lazy walk staying put, through it. *)

@@ -19,12 +19,7 @@ let bit_utils () =
   check_int "popcount -1" Sys.int_size (Batch.popcount (-1));
   check_int "popcount max_int" (Sys.int_size - 1) (Batch.popcount max_int);
   check_int "popcount min_int" 1 (Batch.popcount min_int);
-  check_int "popcount 0b1011" 3 (Batch.popcount 0b1011);
-  for j = 0 to Sys.int_size - 1 do
-    check_int (Printf.sprintf "ntz bit %d" j) j (Batch.ntz (1 lsl j))
-  done;
-  Alcotest.check_raises "ntz 0 raises"
-    (Invalid_argument "Batch.ntz: zero") (fun () -> ignore (Batch.ntz 0))
+  check_int "popcount 0b1011" 3 (Batch.popcount 0b1011)
 
 let batch_shapes () =
   check_int "lane_width is the word size" Sys.int_size Batch.lane_width;

@@ -388,7 +388,7 @@ let tcc_fixture () =
      and the underlying graph is connected). *)
   check_bool "temporally connected" true (Tcc.is_temporally_connected net);
   check_int "one scc" 1 (Tcc.scc_count net);
-  check_int "all ordered pairs mutual" 20 (Tcc.open_connectivity_count net);
+  check_int "all ordered pairs mutual" 20 (2 * Graph.m (Tcc.mutual_graph net));
   check_int "clique of everyone" 5 (Tcc.largest_mutual_clique_exhaustive net)
 
 let tcc_broken_path () =
@@ -404,7 +404,7 @@ let tcc_broken_path () =
      reachability digraph even though 0 -> 2 has no direct journey. *)
   check_int "one chain-scc" 1 (Tcc.scc_count net);
   (* Mutual graph: 0-1 and 1-2 only. *)
-  check_int "mutual pairs" 4 (Tcc.open_connectivity_count net);
+  check_int "mutual pairs" 4 (2 * Graph.m (Tcc.mutual_graph net));
   check_int "largest mutual clique" 2 (Tcc.largest_mutual_clique_exhaustive net)
 
 let tcc_no_labels () =

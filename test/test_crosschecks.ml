@@ -127,22 +127,6 @@ let expanded_arc_census =
       !travels = Tgraph.time_edge_count net
       && !waits = Expanded.node_count exp - Tgraph.n net)
 
-(* Serial and Windows agree on the label multiset. *)
-let windows_serial_consistent =
-  qcase ~count:60 "Windows.of_tgraph preserves exactly the label content"
-    ~print:print_params gen_params
-    (fun params ->
-      let net = random_tnet params in
-      let w = Windows.of_tgraph net in
-      let ok = ref true in
-      Graph.iter_edges (Tgraph.graph net) (fun e _ _ ->
-          let original = Label.to_list (Tgraph.labels net e) in
-          let via_windows =
-            Label.to_list (Windows.labels_of_schedule (Windows.schedule w e))
-          in
-          if original <> via_windows then ok := false);
-      !ok)
-
 (* Centrality broadcast times = flooding completion = foremost max. *)
 let broadcast_three_ways =
   qcase ~count:60 "broadcast time: Centrality = Flooding = Foremost"
@@ -292,7 +276,7 @@ let summary_facade_consistent =
 let counting_unique_on_fixture () =
   let net = fixture () in
   (* delta(0,4) = 1 via the single time edge {0,4}@1: unique optimum. *)
-  check_bool "unique direct journey" true (Counting.unique_optimum net ~s:0 ~t:4)
+  check_int "unique direct journey" 1 (Counting.foremost_journeys net 0).(4)
 
 let suites =
   [
@@ -305,13 +289,12 @@ let suites =
         design_budget_bounds;
         profile_shift_commutes;
         expanded_arc_census;
-        windows_serial_consistent;
         broadcast_three_ways;
         restless_matches_batch;
         disjoint_degree_bound;
         counting_matches_bruteforce;
-        counting_positive_iff_reachable;
         case "counting unique optimum" counting_unique_on_fixture;
+        counting_positive_iff_reachable;
         case "summary facade fixture" summary_facade_fixture;
         summary_facade_consistent;
       ] );

@@ -196,7 +196,10 @@ let flooding_bad_args () =
       ignore (Flooding.run (fixture ()) (-1)));
   Alcotest.check_raises "start_time"
     (Invalid_argument "Flooding.run: start_time must be >= 1") (fun () ->
-      ignore (Flooding.run ~start_time:0 (fixture ()) 0))
+      ignore (Flooding.run ~start_time:0 (fixture ()) 0));
+  Alcotest.check_raises "broadcast_time source range"
+    (Invalid_argument "Flooding.broadcast_time: source out of range")
+    (fun () -> ignore (Flooding.broadcast_time (fixture ()) 5))
 
 let budgeted_zero () =
   let net = fixture () in

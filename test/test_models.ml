@@ -1,130 +1,10 @@
-(* Tests for the alternative availability models: Windows (interval
-   availability) and Evolving.Edge_markovian. *)
+(* Tests for the alternative availability models (Evolving.Edge_markovian,
+   Mobility) and for temporal random walks and adversarial jamming. *)
 
 open Helpers
 module Graph = Sgraph.Graph
 module Em = Evolving.Edge_markovian
 open Temporal
-
-(* --------------------------------------------------------------- *)
-(* Windows: schedules *)
-
-let schedule_normalises () =
-  let s = Windows.schedule_of_list [ (5, 7); (1, 2); (3, 4); (9, 9) ] in
-  (* 1-2 and 3-4 are adjacent -> merge; 3-4 and 5-7 adjacent too. *)
-  let windows = Windows.schedule_windows s in
-  check_int "merged runs" 2 (List.length windows);
-  check_int "duration" 8 (Windows.schedule_duration s)
-
-let schedule_overlaps_merge () =
-  let s = Windows.schedule_of_list [ (1, 5); (3, 8) ] in
-  check_int "one window" 1 (List.length (Windows.schedule_windows s));
-  check_int "duration" 8 (Windows.schedule_duration s)
-
-let schedule_invalid () =
-  Alcotest.check_raises "start < 1"
-    (Invalid_argument "Windows: window start must be >= 1") (fun () ->
-      ignore (Windows.schedule_of_list [ (0, 3) ]));
-  Alcotest.check_raises "empty window"
-    (Invalid_argument "Windows: empty window") (fun () ->
-      ignore (Windows.schedule_of_list [ (4, 3) ]))
-
-let schedule_first_available () =
-  let s = Windows.schedule_of_list [ (2, 4); (8, 9) ] in
-  check_int_option "before everything" (Some 2) (Windows.first_available_after s 0);
-  check_int_option "inside a window" (Some 3) (Windows.first_available_after s 2);
-  check_int_option "gap jumps" (Some 8) (Windows.first_available_after s 4);
-  check_int_option "after everything" None (Windows.first_available_after s 9)
-
-let schedule_label_roundtrip =
-  qcase ~count:100 "labels -> schedule -> labels round-trips"
-    ~print:(fun l -> String.concat "," (List.map string_of_int l))
-    QCheck2.Gen.(list_size (int_range 0 20) (int_range 1 30))
-    (fun labels ->
-      let ls = Label.of_list labels in
-      Label.to_list (Windows.labels_of_schedule (Windows.schedule_of_labels ls))
-      = Label.to_list ls)
-
-let schedule_first_available_matches_label =
-  qcase ~count:100 "first_available_after = Label.first_after"
-    ~print:(fun (l, t) ->
-      Printf.sprintf "(%s after %d)"
-        (String.concat "," (List.map string_of_int l))
-        t)
-    QCheck2.Gen.(
-      pair (list_size (int_range 0 15) (int_range 1 25)) (int_range 0 26))
-    (fun (labels, t) ->
-      let ls = Label.of_list labels in
-      Windows.first_available_after (Windows.schedule_of_labels ls) t
-      = Label.first_after ls t)
-
-(* --------------------------------------------------------------- *)
-(* Windows: networks *)
-
-let windows_net () =
-  let g = Graph.create Undirected ~n:3 [ (0, 1); (1, 2) ] in
-  Windows.create g ~lifetime:10
-    [|
-      Windows.schedule_of_list [ (1, 3) ];
-      Windows.schedule_of_list [ (5, 6) ];
-    |]
-
-let windows_create_validations () =
-  let g = Graph.create Undirected ~n:2 [ (0, 1) ] in
-  Alcotest.check_raises "arity"
-    (Invalid_argument "Windows.create: one schedule per edge required")
-    (fun () -> ignore (Windows.create g ~lifetime:5 [||]));
-  Alcotest.check_raises "beyond lifetime"
-    (Invalid_argument "Windows.create: window beyond the lifetime") (fun () ->
-      ignore
-        (Windows.create g ~lifetime:5
-           [| Windows.schedule_of_list [ (4, 6) ] |]))
-
-let windows_earliest_arrival_basic () =
-  let net = windows_net () in
-  let arrival = Windows.earliest_arrival net 0 in
-  check_int "source" 0 arrival.(0);
-  check_int "neighbour at first window moment" 1 arrival.(1);
-  check_int "across the gap" 5 arrival.(2)
-
-let windows_tgraph_roundtrip () =
-  let net = windows_net () in
-  let back = Windows.of_tgraph (Windows.to_tgraph net) in
-  check_int "same lifetime" (Windows.lifetime net) (Windows.lifetime back);
-  for e = 0 to 1 do
-    Alcotest.(check (list int)) "same schedule"
-      (Label.to_list (Windows.labels_of_schedule (Windows.schedule net e)))
-      (Label.to_list (Windows.labels_of_schedule (Windows.schedule back e)))
-  done
-
-let windows_matches_foremost =
-  qcase ~count:100 "window Dijkstra = label foremost" ~print:print_params
-    gen_params
-    (fun params ->
-      let tnet = random_tnet params in
-      let wnet = Windows.of_tgraph tnet in
-      let n = Tgraph.n tnet in
-      let ok = ref true in
-      for s = 0 to n - 1 do
-        let via_windows = Windows.earliest_arrival wnet s in
-        let res = Foremost.run tnet s in
-        for v = 0 to n - 1 do
-          let expected =
-            if v = s then 0
-            else
-              match Foremost.distance res v with Some d -> d | None -> max_int
-          in
-          if via_windows.(v) <> expected then ok := false
-        done
-      done;
-      !ok)
-
-let windows_compression_wins () =
-  (* A dense availability: windows store 1 record where labels store
-     many. *)
-  let dense = Windows.schedule_of_list [ (1, 1000) ] in
-  check_int "one window" 1 (List.length (Windows.schedule_windows dense));
-  check_int "a thousand moments" 1000 (Windows.schedule_duration dense)
 
 (* --------------------------------------------------------------- *)
 (* Edge-Markovian evolving graphs *)
@@ -508,23 +388,6 @@ let adversary_names_and_validation () =
 
 let suites =
   [
-    ( "temporal.windows.schedule",
-      [
-        case "normalises" schedule_normalises;
-        case "overlaps merge" schedule_overlaps_merge;
-        case "invalid" schedule_invalid;
-        case "first_available_after" schedule_first_available;
-        schedule_label_roundtrip;
-        schedule_first_available_matches_label;
-      ] );
-    ( "temporal.windows.network",
-      [
-        case "create validations" windows_create_validations;
-        case "earliest arrival basic" windows_earliest_arrival_basic;
-        case "tgraph roundtrip" windows_tgraph_roundtrip;
-        windows_matches_foremost;
-        case "compression" windows_compression_wins;
-      ] );
     ( "temporal.walker",
       [
         case "deterministic track" walker_deterministic_track;

@@ -828,8 +828,9 @@ let binomial_mean () =
 
 let zipf_range () =
   let g = rng () in
+  let cache = Sample.Zipf_cache.create ~s:1.2 ~n:30 in
   for _ = 1 to 500 do
-    let v = Sample.zipf g ~s:1.2 ~n:30 in
+    let v = Sample.Zipf_cache.draw cache g in
     check_bool "in {1..30}" true (v >= 1 && v <= 30)
   done
 

@@ -23,7 +23,7 @@ let graph_basic_directed () =
   check_int "arc_count" 3 (Graph.arc_count g);
   check_bool "directed" true (Graph.is_directed g);
   Alcotest.(check (array int)) "out 0" [| 1 |] (Graph.out_neighbors g 0);
-  Alcotest.(check (array int)) "in 0" [| 2 |] (Graph.in_neighbors g 0);
+  Alcotest.(check (array int)) "in 0" [| 2 |] (Array.map snd (Graph.in_arcs g 0));
   check_int "out deg" 1 (Graph.out_degree g 0);
   check_int "in deg" 1 (Graph.in_degree g 0)
 
@@ -294,7 +294,7 @@ let bfs_directed_one_way () =
 let bfs_reverse_directed () =
   let g = Graph.create Directed ~n:3 [ (0, 1); (1, 2) ] in
   Alcotest.(check (array int)) "distances to 2" [| 2; 1; 0 |]
-    (Traverse.bfs_reverse g 2)
+    (Traverse.bfs (Graph.reverse g) 2)
 
 let bfs_tree_parents () =
   let g = Gen.path 4 in
@@ -304,17 +304,15 @@ let bfs_tree_parents () =
     check_int "parent is one closer" (dist.(v) - 1) dist.(parent.(v))
   done
 
-let dfs_order_visits_reachable () =
-  let g = Graph.create Directed ~n:4 [ (0, 1); (0, 2); (3, 0) ] in
-  let order = Traverse.dfs_order g 0 in
-  check_int "three reachable" 3 (List.length order);
-  check_bool "3 not visited" false (List.mem 3 order);
-  check_int "starts at root" 0 (List.hd order)
-
 let reachable_count () =
   let g = Graph.create Directed ~n:4 [ (0, 1); (2, 3) ] in
-  check_int "component of 0" 2 (Traverse.reachable_count g 0);
-  check_int "component of 2" 2 (Traverse.reachable_count g 2)
+  let reached s =
+    Array.fold_left
+      (fun acc d -> if d <> Traverse.unreachable then acc + 1 else acc)
+      0 (Traverse.bfs g s)
+  in
+  check_int "component of 0" 2 (reached 0);
+  check_int "component of 2" 2 (reached 2)
 
 let bfs_bad_source () =
   Alcotest.check_raises "source range"
@@ -329,8 +327,8 @@ let unionfind_basic () =
   check_int "initial count" 5 (Unionfind.count uf);
   check_bool "union merges" true (Unionfind.union uf 0 1);
   check_bool "second union is a no-op" false (Unionfind.union uf 1 0);
-  check_bool "same" true (Unionfind.same uf 0 1);
-  check_bool "not same" false (Unionfind.same uf 0 2);
+  check_bool "same" true (Unionfind.find uf 0 = Unionfind.find uf 1);
+  check_bool "not same" false (Unionfind.find uf 0 = Unionfind.find uf 2);
   check_int "count after one merge" 4 (Unionfind.count uf)
 
 let unionfind_chain () =
@@ -339,7 +337,7 @@ let unionfind_chain () =
     ignore (Unionfind.union uf i (i + 1))
   done;
   check_int "one set" 1 (Unionfind.count uf);
-  check_bool "ends joined" true (Unionfind.same uf 0 9)
+  check_bool "ends joined" true (Unionfind.find uf 0 = Unionfind.find uf 9)
 
 let components_split () =
   let g = Graph.create Undirected ~n:6 [ (0, 1); (1, 2); (3, 4) ] in
@@ -347,25 +345,28 @@ let components_split () =
   check_int "count" 3 (Components.component_count g);
   check_bool "0 and 2 together" true (comp.(0) = comp.(2));
   check_bool "0 and 3 apart" true (comp.(0) <> comp.(3));
-  Alcotest.(check (array int)) "sizes" [| 3; 2; 1 |]
-    (Components.component_sizes g);
-  check_int "largest" 3 (Components.largest_component g);
+  check_bool "1 with 0, 4 with 3" true (comp.(1) = comp.(0) && comp.(4) = comp.(3));
+  check_bool "5 alone" true (comp.(5) <> comp.(0) && comp.(5) <> comp.(3));
   check_bool "not connected" false (Components.is_connected g)
 
 let components_direction_blind () =
   let g = Graph.create Directed ~n:3 [ (0, 1); (2, 1) ] in
   check_bool "weakly connected" true (Components.is_connected g)
 
+let strongly_connected g =
+  let comp = Components.strongly_connected_components g in
+  Array.for_all (fun c -> c = comp.(0)) comp
+
 let scc_directed_cycle () =
   let g = Graph.create Directed ~n:4 [ (0, 1); (1, 2); (2, 3); (3, 0) ] in
-  check_bool "strongly connected" true (Components.is_strongly_connected g)
+  check_bool "strongly connected" true (strongly_connected g)
 
 let scc_directed_path () =
   let g = Graph.create Directed ~n:3 [ (0, 1); (1, 2) ] in
   let comp = Components.strongly_connected_components g in
   check_bool "all separate" true
     (comp.(0) <> comp.(1) && comp.(1) <> comp.(2) && comp.(0) <> comp.(2));
-  check_bool "not strongly connected" false (Components.is_strongly_connected g)
+  check_bool "not strongly connected" false (strongly_connected g)
 
 let scc_two_cycles () =
   let g =
@@ -395,7 +396,7 @@ let scc_matches_components_on_undirected =
 
 let scc_clique () =
   check_bool "directed clique strongly connected" true
-    (Components.is_strongly_connected (Gen.clique Directed 6))
+    (strongly_connected (Gen.clique Directed 6))
 
 (* --------------------------------------------------------------- *)
 (* Metrics *)
@@ -405,7 +406,7 @@ let metrics_known () =
   check_int "cycle diameter" 3 (Metrics.diameter (Gen.cycle 6));
   check_int "clique diameter" 1 (Metrics.diameter (Gen.clique Undirected 5));
   check_int "star diameter" 2 (Metrics.diameter (Gen.star 6));
-  check_int "star radius" 1 (Metrics.radius (Gen.star 6));
+  check_int "star centre eccentricity" 1 (Metrics.eccentricity (Gen.star 6) 0);
   check_int "single vertex" 0 (Metrics.diameter (Gen.path 1))
 
 let metrics_disconnected () =
@@ -417,11 +418,6 @@ let metrics_eccentricity () =
   check_int "end" 4 (Metrics.eccentricity g 0);
   check_int "middle" 2 (Metrics.eccentricity g 2)
 
-let metrics_average_distance () =
-  (* Path 0-1-2: ordered pairs (6): distances 1,1,1,1,2,2 -> mean 4/3. *)
-  check_float ~eps:1e-9 "path of 3" (4. /. 3.)
-    (Metrics.average_distance (Gen.path 3))
-
 let metrics_radius_diameter_bounds =
   qcase ~count:80 "radius <= diameter <= 2*radius on connected graphs"
     ~print:print_params gen_params
@@ -429,7 +425,11 @@ let metrics_radius_diameter_bounds =
       let g = random_graph ~n ~seed in
       if not (Components.is_connected g) then true
       else begin
-        let d = Metrics.diameter g and r = Metrics.radius g in
+        let r = ref max_int in
+        for v = 0 to n - 1 do
+          r := min !r (Metrics.eccentricity g v)
+        done;
+        let d = Metrics.diameter g and r = !r in
         r <= d && d <= 2 * r
       end)
 
@@ -438,7 +438,7 @@ let metrics_matrix_symmetric =
     gen_params
     (fun (n, seed, _, _) ->
       let g = random_graph ~n ~seed in
-      let d = Metrics.distance_matrix g in
+      let d = Array.init n (Traverse.bfs g) in
       let ok = ref true in
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
@@ -494,7 +494,6 @@ let suites =
         case "bfs directed one-way" bfs_directed_one_way;
         case "bfs reverse" bfs_reverse_directed;
         case "bfs tree parents" bfs_tree_parents;
-        case "dfs order" dfs_order_visits_reachable;
         case "reachable count" reachable_count;
         case "bfs bad source" bfs_bad_source;
       ] );
@@ -515,7 +514,6 @@ let suites =
         case "known diameters" metrics_known;
         case "disconnected" metrics_disconnected;
         case "eccentricity" metrics_eccentricity;
-        case "average distance" metrics_average_distance;
         metrics_radius_diameter_bounds;
         metrics_matrix_symmetric;
       ] );

@@ -110,11 +110,12 @@ let quantile_errors () =
 
 let quantile_iqr () =
   let xs = Array.init 101 float_of_int in
-  check_float "iqr of 0..100" 50. (Quantile.iqr xs)
+  check_float "iqr of 0..100" 50.
+    (Quantile.quantile xs 0.75 -. Quantile.quantile xs 0.25)
 
 let quantile_many () =
   let xs = [| 10.; 20.; 30. |] in
-  let result = Quantile.quantiles xs [ 0.; 0.5; 1. ] in
+  let result = List.map (fun q -> (q, Quantile.quantile xs q)) [ 0.; 0.5; 1. ] in
   Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
     "three quantiles"
     [ (0., 10.); (0.5, 20.); (1., 30.) ]
@@ -301,7 +302,7 @@ let bootstrap_mean_contains_truth () =
 let bootstrap_median () =
   let g = rng () in
   let xs = Array.init 101 float_of_int in
-  let iv = Stats.Bootstrap.median_interval g xs in
+  let iv = Stats.Bootstrap.interval ~statistic:Quantile.median g xs in
   check_bool "contains the median" true (iv.lo <= 50. && 50. <= iv.hi)
 
 let bootstrap_degenerate_sample () =
@@ -351,7 +352,7 @@ let regression_fit_log () =
 
 let regression_predict () =
   let fit = Regression.fit [ (0., 1.); (1., 3.) ] in
-  check_float ~eps:1e-9 "predict" 5. (Regression.predict fit 2.)
+  check_float ~eps:1e-9 "predict" 5. (fit.alpha +. (fit.beta *. 2.))
 
 let regression_errors () =
   Alcotest.check_raises "one point"
@@ -379,13 +380,6 @@ let regression_r2_bounds =
 (* --------------------------------------------------------------- *)
 (* Bounds *)
 
-let bounds_chernoff () =
-  check_bool "smaller for larger mean" true
-    (Bounds.chernoff_below ~mean:100. ~beta:0.5
-     < Bounds.chernoff_below ~mean:10. ~beta:0.5);
-  check_float ~eps:1e-12 "exact form" (exp (-12.5))
-    (Bounds.chernoff_below ~mean:100. ~beta:0.5)
-
 let bounds_harmonic () =
   check_float "H_1" 1. (Bounds.harmonic 1);
   check_float ~eps:1e-9 "H_4" (1. +. 0.5 +. (1. /. 3.) +. 0.25)
@@ -403,11 +397,6 @@ let bounds_gnp_threshold () =
 let bounds_thm5 () =
   check_float ~eps:1e-9 "(a/n) ln n" (4. *. log 32.)
     (Bounds.thm5_lower_bound ~n:32 ~a:128)
-
-let bounds_union () =
-  check_float "clamped to 1" 1. (Bounds.union_bound [ 0.7; 0.7 ]);
-  check_float ~eps:1e-12 "sums" 0.3 (Bounds.union_bound [ 0.1; 0.2 ]);
-  check_float "empty" 0. (Bounds.union_bound [])
 
 (* --------------------------------------------------------------- *)
 (* Table *)
@@ -549,12 +538,10 @@ let suites =
       ] );
     ( "stats.bounds",
       [
-        case "chernoff" bounds_chernoff;
         case "harmonic" bounds_harmonic;
         case "thm7" bounds_thm7;
         case "gnp threshold" bounds_gnp_threshold;
         case "thm5" bounds_thm5;
-        case "union bound" bounds_union;
       ] );
     ( "stats.table",
       [

@@ -24,6 +24,8 @@ let table ?(title = "t") rows =
   List.iter (Stats.Table.add_row t) rows;
   t
 
+let outcome_of tables : Codec.outcome = { tables; notes = []; plots = [] }
+
 let some_outcome () : Codec.outcome =
   {
     tables =
@@ -116,21 +118,13 @@ let codec_cases =
               check_string "csv" (Stats.Table.to_csv t) (Stats.Table.to_csv t');
               check_string "md" (Stats.Table.to_markdown t) (Stats.Table.to_markdown t'))
             o.tables o'.tables);
-    case "summary round-trips bit for bit (incl. empty)" (fun () ->
-        let s = Stats.Summary.of_array [| 1.5; -2.25; 0.; 42.0625 |] in
-        let check_one name s =
-          let e = Codec.encode_summary s in
-          match Codec.decode_summary e with
-          | Error msg -> Alcotest.failf "%s: %s" name msg
-          | Ok s' -> check_string name e (Codec.encode_summary s')
-        in
-        check_one "filled" s;
-        (* An empty summary's min/max are NaN — the hard case. *)
-        check_one "empty" (Stats.Summary.create ()));
     case "truncation at every length is rejected" (fun () ->
-        let e = Codec.encode_table (table [ [ Stats.Table.Int 1; Stats.Table.Int 2 ] ]) in
+        let e =
+          Codec.encode_outcome
+            (outcome_of [ table [ [ Stats.Table.Int 1; Stats.Table.Int 2 ] ] ])
+        in
         for len = 0 to String.length e - 1 do
-          match Codec.decode_table (String.sub e 0 len) with
+          match Codec.decode_outcome (String.sub e 0 len) with
           | Error _ -> ()
           | Ok _ -> Alcotest.failf "accepted a %d-byte truncation" len
         done);
@@ -146,20 +140,31 @@ let codec_cases =
           done
         done);
     case "kind confusion is rejected" (fun () ->
-        let e = Codec.encode_summary (Stats.Summary.create ()) in
-        check_bool "summary as table" true (Result.is_error (Codec.decode_table e));
-        check_bool "summary as outcome" true (Result.is_error (Codec.decode_outcome e)));
+        (* The kind byte (offset 5) of another record kind, under a
+           valid CRC: only the kind check can reject it. *)
+        let e = Bytes.of_string (Codec.encode_outcome (some_outcome ())) in
+        let body = Bytes.length e - 4 in
+        List.iter
+          (fun kind ->
+            Bytes.set_uint8 e 5 kind;
+            Bytes.set_int32_le e body
+              (Store.Crc32.digest (Bytes.sub_string e 0 body));
+            check_bool
+              (Printf.sprintf "kind %d as outcome" kind)
+              true
+              (Result.is_error (Codec.decode_outcome (Bytes.to_string e))))
+          [ 1; 2; 4 ]);
     case "trailing garbage is rejected" (fun () ->
-        let e = Codec.encode_table (table []) in
-        check_bool "garbage" true (Result.is_error (Codec.decode_table (e ^ "x"))));
+        let e = Codec.encode_outcome (outcome_of [ table [] ]) in
+        check_bool "garbage" true (Result.is_error (Codec.decode_outcome (e ^ "x"))));
     qcase ~count:200 "random tables round-trip" gen_table (fun t ->
-        let e = Codec.encode_table t in
-        match Codec.decode_table e with
-        | Error _ -> false
-        | Ok t' ->
-          e = Codec.encode_table t'
+        let e = Codec.encode_outcome (outcome_of [ t ]) in
+        match Codec.decode_outcome e with
+        | Ok { tables = [ t' ]; _ } ->
+          e = Codec.encode_outcome (outcome_of [ t' ])
           && Stats.Table.to_csv t = Stats.Table.to_csv t'
-          && Stats.Table.to_ascii t = Stats.Table.to_ascii t');
+          && Stats.Table.to_ascii t = Stats.Table.to_ascii t'
+        | Ok _ | Error _ -> false);
   ]
 
 (* ------------------------------------------------------------------ *)
