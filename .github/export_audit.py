@@ -5,18 +5,22 @@ A `val` or `external` declared in lib/<lib>/<m>.mli (or in a
 `module X : sig ... end` inside it) passes when
   - code outside test/ names it: lib/ outside its own .ml, bin/, bench/,
     perfbench/ or examples/; or
-  - its own .ml uses it (the bare name appears again there) and test/
-    names it; or
+  - its own .ml uses it and test/ names it; or
   - its doc comment carries a `Test support:` line, naming the kept path
     its tests check through it.
 A use is `M.v`, or `Alias.v` through `module Alias = [Lib.]M` in the same
-file, outside comments and literals.
+file, outside comments and literals.  In the value's own .ml a use is
+the bare name anywhere past its definition, except as a record field
+(declared, initialised or punned inside `{ }`) or a `~v`/`?v` label: an
+accessor `let v t = t.v` does not use itself through its field.
+
+Limit: a local binding with the value's name still counts as a use.  A
+parameter named `start_time` or `deadline` keeps `Foremost.start_time`
+and `Reverse_foremost.deadline` passing whatever calls them.
 
 Each failing value is printed as `Lib.Module.value: class`, the class
-being "nowhere", "own module only" or "tests only".  Values on BACKLOG
-are known failures still to be resolved; one that stops failing must
-leave the list.  The exit status is 1 on any failure off the backlog or
-any stale backlog entry.
+being "nowhere", "own module only" or "tests only".  The exit status is
+1 on any failure.
 
 Run from the repository root: python3 .github/export_audit.py
 """
@@ -25,31 +29,16 @@ import os
 import re
 import sys
 
-# Test-only values whose tests check nothing else: deleting one takes
-# its own test cases with it.
-BACKLOG = frozenset("""
-Evolving.Edge_markovian.edge_present Evolving.Edge_markovian.snapshot
-Phonecall.Rumor.strategy_name
-Prng.Rng.bool Prng.Rng.int_in Prng.Sample.binomial Prng.Sample.permutation
-Prng.Splitmix64.copy Prng.Splitmix64.next_in Prng.Xoshiro256.jump
-Sgraph.Gen.complete_bipartite Sgraph.Gen.gnm Sgraph.Gen.lollipop
-Stats.Bounds.gnp_connectivity_threshold
-Stats.Ci.mean_ci Stats.Ci.pp_interval Stats.Ci.proportion_point
-Stats.Histogram.mode_bin Stats.Quantile.merge_sorted Stats.Summary.merge
-Temporal.Label.count_in Temporal.Label.first_after
-Temporal.Lifetime.expected_prefix_edge_probability
-Temporal.Ops.restrict_window Temporal.Opt.clique_single
-Temporal.Opt.single_label_always_preserves
-Temporal.Opt.single_label_counterexample Temporal.Opt.tree_up_down
-Temporal.Robustness.target_name Temporal.Tcc.condensation
-""".split())
-
 CHAR = re.compile(r"'(?:[^\\']|\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-7]{3}))'")
 QUOTED = re.compile(r"\{([a-z_]*)\|")
 QUAL = re.compile(r"\b([A-Z][\w']*)\.([a-z_][\w']*)")
 ALIAS = re.compile(r"\bmodule\s+([A-Z][\w']*)\s*=\s*(?:[A-Z][\w']*\.)*([A-Z][\w']*)\s*$", re.M)
 DECL = re.compile(r"\b(?:val|external)\s+([a-z_][\w']*)|\bmodule\s+([A-Z][\w']*)\s*:\s*sig\b|\bend\b"
                   r"|\b(?:type|exception|module|include|class)\b")
+# A record field sits directly inside `{ }`: after `{`, `;`, `with` or
+# `mutable`, before `;`, `}`, `=` or its type's `:`.
+FIELD_BEFORE = re.compile(r"(?:[{;]|\bwith|\bmutable)\Z")
+FIELD_AFTER = re.compile(r"\s*(?:[;}]|=|:(?![:=]))")
 
 
 def strip(src):
@@ -87,6 +76,29 @@ def uses(path):
     return {(alias.get(m, m), v) for m, v in QUAL.findall(text)}
 
 
+def enclosing(text):
+    """For each offset of a stripped source, its innermost open bracket."""
+    opens, inner = [], []
+    for c in text:
+        if c in "([{":
+            opens.append(c)
+        elif c in ")]}" and opens:
+            opens.pop()
+        inner.append(opens[-1] if opens else "")
+    return inner
+
+
+def own_uses(v, text, inner):
+    """How often a stripped .ml names [v] bare, fields and labels aside."""
+    count = 0
+    for m in re.finditer(rf"(?<![\w'.~?]){re.escape(v)}(?![\w'])", text):
+        before = text[:m.start()].rstrip()
+        count += not (inner[m.start()] == "{"
+                      and FIELD_BEFORE.search(before[-8:])
+                      and FIELD_AFTER.match(text, m.end()))
+    return count
+
+
 def declarations(mli):
     """Yield (module path, value, doc text) for each value of an .mli."""
     src = open(mli).read()
@@ -116,13 +128,14 @@ def failures():
     for mli in sorted(glob.glob("lib/*/*.mli")):
         lib, ml = mli.split("/")[1].capitalize(), mli[:-1]
         own = strip(open(ml).read()) if os.path.exists(ml) else ""
+        inner = enclosing(own)
         for path, v, doc in declarations(mli):
             key = (path[-1], v)
             if key in outside or any(key in used[f] for f in files["lib"] if f != ml):
                 continue
             if "Test support:" in doc:
                 continue
-            own_use = len(re.findall(rf"(?<![\w'.]){re.escape(v)}(?![\w'])", own)) > 1
+            own_use = own_uses(v, own, inner) > 1
             tested = key in tests
             if own_use and tested:
                 continue
@@ -131,14 +144,10 @@ def failures():
 
 
 def main():
-    failing = dict(failures())
-    errors = [f"{name}: {kind}" for name, kind in failing.items() if name not in BACKLOG]
-    errors += [f"{name}: on the backlog, but has a caller or is gone"
-               for name in sorted(BACKLOG - failing.keys())]
+    errors = [f"{name}: {kind}" for name, kind in failures()]
     for line in errors:
         print(line)
-    print(f"export audit: {len(errors)} failing, {len(BACKLOG & failing.keys())} on the backlog",
-          file=sys.stderr)
+    print(f"export audit: {len(errors)} failing", file=sys.stderr)
     return 1 if errors else 0
 
 

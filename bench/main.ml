@@ -1,15 +1,14 @@
 (* Benchmark harness.
 
-   Part 1 regenerates every experiment table of the reproduction (the
-   paper has no numeric tables of its own — each theorem's experiment is
-   the "table"; see DESIGN.md and EXPERIMENTS.md).  Part 2 measures the
-   sequential-vs-parallel wall time of E1 on the domain pool and checks
-   the outputs are byte-identical.  Part 3 runs Bechamel
-   micro-benchmarks of the core algorithms, one Test.make per operation.
+   Part 2 measures the sequential-vs-parallel wall time of E1 on the
+   domain pool and checks the outputs are byte-identical; sections
+   2b-2h time the result store, the fault soak, the kernels, the
+   backends and the serving path.  The experiment tables themselves are
+   rendered by `ephemeral run`.
 
    Run with:  dune exec bench/main.exe            (full scale)
               dune exec bench/main.exe -- --quick (reduced scale)
-              dune exec bench/main.exe -- --no-micro / --no-tables / --no-speedup
+              dune exec bench/main.exe -- --no-speedup / --only kernel
               dune exec bench/main.exe -- --jobs 4
               dune exec bench/main.exe -- --metrics --trace out.jsonl
 
@@ -23,13 +22,11 @@ open Temporal
 
 (* ------------------------------------------------------------------ *)
 (* Options.  One pass over argv; anything unrecognized is a usage
-   error, so a typo ("--no-mirco") fails loudly instead of silently
+   error, so a typo ("--no-speeup") fails loudly instead of silently
    running the full suite. *)
 
 type opts = {
   mutable quick : bool;
-  mutable no_micro : bool;
-  mutable no_tables : bool;
   mutable no_speedup : bool;
   mutable no_store : bool;
   mutable no_faults : bool;
@@ -41,7 +38,6 @@ type opts = {
   mutable metrics : bool;
   mutable trace : string option;
   mutable jobs : int option;
-  mutable backend : Sim.Backend.t;
   mutable only : string list;
 }
 
@@ -49,8 +45,8 @@ type opts = {
    --no-* flag; selecting any section turns every other one off. *)
 let sections =
   [
-    "tables"; "speedup"; "store"; "faults"; "implicit"; "batch"; "serve";
-    "serve-sharded"; "kernel"; "micro";
+    "speedup"; "store"; "faults"; "implicit"; "batch"; "serve";
+    "serve-sharded"; "kernel";
   ]
 
 let usage_lines =
@@ -58,7 +54,6 @@ let usage_lines =
     "usage: bench [options]";
     "";
     "  --quick        reduced scale (smaller sizes, shorter quotas)";
-    "  --no-tables    skip part 1 (experiment tables)";
     "  --no-speedup   skip part 2 (E1 sequential-vs-parallel timing)";
     "  --no-store     skip part 2b (E1 cold vs warm result store)";
     "  --no-faults    skip part 2c (E1 fault soak: injected faults + retries)";
@@ -73,14 +68,11 @@ let usage_lines =
     "  --no-serve-sharded";
     "                 skip part 2h (sharded serve: qps scale-out at";
     "                 1/2/4 shard workers, real binary, oracle-checked)";
-    "  --no-micro     skip part 3 (Bechamel micro-benchmarks)";
-    "  --only S       run section S alone (repeatable; tables, speedup,";
-    "                 store, faults, implicit, batch, serve, serve-sharded,";
-    "                 kernel, micro).  BENCH_clique.json is written by the";
+    "  --only S       run section S alone (repeatable; speedup, store,";
+    "                 faults, implicit, batch, serve, serve-sharded,";
+    "                 kernel).  BENCH_clique.json is written by the";
     "                 kernel section, so pair data sections with it if the";
     "                 JSON is wanted.";
-    "  --backend B    run the experiment tables (part 1) under backend B";
-    "                 (dense | implicit; default dense)";
     "  --jobs N, -j N worker domains for trial execution (default: 4";
     "                 for the speedup run, EPHEMERAL_JOBS or the";
     "                 recommended domain count elsewhere)";
@@ -98,8 +90,6 @@ let parse_args () =
   let o =
     {
       quick = false;
-      no_micro = false;
-      no_tables = false;
       no_speedup = false;
       no_store = false;
       no_faults = false;
@@ -111,7 +101,6 @@ let parse_args () =
       metrics = false;
       trace = None;
       jobs = None;
-      backend = Sim.Backend.Dense;
       only = [];
     }
   in
@@ -131,8 +120,6 @@ let parse_args () =
     if i < n then
       match argv.(i) with
       | "--quick" -> o.quick <- true; go (i + 1)
-      | "--no-micro" -> o.no_micro <- true; go (i + 1)
-      | "--no-tables" -> o.no_tables <- true; go (i + 1)
       | "--no-speedup" -> o.no_speedup <- true; go (i + 1)
       | "--no-store" -> o.no_store <- true; go (i + 1)
       | "--no-faults" -> o.no_faults <- true; go (i + 1)
@@ -149,11 +136,6 @@ let parse_args () =
                (String.concat ", " sections));
         o.only <- s :: o.only;
         go (i + 2)
-      | "--backend" ->
-        (match Sim.Backend.of_string (value "--backend" i) with
-        | Some b -> o.backend <- b
-        | None -> usage_error "--backend must be dense or implicit");
-        go (i + 2)
       | "--metrics" -> o.metrics <- true; go (i + 1)
       | "--trace" -> o.trace <- Some (value "--trace" i); go (i + 2)
       | ("--jobs" | "-j") as flag -> o.jobs <- Some (int_value flag i); go (i + 2)
@@ -165,7 +147,6 @@ let parse_args () =
   go 1;
   (if o.only <> [] then
      let off s = not (List.mem s o.only) in
-     o.no_tables <- off "tables";
      o.no_speedup <- off "speedup";
      o.no_store <- off "store";
      o.no_faults <- off "faults";
@@ -173,31 +154,11 @@ let parse_args () =
      o.no_batch <- off "batch";
      o.no_serve <- off "serve";
      o.no_serve_sharded <- off "serve-sharded";
-     o.no_kernel <- off "kernel";
-     o.no_micro <- off "micro");
+     o.no_kernel <- off "kernel");
   o
 
 let opts = parse_args ()
 let quick = opts.quick
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: experiment tables *)
-
-let run_tables () =
-  print_endline
-    "=================================================================";
-  print_endline
-    " Reproduction tables: one experiment per theorem/figure of the";
-  print_endline
-    " paper (Akrida, Gasieniec, Mertzios, Spirakis; SPAA 2014)";
-  print_endline
-    "=================================================================";
-  print_newline ();
-  List.iter
-    (fun exp ->
-      ignore
-        (Sim.Report.run_and_print ~quick ~seed:Sim.Experiments.default_seed exp))
-    Sim.Experiments.all
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: sequential-vs-parallel speedup on E1 (quick scale).
@@ -1019,231 +980,6 @@ let run_kernel_bench () =
   Printf.printf "  wrote %s\n" path;
   print_newline ()
 
-(* ------------------------------------------------------------------ *)
-(* Part 3: Bechamel micro-benchmarks *)
-
-open Bechamel
-open Toolkit
-
-(* Pre-built inputs, so the staged closures measure the algorithm only. *)
-
-let clique_net n =
-  let g = Sgraph.Gen.clique Directed n in
-  Assignment.normalized_uniform (Rng.create 1) g
-
-let star_net n r =
-  let g = Sgraph.Gen.star n in
-  Assignment.uniform_multi (Rng.create 2) g ~a:n ~r
-
-let micro_tests () =
-  let net128 = clique_net 128 in
-  let net512 = clique_net 512 in
-  let star64 = star_net 64 8 in
-  let grid = Sgraph.Gen.grid 16 16 in
-  let clique256 = Sgraph.Gen.clique Directed 256 in
-  let uclique256 = Sgraph.Gen.clique Undirected 256 in
-  let params128 = Expansion.default_params ~n:128 () in
-  let params512 = Expansion.default_params ~n:512 () in
-  let gen_rng = Rng.create 3 in
-  let test name f = Test.make ~name (Staged.stage f) in
-  [
-    Test.make_grouped ~name:"foremost" ~fmt:"%s %s"
-      [
-        test "clique n=128" (fun () -> Foremost.run net128 0);
-        test "clique n=512" (fun () -> Foremost.run net512 0);
-        test "star n=64 r=8" (fun () -> Foremost.run star64 0);
-      ];
-    Test.make_grouped ~name:"instance-diameter" ~fmt:"%s %s"
-      [ test "clique n=128" (fun () -> Distance.instance_diameter net128) ];
-    Test.make_grouped ~name:"construction" ~fmt:"%s %s"
-      [
-        test "assign+sort clique n=256" (fun () ->
-            Assignment.normalized_uniform gen_rng clique256);
-        test "gnp n=1024 p=2ln n/n" (fun () ->
-            Sgraph.Gen.gnp gen_rng ~n:1024 ~p:(2. *. log 1024. /. 1024.));
-        test "random tree n=1024" (fun () ->
-            Sgraph.Gen.random_tree gen_rng 1024);
-      ];
-    Test.make_grouped ~name:"algorithm-1" ~fmt:"%s %s"
-      [
-        test "expansion n=128" (fun () ->
-            Expansion.run net128 params128 ~s:0 ~t:64);
-        test "expansion n=512" (fun () ->
-            Expansion.run net512 params512 ~s:0 ~t:256);
-      ];
-    Test.make_grouped ~name:"dissemination" ~fmt:"%s %s"
-      [
-        test "flooding clique n=512" (fun () -> Flooding.run net512 0);
-        test "push clique n=256" (fun () ->
-            Phonecall.Rumor.spread gen_rng uclique256 Push ~source:0);
-      ];
-    Test.make_grouped ~name:"reachability" ~fmt:"%s %s"
-      [
-        test "treach star n=64 r=8" (fun () -> Reachability.treach star64);
-        test "diameter grid 16x16" (fun () -> Sgraph.Metrics.diameter grid);
-      ];
-    (* Fixed per-task cost of the pool itself: the work (one array
-       write per index) is trivial, so the j=4 row is almost pure
-       dispatch + wakeup + gather overhead over the j=1 row. *)
-    (let pool1 = Exec.Pool.create ~jobs:1 in
-     let pool4 = Exec.Pool.create ~jobs:4 in
-     at_exit (fun () ->
-         Exec.Pool.shutdown pool1;
-         Exec.Pool.shutdown pool4);
-     Test.make_grouped ~name:"exec-pool" ~fmt:"%s %s"
-       [
-         test "map_range 1k j=1" (fun () ->
-             Exec.Pool.map_range pool1 ~lo:0 ~hi:1024 (fun i -> i * i));
-         test "map_range 1k j=4" (fun () ->
-             Exec.Pool.map_range pool4 ~lo:0 ~hi:1024 (fun i -> i * i));
-         test "reduce 1k j=4" (fun () ->
-             Exec.Pool.reduce pool4 ~lo:0 ~hi:1024 ~map:(fun i -> i)
-               ~fold:( + ) ~init:0);
-       ]);
-    (* Store hot paths: codec encode/decode of a realistic outcome
-       (a few numeric tables, the shape `run --cache` persists) and
-       object put/get against a throwaway on-disk store.  put is
-       idempotent for identical bytes, so the measured path after the
-       first iteration is hash + stat + index probe — the warm publish
-       `run --cache` pays on every already-cached experiment. *)
-    (let fixture_table k =
-       let t =
-         Stats.Table.create
-           ~title:(Printf.sprintf "bench table %d" k)
-           ~columns:[ "n"; "mean"; "sd"; "rate" ]
-       in
-       for i = 1 to 24 do
-         Stats.Table.add_row t
-           [
-             Stats.Table.Int (i * 16);
-             Stats.Table.Float (log (float_of_int (i * k + 1)), 4);
-             Stats.Table.Float (sqrt (float_of_int i), 4);
-             Stats.Table.Pct (1. /. float_of_int i);
-           ]
-       done;
-       t
-     in
-     let outcome =
-       {
-         Store.Codec.tables = List.init 3 fixture_table;
-         notes = [ "bench fixture"; "three tables, 24 rows each" ];
-         plots = [];
-       }
-     in
-     let encoded = Store.Codec.encode_outcome outcome in
-     let big = String.make 65536 'x' in
-     let dir = Filename.temp_file "ephemeral-bench" ".store" in
-     Sys.remove dir;
-     let bench_store = Store.Objects.open_ ~dir in
-     ignore (Store.Objects.put bench_store ~key:"bench" ~meta:[] encoded);
-     at_exit (fun () -> Store.Fsio.remove_tree dir);
-     Test.make_grouped ~name:"store-codec" ~fmt:"%s %s"
-       [
-         test
-           (Printf.sprintf "encode outcome %dB" (String.length encoded))
-           (fun () -> Store.Codec.encode_outcome outcome);
-         test "decode outcome" (fun () -> Store.Codec.decode_outcome encoded);
-         test "crc32 64KiB" (fun () -> Store.Crc32.digest big);
-         test "put (warm)" (fun () ->
-             Store.Objects.put bench_store ~key:"bench" ~meta:[] encoded);
-         test "get+verify" (fun () ->
-             Store.Objects.get bench_store ~key:"bench");
-         test "find" (fun () -> Store.Objects.find bench_store ~key:"bench");
-       ]);
-    (let small_net = clique_net 32 in
-     Test.make_grouped ~name:"connectivity" ~fmt:"%s %s"
-       [
-         test "edge-disjoint clique n=32" (fun () ->
-             Disjoint.max_edge_disjoint small_net ~s:0 ~t:15);
-         test "expanded build clique n=32" (fun () ->
-             Expanded.build small_net);
-       ]);
-    (let star16 =
-       (* Guaranteed-reachable input for the pruner: the {1,2} scheme
-          unioned with random labels. *)
-       Ops.union
-         (Opt.star_two_labels (Sgraph.Gen.star 16))
-         (star_net 16 6)
-     in
-     Test.make_grouped ~name:"optimization" ~fmt:"%s %s"
-       [
-         test "spanner prune star n=16 r=6" (fun () -> Spanner.prune star16);
-         test "betweenness star n=64 r=8" (fun () ->
-             Centrality.betweenness star64);
-       ]);
-    Test.make_grouped ~name:"generators" ~fmt:"%s %s"
-      [
-        test "barabasi-albert n=1024 m=3" (fun () ->
-            Sgraph.Gen.barabasi_albert gen_rng ~n:1024 ~m:3);
-        test "watts-strogatz n=1024 k=4" (fun () ->
-            Sgraph.Gen.watts_strogatz gen_rng ~n:1024 ~k:4 ~beta:0.1);
-      ];
-    (let net64 = clique_net 64 in
-     Test.make_grouped ~name:"extensions" ~fmt:"%s %s"
-       [
-         test "restless clique n=128 d=2" (fun () ->
-             Restless.run ~delta:2 net128 0);
-         test "walker clique n=128" (fun () ->
-             Walker.walk gen_rng net128 ~source:0);
-         test "counting clique n=64" (fun () ->
-             Counting.foremost_journeys net64 0);
-         test "markovian flood n=128" (fun () ->
-             Evolving.Edge_markovian.flood
-               (Evolving.Edge_markovian.create gen_rng ~n:128 ~p_up:0.1
-                  ~p_down:0.1)
-               ~source:0);
-       ]);
-  ]
-
-let benchmark () =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances =
-    Instance.[ minor_allocated; major_allocated; monotonic_clock ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if quick then 0.25 else 1.0))
-      ~kde:(Some 1000) ()
-  in
-  let tests = micro_tests () in
-  let raw_results =
-    List.map (fun test -> Benchmark.all cfg instances test) tests
-  in
-  List.map
-    (fun raw ->
-      let per_instance =
-        List.map (fun instance -> Analyze.all ols instance raw) instances
-      in
-      Analyze.merge ols instances per_instance)
-    raw_results
-
-let () =
-  List.iter
-    (fun instance -> Bechamel_notty.Unit.add instance (Measure.unit instance))
-    Instance.[ minor_allocated; major_allocated; monotonic_clock ]
-
-let img (window, results) =
-  Bechamel_notty.Multiple.image_of_ols_results ~rect:window
-    ~predictor:Measure.run results
-
-let run_micro () =
-  print_endline
-    "=================================================================";
-  print_endline " Micro-benchmarks (Bechamel, time per run via OLS)";
-  print_endline
-    "=================================================================";
-  let open Notty_unix in
-  let window =
-    match winsize Unix.stdout with
-    | Some (w, h) -> { Bechamel_notty.w; h }
-    | None -> { Bechamel_notty.w = 100; h = 1 }
-  in
-  List.iter
-    (fun results -> img (window, results) |> eol |> output_image)
-    (benchmark ())
-
 let () =
   let sink =
     Option.map
@@ -1260,8 +996,6 @@ let () =
   in
   if opts.metrics || Option.is_some sink then Obs.Control.set_enabled true;
   Option.iter Exec.Pool.set_jobs opts.jobs;
-  Sim.Backend.set opts.backend;
-  if not opts.no_tables then run_tables ();
   if not opts.no_speedup then run_speedup ();
   if not opts.no_store then run_store_bench ();
   if not opts.no_faults then run_fault_soak ();
@@ -1273,6 +1007,5 @@ let () =
   if not opts.no_serve then run_serve_bench ();
   if not opts.no_serve_sharded then run_serve_sharded_bench ();
   if not opts.no_kernel then run_kernel_bench ();
-  if not opts.no_micro then run_micro ();
   Option.iter Obs.Sink.close sink;
   if opts.metrics then Obs.Export.print_summary ()

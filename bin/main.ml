@@ -752,7 +752,6 @@ let serve_cmd =
                     cache_max = cache_rows;
                     store;
                     jitter_seed = Int64.of_int seed;
-                    store_budget_s = 0.25;
                   }
                 in
                 Serve.Server.run ~config:server ~engine corpus;

@@ -1,5 +1,4 @@
 module Rng = Prng.Rng
-module Graph = Sgraph.Graph
 
 type t = {
   n : int;
@@ -7,7 +6,6 @@ type t = {
   p_down : float;
   rng : Rng.t;
   present : bool array;  (* indexed by upper-triangular pair index *)
-  mutable round : int;
   mutable present_count : int;
 }
 
@@ -33,16 +31,9 @@ let create ?initial_density rng ~n ~p_up ~p_down =
   let total = n * (n - 1) / 2 in
   let present = Array.init total (fun _ -> Rng.bernoulli rng density) in
   let present_count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 present in
-  { n; p_up; p_down; rng; present; round = 0; present_count }
+  { n; p_up; p_down; rng; present; present_count }
 
 let n t = t.n
-let round t = t.round
-
-let edge_present t u v =
-  if u = v then invalid_arg "Edge_markovian.edge_present: self-loop";
-  if u < 0 || u >= t.n || v < 0 || v >= t.n then
-    invalid_arg "Edge_markovian.edge_present: endpoint out of range";
-  t.present.(pair_index t.n u v)
 
 let density t =
   if t.n < 2 then 0.
@@ -51,7 +42,6 @@ let density t =
 let stationary_density t = stationary t.p_up t.p_down
 
 let step t =
-  t.round <- t.round + 1;
   for i = 0 to Array.length t.present - 1 do
     if t.present.(i) then begin
       if Rng.bernoulli t.rng t.p_down then begin
@@ -64,15 +54,6 @@ let step t =
       t.present_count <- t.present_count + 1
     end
   done
-
-let snapshot t =
-  let edges = ref [] in
-  for u = 0 to t.n - 2 do
-    for v = u + 1 to t.n - 1 do
-      if t.present.(pair_index t.n u v) then edges := (u, v) :: !edges
-    done
-  done;
-  Graph.create Undirected ~n:t.n !edges
 
 type flood = { completed : bool; rounds : int; informed : int }
 

@@ -20,12 +20,6 @@ val create :
     [\[0,1\]] with [p_up + p_down > 0]. *)
 
 val n : t -> int
-val round : t -> int
-(** Rounds stepped so far. *)
-
-val edge_present : t -> int -> int -> bool
-(** Current state of the edge [{u, v}].
-    @raise Invalid_argument on [u = v] or out-of-range endpoints. *)
 
 val density : t -> float
 (** Fraction of the [n(n-1)/2] potential edges currently present. *)
@@ -34,9 +28,6 @@ val stationary_density : t -> float
 
 val step : t -> unit
 (** Advance one round (every edge flips per its transition law). *)
-
-val snapshot : t -> Sgraph.Graph.t
-(** The current round's graph. *)
 
 type flood = {
   completed : bool;

@@ -26,7 +26,6 @@ let create rng ~agents ~size =
 
 let agents t = Array.length t.xs
 let size t = t.size
-let tick t = t.tick
 let positions t = Array.init (agents t) (fun i -> (t.xs.(i), t.ys.(i)))
 
 (* One torus step of coordinate [c] towards [target]: move along the

@@ -17,9 +17,6 @@ val create : Prng.Rng.t -> agents:int -> size:int -> t
 
 val agents : t -> int
 val size : t -> int
-val tick : t -> int
-(** Ticks simulated so far. *)
-
 val positions : t -> (int * int) array
 (** Current cell of each agent (do not mutate).
 

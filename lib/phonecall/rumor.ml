@@ -3,12 +3,6 @@ module Rng = Prng.Rng
 
 type strategy = Push | Pull | Push_pull | Push_pull_memory of int
 
-let strategy_name = function
-  | Push -> "push"
-  | Pull -> "pull"
-  | Push_pull -> "push-pull"
-  | Push_pull_memory k -> Printf.sprintf "push-pull/mem%d" k
-
 type result = {
   rounds : int option;
   transmissions : int;

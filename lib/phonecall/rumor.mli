@@ -23,8 +23,6 @@ type strategy =
           a few previous choices provably cuts the transmission count to
           O(n log log n) while staying O(log n)-fast *)
 
-val strategy_name : strategy -> string
-
 type result = {
   rounds : int option;
       (** rounds until everyone is informed; [None] if [max_rounds] hit *)

@@ -25,13 +25,8 @@ let fill_int t ~base bound ~cut cells =
     invalid_arg "Rng.fill_int: values must fit a cell";
   Xoshiro256.fill_in t bound ~base ~cut cells
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 let float t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1p-53
 
-let bool = Xoshiro256.next_bool
 let bernoulli t p = float t < p

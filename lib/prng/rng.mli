@@ -51,15 +51,8 @@ val fill_int : t -> base:int -> int -> cut:int -> Cells.t -> int array * int
     fits a cell: [0 <= base] and [base + bound - 1 <= 65535]
     ([Cells.max_value]). *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in the inclusive range [\[lo, hi\]].
-    @raise Invalid_argument if [hi < lo]. *)
-
 val float : t -> float
 (** [float t] is uniform in [\[0, 1)] with 53 bits of precision. *)
-
-val bool : t -> bool
-(** [bool t] is a fair coin flip. *)
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)

@@ -6,11 +6,6 @@ let shuffle rng a =
     a.(j) <- tmp
   done
 
-let permutation rng n =
-  let a = Array.init n (fun i -> i) in
-  shuffle rng a;
-  a
-
 let choose_distinct rng ~k ~n =
   if k < 0 || k > n then invalid_arg "Sample.choose_distinct: need 0 <= k <= n";
   let a = Array.init n (fun i -> i) in
@@ -29,14 +24,6 @@ let geometric rng ~p =
     let u = 1. -. Rng.float rng in
     (* u in (0,1]; inversion of the geometric CDF. *)
     1 + int_of_float (Float.log u /. Float.log1p (-.p))
-
-let binomial rng ~n ~p =
-  if n < 0 then invalid_arg "Sample.binomial: need n >= 0";
-  let count = ref 0 in
-  for _ = 1 to n do
-    if Rng.bernoulli rng p then incr count
-  done;
-  !count
 
 module Zipf_cache = struct
   type t = { cumulative : float array }

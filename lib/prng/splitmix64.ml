@@ -2,7 +2,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 let of_int64 seed = { state = seed }
-let copy t = { state = t.state }
 
 let golden = 0x9E3779B97F4A7C15L
 let mix1 = 0xBF58476D1CE4E5B9L
@@ -14,15 +13,3 @@ let next t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) mix1 in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) mix2 in
   Int64.logxor z (Int64.shift_right_logical z 31)
-
-let next_in t bound =
-  if bound <= 0 then invalid_arg "Splitmix64.next_in: bound must be positive";
-  (* Take 62 unbiased bits and reject the tail of the range. *)
-  let range = Int64.of_int bound in
-  let top = Int64.div 0x3FFF_FFFF_FFFF_FFFFL range in
-  let limit = Int64.mul top range in
-  let rec draw () =
-    let v = Int64.shift_right_logical (next t) 2 in
-    if v < limit then Int64.to_int (Int64.rem v range) else draw ()
-  in
-  draw ()

@@ -14,12 +14,5 @@ val create : int -> t
 val of_int64 : int64 -> t
 (** [of_int64 seed] builds a generator from a full 64-bit seed. *)
 
-val copy : t -> t
-(** [copy t] is an independent clone that will replay [t]'s future output. *)
-
 val next : t -> int64
 (** [next t] advances the state and returns the next 64-bit output. *)
-
-val next_in : t -> int -> int
-(** [next_in t bound] is a uniform integer in [\[0, bound)].
-    @raise Invalid_argument if [bound <= 0]. *)

@@ -147,25 +147,3 @@ let fill_in t bound ~base ~cut cells =
     end
   done;
   (!pos, !count)
-
-let next_bool t = Int64.logand (step t) 1L = 1L
-
-let jump_table =
-  [|
-    0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL;
-    0x39ABDC4529B1661CL;
-  |]
-
-let jump t =
-  let acc = Bytes.make 32 '\000' in
-  Array.iter
-    (fun word ->
-      for b = 0 to 63 do
-        if Int64.logand word (Int64.shift_left 1L b) <> 0L then
-          for i = 0 to 3 do
-            set acc (8 * i) (Int64.logxor (get acc (8 * i)) (get t (8 * i)))
-          done;
-        ignore (step t)
-      done)
-    jump_table;
-  Bytes.blit acc 0 t 0 32

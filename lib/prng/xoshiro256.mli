@@ -21,7 +21,7 @@ val copy : t -> t
 
 val next : t -> int64
 (** [next t] advances the state and returns the next 64-bit output.
-    Allocates the boxed result; {!next_in} and {!next_bool} do not. *)
+    Allocates the boxed result; {!next_in} does not. *)
 
 val next_in : t -> int -> int
 (** [next_in t bound] is uniform in [\[0, bound)]: the top 62 bits of
@@ -45,11 +45,3 @@ val fill_in :
     nothing else.
     @raise Invalid_argument if [bound <= 0], or unless every value
     fits a cell: [0 <= base] and [base + bound - 1 <= Cells.max_value]. *)
-
-val next_bool : t -> bool
-(** [next_bool t] is the lowest bit of one output.  Allocation-free. *)
-
-val jump : t -> unit
-(** [jump t] advances the state by 2{^128} steps — equivalent to discarding
-    2{^128} outputs — which yields a non-overlapping subsequence usable as
-    an independent stream. *)

@@ -54,7 +54,6 @@ type config = {
   cache_max : int;  (* in-memory rows kept (LRU eviction) *)
   store : Store.Objects.t option;
   jitter_seed : int64;  (* retry decorrelation *)
-  store_budget_s : float;  (* retry wall-time budget per store op *)
 }
 
 let default_config =
@@ -64,7 +63,6 @@ let default_config =
     cache_max = 4096;
     store = None;
     jitter_seed = 0L;
-    store_budget_s = 0.25;
   }
 
 type reply =
@@ -335,9 +333,11 @@ let retryable = function
   | Sys_error _ | Unix.Unix_error _ -> true
   | _ -> false
 
+let store_budget_s = 0.25
+
 let with_store_retry t f =
   Fault.Retry.with_backoff ~jitter:0.5 ~jitter_seed:t.cfg.jitter_seed
-    ~budget_s:t.cfg.store_budget_s ~retryable
+    ~budget_s:store_budget_s ~retryable
     ~on_retry:(fun _ _ -> ())
     f
 

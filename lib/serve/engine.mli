@@ -35,11 +35,11 @@ type config = {
   cache_max : int;  (** in-memory rows kept, LRU eviction; [0] = off *)
   store : Store.Objects.t option;  (** persistent row cache *)
   jitter_seed : int64;  (** retry-jitter decorrelation seed *)
-  store_budget_s : float;  (** retry wall-time budget per store op *)
 }
+(** Each store operation retries within a 0.25 s wall-time budget. *)
 
 val default_config : config
-(** queue 256, no window, 4096 rows, no store, 0.25 s store budget. *)
+(** queue 256, no window, 4096 rows, no store. *)
 
 type reply =
   | Row of int array

@@ -64,15 +64,6 @@ let cycle n =
   Graph.create Undirected ~n
     (List.init n (fun i -> (i, (i + 1) mod n)))
 
-let complete_bipartite a b =
-  if a < 1 || b < 1 then invalid_arg "Gen.complete_bipartite: empty side";
-  of_emitter Undirected ~n:(a + b) ~m:(a * b) (fun push ->
-      for u = 0 to a - 1 do
-        for v = a to a + b - 1 do
-          push u v
-        done
-      done)
-
 let grid rows cols =
   if rows < 1 || cols < 1 then invalid_arg "Gen.grid: empty grid";
   let id r c = (r * cols) + c in
@@ -123,13 +114,6 @@ let barbell k =
   if k < 2 then invalid_arg "Gen.barbell: need k >= 2";
   let left = clique_edges 0 k and right = clique_edges k k in
   Graph.create Undirected ~n:(2 * k) (((k - 1, k) :: left) @ right)
-
-let lollipop k len =
-  if k < 2 then invalid_arg "Gen.lollipop: need k >= 2";
-  if len < 1 then invalid_arg "Gen.lollipop: need len >= 1";
-  let n = k + len in
-  let tail = List.init len (fun i -> (k - 1 + i, k + i)) in
-  Graph.create Undirected ~n (clique_edges 0 k @ tail)
 
 let random_tree rng n =
   if n < 1 then invalid_arg "Gen.random_tree: need n >= 1";
@@ -193,14 +177,6 @@ let gnp rng ~n ~p =
     done
   end;
   Graph.create Undirected ~n !edges
-
-let gnm rng ~n ~m =
-  if n < 1 then invalid_arg "Gen.gnm: need n >= 1";
-  let total = n * (n - 1) / 2 in
-  if m < 0 || m > total then invalid_arg "Gen.gnm: m out of range";
-  let picks = Prng.Sample.choose_distinct rng ~k:m ~n:total in
-  Graph.create Undirected ~n
-    (Array.to_list (Array.map (pair_of_index n) picks))
 
 let barabasi_albert rng ~n ~m =
   if m < 1 || m >= n then invalid_arg "Gen.barabasi_albert: need 1 <= m < n";

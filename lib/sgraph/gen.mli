@@ -31,9 +31,6 @@ val path : int -> Graph.t
 val cycle : int -> Graph.t
 (** [cycle n]: undirected cycle; [n >= 3]. *)
 
-val complete_bipartite : int -> int -> Graph.t
-(** [complete_bipartite a b]: [K_{a,b}] with left part [0..a-1]. *)
-
 val grid : int -> int -> Graph.t
 (** [grid rows cols]: undirected 2-d lattice, vertex [(r,c)] at
     [r*cols + c]. *)
@@ -56,10 +53,6 @@ val barbell : int -> Graph.t
     Test support: a small-cut fixture among the graphs test_opt checks
     [Temporal.Opt]'s labelings on. *)
 
-val lollipop : int -> int -> Graph.t
-(** [lollipop k len]: a [K_k] clique with a path of [len] extra vertices
-    attached; [k >= 2], [len >= 1]. *)
-
 val random_tree : Prng.Rng.t -> int -> Graph.t
 (** [random_tree rng n]: a uniform labelled tree via a random Prüfer
     sequence; [n >= 1] ([n <= 2] has no Prüfer freedom). *)
@@ -68,10 +61,6 @@ val gnp : Prng.Rng.t -> n:int -> p:float -> Graph.t
 (** [gnp rng ~n ~p]: Erdős–Rényi [G(n,p)], each of the [n(n-1)/2]
     undirected edges present independently with probability [p].  Uses
     geometric skipping, so sparse graphs cost O(n + m). *)
-
-val gnm : Prng.Rng.t -> n:int -> m:int -> Graph.t
-(** [gnm rng ~n ~m]: uniform graph with exactly [m] distinct edges.
-    @raise Invalid_argument if [m] exceeds [n(n-1)/2]. *)
 
 val barabasi_albert : Prng.Rng.t -> n:int -> m:int -> Graph.t
 (** [barabasi_albert rng ~n ~m]: preferential attachment — start from a

@@ -10,6 +10,3 @@ val find : t -> int -> int
 
 val union : t -> int -> int -> bool
 (** Merge the two sets; [true] iff they were distinct. *)
-
-val count : t -> int
-(** Current number of disjoint sets. *)

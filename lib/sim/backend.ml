@@ -21,12 +21,6 @@ let set b = Atomic.set mode b
 let current () = Atomic.get mode
 let to_string = function Dense -> "dense" | Implicit -> "implicit"
 
-let of_string s =
-  match String.lowercase_ascii s with
-  | "dense" -> Some Dense
-  | "implicit" -> Some Implicit
-  | _ -> None
-
 let all = [ Dense; Implicit ]
 
 (* The XL gate: EPHEMERAL_IMPLICIT_XL=1 unlocks the sampled n = 10^6

@@ -20,9 +20,6 @@ val current : unit -> t
 val to_string : t -> string
 (** ["dense"] / ["implicit"]. *)
 
-val of_string : string -> t option
-(** Case-insensitive inverse of {!to_string}; [None] otherwise. *)
-
 val all : t list
 
 val xl_enabled : unit -> bool

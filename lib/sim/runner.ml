@@ -22,10 +22,10 @@
    slot.
 
    When a Store.Checkpoint context is active (ephemeral run --resume),
-   each top-level [map] call claims the next checkpoint slot and runs
-   through [map_resumable]: trials are processed in chunks whose
-   bounds depend only on [trials], each finished chunk is persisted,
-   and chunks already on disk are loaded instead of recomputed.
+   each top-level [map] call claims the next checkpoint slot: its
+   trials are processed in chunks whose bounds depend only on
+   [trials], each finished chunk is persisted, and chunks already on
+   disk are loaded instead of recomputed.
    Loading is sound precisely because of the determinism contract
    above — a persisted value is bit-identical to what recomputation
    would produce.  Chunks containing failed trials are never saved
@@ -95,54 +95,49 @@ let chunk_clean results ~lo ~hi =
   done;
   !clean
 
-let map_resumable slot rng ~trials f =
+(* Only top-level calls claim a slot: nested maps (running inside a pool
+   task) execute inline and are covered by their parent's chunk, and
+   claiming here would desynchronize the call counter between job
+   counts.  Without a slot the whole range is one chunk, neither loaded
+   nor saved. *)
+let map rng ~trials f =
   if trials <= 0 then [||]
   else begin
+    let slot =
+      if Exec.Pool.in_task () then None else Store.Checkpoint.next_slot ~trials
+    in
     if Supervise.active () then Supervise.note_planned trials;
     let rngs = Prng.Rng.split_n rng trials in
     let pool = Exec.Pool.global () in
     let results = Array.make trials None in
-    let chunk = Store.Checkpoint.chunk_size ~trials in
+    let chunk =
+      match slot with
+      | Some _ -> Store.Checkpoint.chunk_size ~trials
+      | None -> trials
+    in
     let lo = ref 0 in
     while !lo < trials do
       let clo = !lo in
       let chi = Stdlib.min trials (clo + chunk) in
-      (match Store.Checkpoint.load_chunk slot ~lo:clo ~hi:chi with
-      | Some values when Array.length values = chi - clo ->
-        Array.iteri (fun k v -> results.(clo + k) <- Some (Ok v)) values
-      | Some _ | None ->
-        exec_range pool rngs f ~lo:clo ~hi:chi results;
-        (* Persist only clean chunks: a saved chunk is replayed as
-           values into later runs, so failures must never enter it. *)
-        if chunk_clean results ~lo:clo ~hi:chi then
-          Store.Checkpoint.save_chunk slot ~lo:clo ~hi:chi
-            (Array.init (chi - clo) (fun k ->
-                 match results.(clo + k) with
-                 | Some (Ok v) -> v
-                 | _ -> assert false)));
+      (match slot with
+      | None -> exec_range pool rngs f ~lo:clo ~hi:chi results
+      | Some slot -> (
+        match Store.Checkpoint.load_chunk slot ~lo:clo ~hi:chi with
+        | Some values when Array.length values = chi - clo ->
+          Array.iteri (fun k v -> results.(clo + k) <- Some (Ok v)) values
+        | Some _ | None ->
+          exec_range pool rngs f ~lo:clo ~hi:chi results;
+          (* Persist only clean chunks: a saved chunk is replayed as
+             values into later runs, so failures must never enter it. *)
+          if chunk_clean results ~lo:clo ~hi:chi then
+            Store.Checkpoint.save_chunk slot ~lo:clo ~hi:chi
+              (Array.init (chi - clo) (fun k ->
+                   match results.(clo + k) with
+                   | Some (Ok v) -> v
+                   | _ -> assert false))));
       lo := chi
     done;
     gather results
-  end
-
-let map rng ~trials f =
-  if trials <= 0 then [||]
-  else begin
-    (* Only top-level calls claim a slot: nested maps (running inside a
-       pool task) execute inline and are covered by their parent's
-       chunk, and claiming here would desynchronize the call counter
-       between job counts. *)
-    match
-      if Exec.Pool.in_task () then None else Store.Checkpoint.next_slot ~trials
-    with
-    | Some slot -> map_resumable slot rng ~trials f
-    | None ->
-      if Supervise.active () then Supervise.note_planned trials;
-      let rngs = Prng.Rng.split_n rng trials in
-      let pool = Exec.Pool.global () in
-      let results = Array.make trials None in
-      exec_range pool rngs f ~lo:0 ~hi:trials results;
-      gather results
   end
 
 let foreach rng ~trials f =

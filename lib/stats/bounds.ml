@@ -12,7 +12,5 @@ let coupon_labels ~diameter ~n ~m =
   let d = float_of_int diameter in
   d *. (log (Float.max 1. d) +. log (float_of_int m *. float_of_int n))
 
-let gnp_connectivity_threshold ~n = log (float_of_int n) /. float_of_int n
-
 let thm5_lower_bound ~n ~a =
   float_of_int a /. float_of_int n *. log (float_of_int n)

@@ -1,7 +1,5 @@
 type interval = { lo : float; hi : float }
 
-let pp_interval ppf { lo; hi } = Format.fprintf ppf "[%.4g, %.4g]" lo hi
-
 (* Acklam's rational approximation to the standard normal quantile;
    absolute error below 1.15e-9 over (0,1). *)
 let normal_quantile p =
@@ -42,11 +40,6 @@ let z_of_confidence confidence =
   | c when c > 0. && c < 1. -> normal_quantile (0.5 +. (c /. 2.))
   | _ -> invalid_arg "Ci.z_of_confidence: confidence must be in (0,1)"
 
-let mean_ci ?(confidence = 0.95) summary =
-  let z = z_of_confidence confidence in
-  let m = Summary.mean summary and se = Summary.stderr_mean summary in
-  { lo = m -. (z *. se); hi = m +. (z *. se) }
-
 let wilson ?(confidence = 0.95) ~trials successes =
   if trials <= 0 then invalid_arg "Ci.wilson: trials must be positive";
   if successes < 0 || successes > trials then
@@ -59,6 +52,3 @@ let wilson ?(confidence = 0.95) ~trials successes =
   let centre = p +. (z2 /. (2. *. n)) in
   let margin = z *. sqrt ((p *. (1. -. p) /. n) +. (z2 /. (4. *. n *. n))) in
   { lo = (centre -. margin) /. denom; hi = (centre +. margin) /. denom }
-
-let proportion_point ~successes ~trials =
-  float_of_int successes /. float_of_int trials

@@ -1,12 +1,10 @@
 (** Confidence intervals.
 
-    Normal-approximation intervals for means and Wilson score intervals for
-    proportions — the latter is what the reachability-probability estimates
-    report, since success counts near 0 or [trials] are common. *)
+    Wilson score intervals for proportions: what the
+    reachability-probability estimates report, since success counts near
+    0 or [trials] are common. *)
 
 type interval = { lo : float; hi : float }
-
-val pp_interval : Format.formatter -> interval -> unit
 
 val z_of_confidence : float -> float
 (** [z_of_confidence c] is the two-sided normal critical value for
@@ -14,13 +12,7 @@ val z_of_confidence : float -> float
     0.80, 0.90, 0.95, 0.98, 0.99, 0.999; other inputs fall back to a
     rational approximation of the normal quantile. *)
 
-val mean_ci : ?confidence:float -> Summary.t -> interval
-(** Normal-approximation CI for the mean of the summarised sample. *)
-
 val wilson : ?confidence:float -> trials:int -> int -> interval
 (** [wilson ~trials successes] is the Wilson score interval for a
     binomial proportion.
     @raise Invalid_argument if [trials <= 0] or [successes] out of range. *)
-
-val proportion_point : successes:int -> trials:int -> float
-(** Plain [successes / trials]. *)

@@ -6,7 +6,6 @@ type t = {
   counts : int array;
   mutable underflow : int;
   mutable overflow : int;
-  mutable count : int;
 }
 
 let create ~lo ~hi ~bins =
@@ -20,11 +19,9 @@ let create ~lo ~hi ~bins =
     counts = Array.make bins 0;
     underflow = 0;
     overflow = 0;
-    count = 0;
   }
 
 let add t x =
-  t.count <- t.count + 1;
   if x < t.lo then t.underflow <- t.underflow + 1
   else if x > t.hi then t.overflow <- t.overflow + 1
   else begin
@@ -33,26 +30,10 @@ let add t x =
     t.counts.(bin) <- t.counts.(bin) + 1
   end
 
-let count t = t.count
-let underflow t = t.underflow
-let overflow t = t.overflow
-let counts t = Array.copy t.counts
-
 let bin_edges t =
   Array.init t.bins (fun i ->
       ( t.lo +. (float_of_int i *. t.width),
         t.lo +. (float_of_int (i + 1) *. t.width) ))
-
-let mode_bin t =
-  let best = ref (-1) and best_count = ref 0 in
-  Array.iteri
-    (fun i c ->
-      if c > !best_count then begin
-        best := i;
-        best_count := c
-      end)
-    t.counts;
-  !best
 
 let render ?(width = 40) t =
   let peak = Array.fold_left Stdlib.max 1 t.counts in

@@ -17,24 +17,3 @@ let sorted_copy xs =
 
 let quantile xs q = of_sorted (sorted_copy xs) q
 let median xs = quantile xs 0.5
-
-let merge_sorted xs ys =
-  let nx = Array.length xs and ny = Array.length ys in
-  if nx = 0 then Array.copy ys
-  else if ny = 0 then Array.copy xs
-  else begin
-    let out = Array.make (nx + ny) 0. in
-    let i = ref 0 and j = ref 0 in
-    for k = 0 to nx + ny - 1 do
-      (* Take from xs on ties: a stable merge of ascending runs. *)
-      if !i < nx && (!j >= ny || Float.compare xs.(!i) ys.(!j) <= 0) then begin
-        out.(k) <- xs.(!i);
-        incr i
-      end
-      else begin
-        out.(k) <- ys.(!j);
-        incr j
-      end
-    done;
-    out
-  end

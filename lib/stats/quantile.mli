@@ -8,10 +8,3 @@ val quantile : float array -> float -> float
     @raise Invalid_argument on empty input or [q] outside [\[0,1\]]. *)
 
 val median : float array -> float
-
-val merge_sorted : float array -> float array -> float array
-(** [merge_sorted xs ys] with both inputs ascending: their ascending
-    union (with duplicates), in linear time.  Combines per-shard sorted
-    samples (e.g. collected by parallel trial runs) so [quantile] on
-    the result equals [quantile] on the concatenation — quantiles are
-    order-statistics, so merging loses nothing. *)

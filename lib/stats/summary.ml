@@ -4,18 +4,16 @@ type t = {
   mutable m2 : float;
   mutable min : float;
   mutable max : float;
-  mutable total : float;
 }
 
 let create () =
-  { n = 0; mean = 0.; m2 = 0.; min = Float.nan; max = Float.nan; total = 0. }
+  { n = 0; mean = 0.; m2 = 0.; min = Float.nan; max = Float.nan }
 
 let add t x =
   t.n <- t.n + 1;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  t.total <- t.total +. x;
   if t.n = 1 then begin
     t.min <- x;
     t.max <- x
@@ -27,24 +25,6 @@ let add t x =
 
 let add_int t x = add t (float_of_int x)
 
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else
-    let n = a.n + b.n in
-    let fa = float_of_int a.n and fb = float_of_int b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. fb /. float_of_int n) in
-    let m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. float_of_int n) in
-    {
-      n;
-      mean;
-      m2;
-      min = Float.min a.min b.min;
-      max = Float.max a.max b.max;
-      total = a.total +. b.total;
-    }
-
 let count t = t.n
 let mean t = if t.n = 0 then Float.nan else t.mean
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
@@ -55,7 +35,6 @@ let stderr_mean t =
 
 let min t = t.min
 let max t = t.max
-let total t = t.total
 
 let of_array xs =
   let t = create () in

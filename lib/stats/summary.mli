@@ -11,10 +11,6 @@ val create : unit -> t
 val add : t -> float -> unit
 val add_int : t -> int -> unit
 
-val merge : t -> t -> t
-(** [merge a b] is a fresh accumulator equivalent to having observed both
-    streams (Chan et al. parallel variance update). *)
-
 val count : t -> int
 
 val mean : t -> float
@@ -33,8 +29,6 @@ val min : t -> float
 
 val max : t -> float
 (** [nan] if empty. *)
-
-val total : t -> float
 
 val of_array : float array -> t
 (** Test support: builds, through {!add}, the summaries on which

@@ -226,8 +226,6 @@ let open_ ~dir =
   t
 
 let entries t = t.entries
-let find t ~key = Hashtbl.find_opt t.tbl key
-
 let quarantine_object t ~digest =
   let path = object_path t ~digest in
   if Sys.file_exists path then begin

@@ -29,9 +29,6 @@ val entries : t -> entry list
 (** Every manifest line in publish order (oldest first); the last
     entry for a key is the live one. *)
 
-val find : t -> key:string -> entry option
-(** The live entry for [key], without touching the object. *)
-
 val get : t -> key:string -> (string * entry) option
 (** Read and verify the object bound to [key].  [None] if the key is
     unbound, the object file is gone, or its bytes no longer match the

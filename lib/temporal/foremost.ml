@@ -145,7 +145,6 @@ let arrivals_borrowed ?(start_time = 1) net s =
   sweep net ~start_time ~s ~arrival:ws.arrival ~pred:ws.pred;
   ws.arrival
 
-let source r = r.source
 let start_time r = r.start_time
 
 let distance r v =

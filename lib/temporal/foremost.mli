@@ -28,7 +28,6 @@ val arrivals_borrowed : ?start_time:int -> Tgraph.t -> int -> int array
     zero per-source allocation.
     @raise Invalid_argument on a bad source or [start_time < 1]. *)
 
-val source : result -> int
 val start_time : result -> int
 
 val distance : result -> int -> int option

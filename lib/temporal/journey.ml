@@ -1,7 +1,6 @@
 type step = { src : int; dst : int; label : int }
 type t = step list
 
-let source = function [] -> None | s :: _ -> Some s.src
 
 let rec last = function
   | [] -> None

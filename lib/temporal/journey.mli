@@ -10,7 +10,6 @@ type step = { src : int; dst : int; label : int }
 type t = step list
 (** In travel order; the empty journey stays at its source. *)
 
-val source : t -> int option
 val target : t -> int option
 
 val arrival : t -> int option

@@ -49,10 +49,6 @@ let mem t x =
   let i = upper_bound t (x - 1) in
   i < Array.length t && t.(i) = x
 
-let first_after t x =
-  let i = upper_bound t x in
-  if i < Array.length t then Some t.(i) else None
-
 let next_after t x =
   let i = upper_bound t x in
   if i < Array.length t then t.(i) else max_int
@@ -60,9 +56,6 @@ let next_after t x =
 let next_in t ~lo ~hi =
   let i = upper_bound t lo in
   if i < Array.length t && t.(i) <= hi then t.(i) else max_int
-
-let count_in t ~lo ~hi =
-  if hi <= lo then 0 else upper_bound t hi - upper_bound t lo
 
 let any_in t ~lo ~hi =
   let i = upper_bound t lo in

@@ -35,21 +35,13 @@ val min_label : t -> int
 val mem : t -> int -> bool
 (** Binary search. *)
 
-val first_after : t -> int -> int option
-(** [first_after t x] is the smallest label strictly greater than [x] —
-    the primitive behind "cross this edge as early as possible after
-    arriving at time [x]". *)
-
-val count_in : t -> lo:int -> hi:int -> int
-(** Number of labels in the half-open interval [(lo, hi]] — the interval
-    shape [Δ_i] used throughout the Expansion Process analysis. *)
-
 val any_in : t -> lo:int -> hi:int -> int option
 (** Smallest label in [(lo, hi]], if any. *)
 
 val next_after : t -> int -> int
-(** Allocation-free {!first_after}: the smallest label strictly greater
-    than the argument, or [max_int] when none — the sentinel kernels
+(** [next_after t x] is the smallest label strictly greater than [x] —
+    the primitive behind "cross this edge as early as possible after
+    arriving at time [x]" — or [max_int] when none: a sentinel kernels
     compare against directly instead of matching an option. *)
 
 val next_in : t -> lo:int -> hi:int -> int

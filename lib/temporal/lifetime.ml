@@ -24,7 +24,4 @@ let prefix_connectivity_time net =
   in
   if Components.is_connected (prefix_graph net ~k:a) then search 1 a else None
 
-let expected_prefix_edge_probability ~a ~k =
-  Float.min 1. (float_of_int k /. float_of_int a)
-
 let lower_bound ~n ~a = Stats.Bounds.thm5_lower_bound ~n ~a

@@ -17,8 +17,5 @@ val prefix_connectivity_time : Tgraph.t -> int option
     bound witness: no temporal network can have finished joining all
     pairs before its prefix is connected. *)
 
-val expected_prefix_edge_probability : a:int -> k:int -> float
-(** [min 1 (k/a)]: the [G(n,p)] coupling parameter for UNI-CASE. *)
-
 val lower_bound : n:int -> a:int -> float
 (** Theorem 5's bound [(a/n)·ln n] (meaningful for [a >= n]). *)

@@ -1,13 +1,5 @@
 module Graph = Sgraph.Graph
 
-let map_labels net f =
-  Assignment.of_fun (Tgraph.graph net) ~a:(Tgraph.lifetime net) (fun e ->
-      Label.of_list (List.filter_map f (Label.to_list (Tgraph.labels net e))))
-
-let restrict_window net ~lo ~hi =
-  if lo < 1 then invalid_arg "Ops.restrict_window: lo must be >= 1";
-  map_labels net (fun l -> if l >= lo && l <= hi then Some l else None)
-
 let shift net d =
   let g = Tgraph.graph net in
   let lifetime = Tgraph.lifetime net + Stdlib.max 0 d in

@@ -1,8 +1,8 @@
 (** Transformations of temporal networks.
 
-    The algebra a user needs to slice and re-time availability
-    schedules.  Two of these double as executable duality lemmas,
-    property-tested in the suite:
+    The algebra a user needs to re-time availability schedules.  Two of
+    these double as executable duality lemmas, property-tested in the
+    suite:
 
     - {!reverse_time}: mapping every label [l ↦ a+1-l] and flipping arc
       directions turns [(u,v)]-journeys into [(v,u)]-journeys, so
@@ -11,11 +11,6 @@
     - {!scale}: multiplying labels by [k >= 1] multiplies every temporal
       distance by exactly... nothing so simple — it maps a journey with
       arrival [l] to one with arrival [k·l], so [δ' = k·δ] on the nose. *)
-
-val restrict_window : Tgraph.t -> lo:int -> hi:int -> Tgraph.t
-(** Keep only labels in the inclusive window [\[lo, hi\]]; lifetime
-    unchanged.
-    @raise Invalid_argument if [lo < 1]. *)
 
 val shift : Tgraph.t -> int -> Tgraph.t
 (** [shift net d] adds [d] to every label (lifetime becomes

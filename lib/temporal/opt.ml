@@ -24,31 +24,10 @@ let is_star g =
   && Graph.m g = Graph.n g - 1
   && Graph.out_degree g 0 = Graph.n g - 1
 
-let clique_single g =
-  if not (is_clique g) then invalid_arg "Opt.clique_single: not a clique";
-  Assignment.constant g ~a:1 (Label.singleton 1)
-
 let star_two_labels g =
   if not (is_star g) then
     invalid_arg "Opt.star_two_labels: not a star with centre 0";
   Assignment.constant g ~a:2 (Label.of_list [ 1; 2 ])
-
-let tree_up_down g ~root =
-  let n = Graph.n g in
-  if Graph.is_directed g then invalid_arg "Opt.tree_up_down: directed graph";
-  if Graph.m g <> n - 1 || not (Components.is_connected g) then
-    invalid_arg "Opt.tree_up_down: not a tree";
-  let depth = Traverse.bfs g root in
-  let height = Array.fold_left Stdlib.max 0 depth in
-  let h = Stdlib.max 1 height in
-  let labels =
-    Array.init (Graph.m g) (fun e ->
-        let u, v = Graph.edge_endpoints g e in
-        (* In a tree every edge joins consecutive depths. *)
-        let j = Stdlib.max depth.(u) depth.(v) in
-        Label.of_list [ h - j + 1; h + j ])
-  in
-  Tgraph.create g ~lifetime:(2 * h) labels
 
 let spanning_tree_upper g =
   let n = Graph.n g in
@@ -90,38 +69,6 @@ let boxes ?(pick = default_pick) g ~q =
                label)))
   in
   Tgraph.create g ~lifetime:q labels
-
-let single_label_counterexample g =
-  (* With every edge labelled 1, journeys have length exactly one, so a
-     statically-connected non-adjacent pair breaks Treach. *)
-  let net = Assignment.constant g ~a:1 (Label.singleton 1) in
-  if Reachability.treach net then None else Some net
-
-let single_label_always_preserves g ~a =
-  let m = Graph.m g in
-  let combos =
-    let rec power acc k = if k = 0 then acc else power (acc * a) (k - 1) in
-    power 1 m
-  in
-  if combos > 100_000 then
-    invalid_arg "Opt.single_label_always_preserves: a^m too large";
-  let labels = Array.make m 1 in
-  let rec enumerate e =
-    if e = m then
-      Reachability.treach
-        (Assignment.of_fun g ~a (fun i -> Label.singleton labels.(i)))
-    else begin
-      let ok = ref true in
-      let l = ref 1 in
-      while !ok && !l <= a do
-        labels.(e) <- !l;
-        if not (enumerate (e + 1)) then ok := false;
-        incr l
-      done;
-      !ok
-    end
-  in
-  m = 0 || enumerate 0
 
 let lower_bound g = Graph.n g - 1
 let star_value ~n = 2 * (n - 1)

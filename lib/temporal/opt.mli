@@ -9,29 +9,25 @@
     all provided here, each returning an assignment that the test suite
     verifies satisfies [Treach]. *)
 
-val clique_single : Sgraph.Graph.t -> Tgraph.t
-(** One label (time [1]) per edge of a clique — the unique graph family
-    where a single label per edge always preserves reachability (§4.1).
-    @raise Invalid_argument if the graph is not a clique. *)
-
 val star_two_labels : Sgraph.Graph.t -> Tgraph.t
 (** Labels [{1, 2}] on every edge of a star: any leaf-to-leaf journey
     rides [1] then [2].  This realises [OPT = 2m] (Theorem 6 preamble).
-    @raise Invalid_argument if the graph is not a star with centre 0. *)
+    @raise Invalid_argument if the graph is not a star with centre 0.
 
-val tree_up_down : Sgraph.Graph.t -> root:int -> Tgraph.t
-(** On a tree of height [h] from [root]: the edge joining depth [j] to
-    depth [j-1] gets labels [{h - j + 1, h + j}].  Every journey goes up
-    (labels [1..h] increasing towards the root) then down (labels
-    [h+1..2h] increasing away from it), so two labels per edge preserve
-    reachability: [OPT <= 2(n-1)] on trees.
-    @raise Invalid_argument if the graph is not a tree. *)
+    Test support: a star on which every pair is reachable, the fixture
+    of test_taxonomy's "star centre wins", "betweenness star" and "star
+    attack" ([Centrality], [Robustness]) and of test_ops' "already
+    minimal" ([Spanner]). *)
 
 val spanning_tree_upper : Sgraph.Graph.t -> Tgraph.t
-(** {!tree_up_down} applied to a BFS spanning tree of a connected graph
-    (non-tree edges get no labels): the universal certificate
+(** On a BFS spanning tree of a connected graph, rooted at vertex [0]
+    with height [h]: the tree edge joining depth [j] to depth [j-1] gets
+    labels [{h - j + 1, h + j}], and non-tree edges get none.  Every
+    journey goes up (labels [1..h] increasing towards the root) then
+    down (labels [h+1..2h] increasing away from it), so two labels per
+    tree edge preserve reachability: the universal certificate
     [OPT <= 2(n-1)].
-    @raise Invalid_argument if the graph is disconnected. *)
+    @raise Invalid_argument if the graph is directed or disconnected. *)
 
 val boxes : ?pick:(edge:int -> box:int -> lo:int -> hi:int -> int) ->
   Sgraph.Graph.t -> q:int -> Tgraph.t
@@ -60,17 +56,3 @@ val upper_bound : Sgraph.Graph.t -> int
 
 val is_clique : Sgraph.Graph.t -> bool
 val is_star : Sgraph.Graph.t -> bool
-
-val single_label_counterexample : Sgraph.Graph.t -> Tgraph.t option
-(** §4.1: "the clique is the only graph for which temporal reachability
-    is guaranteed even with 1 label per edge".  For a non-clique with
-    some statically-joined non-adjacent pair, the all-ones assignment is
-    a counterexample (equal labels never chain); returns it.  [None] for
-    cliques and for graphs where no non-adjacent pair is statically
-    connected. *)
-
-val single_label_always_preserves : Sgraph.Graph.t -> a:int -> bool
-(** Exhaustive verification of the same claim: does *every* assignment
-    of one label from [{1..a}] per edge preserve reachability?  Cost
-    [a^m] — small fixtures only (guarded at [a^m <= 100_000]).
-    @raise Invalid_argument beyond the guard. *)

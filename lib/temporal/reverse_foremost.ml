@@ -31,7 +31,6 @@ let run ?deadline net t =
   done;
   { target = t; deadline; latest; succ }
 
-let target r = r.target
 let deadline r = r.deadline
 
 let latest_presence r v = if r.latest.(v) < 0 then None else Some r.latest.(v)

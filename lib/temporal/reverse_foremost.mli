@@ -19,7 +19,6 @@ val run : ?deadline:int -> Tgraph.t -> int -> result
     the deadline defaults to the network's lifetime.
     @raise Invalid_argument on a bad target or non-positive deadline. *)
 
-val target : result -> int
 val deadline : result -> int
 
 val latest_presence : result -> int -> int option

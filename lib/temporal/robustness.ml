@@ -8,11 +8,6 @@ type step = {
 
 type target = [ `Degree | `Closeness | `Betweenness ]
 
-let target_name = function
-  | `Degree -> "degree"
-  | `Closeness -> "closeness"
-  | `Betweenness -> "betweenness"
-
 let measure net victim_original =
   let survivors = Tgraph.n net in
   let reachable = Reachability.reachable_pair_count net in

@@ -18,8 +18,6 @@ type step = {
 
 type target = [ `Degree | `Closeness | `Betweenness ]
 
-val target_name : target -> string
-
 val targeted_attack : Tgraph.t -> by:target -> steps:int -> step list
 (** Greedy attack: at each step, recompute the chosen centrality on the
     residual network and delete the top vertex.  Stops early when two

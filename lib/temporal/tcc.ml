@@ -23,16 +23,6 @@ let is_temporally_connected net =
   let n = Tgraph.n net in
   n <= 1 || Graph.m (reachability_graph net) = n * (n - 1)
 
-let condensation net =
-  let reach = reachability_graph net in
-  let comp = Components.strongly_connected_components reach in
-  let k = Array.fold_left Stdlib.max (-1) comp + 1 in
-  let arcs = Hashtbl.create 16 in
-  Graph.iter_edges reach (fun _ u v ->
-      if comp.(u) <> comp.(v) then Hashtbl.replace arcs (comp.(u), comp.(v)) ());
-  let edges = Hashtbl.fold (fun arc () acc -> arc :: acc) arcs [] in
-  (Graph.create Directed ~n:(Stdlib.max k 0) edges, comp)
-
 let mutual_graph net =
   let reach = reachability_graph net in
   let n = Graph.n reach in

@@ -36,12 +36,6 @@ val mutual_graph : Tgraph.t -> Sgraph.Graph.t
 (** Undirected graph with an edge [{u, v}] iff journeys exist both
     ways. *)
 
-val condensation : Tgraph.t -> Sgraph.Graph.t * int array
-(** The DAG of chain-components: one vertex per {!scc} class, an arc
-    [C → C'] when some member of [C] reaches some member of [C'] by a
-    journey; returns it with the vertex-to-class mapping.  Acyclic by
-    construction (property-tested). *)
-
 val largest_mutual_clique_exhaustive : Tgraph.t -> int
 (** Size of the largest set of vertices pairwise joined both ways — the
     "temporal connected component" of Bhadra–Ferreira.  Exhaustive

@@ -427,25 +427,6 @@ let tcc_nontransitivity_witness () =
   check_bool "0 does NOT reach 2 (non-transitivity)" false
     (Graph.mem_edge reach 0 2)
 
-let tcc_condensation_fixture () =
-  let dag, comp = Tcc.condensation (fixture ()) in
-  check_int "one class" 1 (Graph.n dag);
-  check_int "no arcs" 0 (Graph.m dag);
-  Array.iter (fun c -> check_int "all in class 0" 0 c) comp
-
-let tcc_condensation_acyclic =
-  qcase ~count:50 "condensations are DAGs consistent with scc"
-    ~print:print_params gen_small_nets
-    (fun params ->
-      let net = random_tnet params in
-      let dag, comp = Tcc.condensation net in
-      comp = Tcc.scc net
-      &&
-      (* Acyclic: every SCC of the condensation is a singleton. *)
-      let cond_comp = Sgraph.Components.strongly_connected_components dag in
-      Array.length (Array.of_list (List.sort_uniq compare (Array.to_list cond_comp)))
-      = Graph.n dag)
-
 let tcc_clique_guard () =
   let g = Sgraph.Gen.clique Undirected 30 in
   let net = Temporal.Assignment.all_times g ~a:3 in
@@ -533,8 +514,6 @@ let suites =
         case "broken path" tcc_broken_path;
         case "no labels" tcc_no_labels;
         case "non-transitivity witness" tcc_nontransitivity_witness;
-        case "condensation fixture" tcc_condensation_fixture;
-        tcc_condensation_acyclic;
         case "clique guard" tcc_clique_guard;
         tcc_clique_matches_bruteforce;
         tcc_scc_refines_mutuality;

@@ -290,22 +290,22 @@ let oracle_journeys =
       let net = fresh params and twin = snd (derived_pair params) in
       let n = Tgraph.n net in
       let runs =
-        Array.init n (fun s -> (Foremost.run net s, Foremost.run twin s))
+        Array.init n (fun s -> (s, Foremost.run net s, Foremost.run twin s))
       in
-      let journey_ok r r' v =
+      let journey_ok s r r' v =
         let j = Foremost.journey_to net r v in
         j = Foremost.journey_to twin r' v
         &&
         match j with
         | None -> Foremost.distance r v = None
         | Some j ->
-          Journey.is_journey net ~source:(Foremost.source r) ~target:v j
-          && (v = Foremost.source r
-             || Journey.arrival j = Foremost.distance r v)
+          Journey.is_journey net ~source:s ~target:v j
+          && (v = s || Journey.arrival j = Foremost.distance r v)
       in
       let journeys_agree =
         Array.for_all
-          (fun (r, r') -> List.for_all (journey_ok r r') (List.init n Fun.id))
+          (fun (s, r, r') ->
+            List.for_all (journey_ok s r r') (List.init n Fun.id))
           runs
       in
       complete_prefix net;

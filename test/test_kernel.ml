@@ -142,18 +142,7 @@ let trusted_generators_match_list_path () =
        (Sgraph.Gen.clique Directed 7));
   check_bool "undirected clique" true
     (graphs_agree (list_clique Graph.Undirected 7)
-       (Sgraph.Gen.clique Undirected 7));
-  let list_bipartite a b =
-    let edges = ref [] in
-    for u = 0 to a - 1 do
-      for v = a to a + b - 1 do
-        edges := (u, v) :: !edges
-      done
-    done;
-    Graph.create Undirected ~n:(a + b) !edges
-  in
-  check_bool "complete bipartite" true
-    (graphs_agree (list_bipartite 3 4) (Sgraph.Gen.complete_bipartite 3 4))
+       (Sgraph.Gen.clique Undirected 7))
 
 (* [Graph.iter_edge_ids] visits exactly the listed ids, in list order,
    with the endpoints [iter_edges] gives them, on a CSR graph and on

@@ -12,7 +12,6 @@ open Temporal
 let em_create_and_density () =
   let chain = Em.create (rng ()) ~n:40 ~p_up:0.3 ~p_down:0.3 in
   check_int "n" 40 (Em.n chain);
-  check_int "round 0" 0 (Em.round chain);
   check_float ~eps:1e-9 "stationary" 0.5 (Em.stationary_density chain);
   let d = Em.density chain in
   check_bool "initial density near stationary" true (d > 0.35 && d < 0.65)
@@ -34,13 +33,6 @@ let em_deterministic_extremes () =
   Em.step empty;
   check_float "stay absent" 0. (Em.density empty)
 
-let em_step_counts () =
-  let chain = Em.create (rng ()) ~n:12 ~p_up:0.4 ~p_down:0.2 in
-  for _ = 1 to 5 do
-    Em.step chain
-  done;
-  check_int "five rounds" 5 (Em.round chain)
-
 let em_density_tracks_stationary () =
   let chain =
     Em.create ~initial_density:0. (rng ()) ~n:48 ~p_up:0.3 ~p_down:0.1
@@ -53,27 +45,6 @@ let em_density_tracks_stationary () =
     (Printf.sprintf "density %.2f near stationary 0.75" d)
     true
     (abs_float (d -. 0.75) < 0.08)
-
-let em_snapshot_consistent () =
-  let chain = Em.create (rng ()) ~n:14 ~p_up:0.5 ~p_down:0.5 in
-  let g = Em.snapshot chain in
-  check_int "vertices" 14 (Graph.n g);
-  let mismatches = ref 0 in
-  for u = 0 to 13 do
-    for v = u + 1 to 13 do
-      if Graph.mem_edge g u v <> Em.edge_present chain u v then incr mismatches
-    done
-  done;
-  check_int "snapshot = state" 0 !mismatches
-
-let em_edge_present_validations () =
-  let chain = Em.create (rng ()) ~n:5 ~p_up:0.5 ~p_down:0.5 in
-  Alcotest.check_raises "self loop"
-    (Invalid_argument "Edge_markovian.edge_present: self-loop") (fun () ->
-      ignore (Em.edge_present chain 2 2));
-  Alcotest.check_raises "range"
-    (Invalid_argument "Edge_markovian.edge_present: endpoint out of range")
-    (fun () -> ignore (Em.edge_present chain 0 9))
 
 let em_flood_dense () =
   let chain = Em.create (rng ()) ~n:32 ~p_up:0.5 ~p_down:0.5 in
@@ -105,13 +76,10 @@ let waypoint_basics () =
   let system = Mobility.Waypoint.create (rng ()) ~agents:10 ~size:6 in
   check_int "agents" 10 (Mobility.Waypoint.agents system);
   check_int "size" 6 (Mobility.Waypoint.size system);
-  check_int "tick zero" 0 (Mobility.Waypoint.tick system);
   Array.iter
     (fun (x, y) ->
       check_bool "on the torus" true (x >= 0 && x < 6 && y >= 0 && y < 6))
-    (Mobility.Waypoint.positions system);
-  Mobility.Waypoint.step system;
-  check_int "tick advances" 1 (Mobility.Waypoint.tick system)
+    (Mobility.Waypoint.positions system)
 
 let waypoint_moves_one_cell () =
   let system = Mobility.Waypoint.create (rng ()) ~agents:8 ~size:9 in
@@ -425,10 +393,7 @@ let suites =
         case "create and density" em_create_and_density;
         case "validations" em_validations;
         case "deterministic extremes" em_deterministic_extremes;
-        case "step counts" em_step_counts;
         case "density tracks stationary" em_density_tracks_stationary;
-        case "snapshot consistent" em_snapshot_consistent;
-        case "edge_present validations" em_edge_present_validations;
         case "flood dense" em_flood_dense;
         case "flood frozen empty" em_flood_frozen_empty;
         case "flood single vertex" em_flood_single_vertex;

@@ -66,18 +66,6 @@ let builder_reusable () =
 (* --------------------------------------------------------------- *)
 (* Ops *)
 
-let ops_restrict_window () =
-  let net = fixture () in
-  let sliced = Ops.restrict_window net ~lo:2 ~hi:5 in
-  (* Original labels: 1,2,2,3,4,5,6,7,8 -> kept: 2,2,3,4,5. *)
-  check_int "kept labels" 5 (Tgraph.label_count sliced);
-  check_int "lifetime unchanged" 8 (Tgraph.lifetime sliced)
-
-let ops_restrict_empty () =
-  let net = fixture () in
-  check_int "nothing survives" 0
-    (Tgraph.label_count (Ops.restrict_window net ~lo:7 ~hi:6))
-
 let ops_shift () =
   let net = fixture () in
   let shifted = Ops.shift net 10 in
@@ -247,7 +235,9 @@ let spanner_rejects_broken_input () =
 
 let spanner_clique_single_is_minimal () =
   check_bool "1 label per clique edge is minimal" true
-    (Spanner.is_minimal (Opt.clique_single (Sgraph.Gen.clique Undirected 5)))
+    (Spanner.is_minimal
+       (Assignment.constant (Sgraph.Gen.clique Undirected 5) ~a:1
+          (Label.singleton 1)))
 
 let spanner_outputs_minimal =
   qcase ~count:25 "prune outputs are inclusion-minimal" ~print:print_params
@@ -345,8 +335,6 @@ let suites =
       ] );
     ( "temporal.ops",
       [
-        case "restrict window" ops_restrict_window;
-        case "restrict to empty" ops_restrict_empty;
         case "shift" ops_shift;
         case "shift down" ops_shift_down_ok;
         ops_scale_distances;

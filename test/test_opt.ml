@@ -23,20 +23,17 @@ let recognise_star () =
 (* --------------------------------------------------------------- *)
 (* Clique: 1 label per edge *)
 
+let clique_single g = Assignment.constant g ~a:1 (Label.singleton 1)
+
 let clique_single_works () =
-  let net = Opt.clique_single (Gen.clique Directed 6) in
+  let net = clique_single (Gen.clique Directed 6) in
   check_bool "treach" true (Reachability.treach net);
   check_int "OPT = m labels" (6 * 5) (Tgraph.label_count net)
 
 let clique_single_undirected () =
-  let net = Opt.clique_single (Gen.clique Undirected 6) in
+  let net = clique_single (Gen.clique Undirected 6) in
   check_bool "treach" true (Reachability.treach net);
   check_int "OPT = m labels" 15 (Tgraph.label_count net)
-
-let clique_single_rejects () =
-  Alcotest.check_raises "not a clique"
-    (Invalid_argument "Opt.clique_single: not a clique") (fun () ->
-      ignore (Opt.clique_single (Gen.path 4)))
 
 (* --------------------------------------------------------------- *)
 (* Star: 2 labels per edge *)
@@ -74,28 +71,33 @@ let star_one_label_insufficient () =
   check_bool "no single-label assignment works" false !ok
 
 (* --------------------------------------------------------------- *)
-(* Trees: up/down scheme *)
+(* Trees: up/down scheme.  On a tree the BFS spanning tree is the tree
+   itself, so [spanning_tree_upper] labels every edge, rooted at 0. *)
 
 let tree_scheme_path () =
   let g = Gen.path 6 in
-  let net = Opt.tree_up_down g ~root:0 in
+  let net = Opt.spanning_tree_upper g in
   check_bool "treach" true (Reachability.treach net);
   check_int "2 labels per edge" (2 * 5) (Tgraph.label_count net);
   check_int "lifetime 2h" 10 (Tgraph.lifetime net)
 
 let tree_scheme_star_matches () =
   (* On a star rooted at the centre the scheme degenerates to {1,2}. *)
-  let net = Opt.tree_up_down (Gen.star 5) ~root:0 in
+  let net = Opt.spanning_tree_upper (Gen.star 5) in
   check_bool "treach" true (Reachability.treach net);
   check_int "lifetime 2" 2 (Tgraph.lifetime net)
 
 let tree_scheme_binary () =
-  let net = Opt.tree_up_down (Gen.binary_tree 15) ~root:0 in
+  let net = Opt.spanning_tree_upper (Gen.binary_tree 15) in
   check_bool "treach" true (Reachability.treach net)
 
 let tree_scheme_off_root () =
-  (* Rooting anywhere still works. *)
-  let net = Opt.tree_up_down (Gen.path 7) ~root:3 in
+  (* A root inside the path still works: the path 1-2-3-0-4-5-6 puts
+     vertex 0 in the middle. *)
+  let g =
+    Graph.create Undirected ~n:7 [ (1, 2); (2, 3); (3, 0); (0, 4); (4, 5); (5, 6) ]
+  in
+  let net = Opt.spanning_tree_upper g in
   check_bool "treach" true (Reachability.treach net)
 
 let tree_scheme_random_trees =
@@ -105,13 +107,8 @@ let tree_scheme_random_trees =
     (fun (n, seed) ->
       let n = max 2 n in
       let g = Gen.random_tree (Prng.Rng.create seed) n in
-      let net = Opt.tree_up_down g ~root:(seed mod n) in
+      let net = Opt.spanning_tree_upper g in
       Reachability.treach net && Tgraph.label_count net = 2 * (n - 1))
-
-let tree_scheme_rejects_non_tree () =
-  Alcotest.check_raises "cycle is not a tree"
-    (Invalid_argument "Opt.tree_up_down: not a tree") (fun () ->
-      ignore (Opt.tree_up_down (Gen.cycle 4) ~root:0))
 
 (* --------------------------------------------------------------- *)
 (* Spanning-tree certificate for general graphs *)
@@ -207,27 +204,64 @@ let boxes_shortest_paths_are_journeys =
       end)
 
 (* --------------------------------------------------------------- *)
-(* Bounds *)
+(* §4.1: "the clique is the only graph for which temporal reachability
+   is guaranteed even with 1 label per edge".  Two oracles check it. *)
 
-(* §4.1: one label per edge always works iff the graph is a clique. *)
+(* For a non-clique with some statically-joined non-adjacent pair, the
+   all-ones assignment is a counterexample (equal labels never chain).
+   [None] for cliques and for graphs where no non-adjacent pair is
+   statically connected. *)
+let single_label_counterexample g =
+  let net = clique_single g in
+  if Reachability.treach net then None else Some net
+
+(* Does every assignment of one label from {1..a} per edge preserve
+   reachability?  Cost a^m, so small fixtures only (guarded at
+   a^m <= 100_000). *)
+let single_label_always_preserves g ~a =
+  let m = Graph.m g in
+  let combos =
+    let rec power acc k = if k = 0 then acc else power (acc * a) (k - 1) in
+    power 1 m
+  in
+  if combos > 100_000 then
+    invalid_arg "single_label_always_preserves: a^m too large";
+  let labels = Array.make m 1 in
+  let rec enumerate e =
+    if e = m then
+      Reachability.treach
+        (Assignment.of_fun g ~a (fun i -> Label.singleton labels.(i)))
+    else begin
+      let ok = ref true in
+      let l = ref 1 in
+      while !ok && !l <= a do
+        labels.(e) <- !l;
+        if not (enumerate (e + 1)) then ok := false;
+        incr l
+      done;
+      !ok
+    end
+  in
+  m = 0 || enumerate 0
+
 let single_label_uniqueness () =
   check_bool "K3 always works" true
-    (Opt.single_label_always_preserves (Gen.clique Undirected 3) ~a:3);
+    (single_label_always_preserves (Gen.clique Undirected 3) ~a:3);
   check_bool "K4 with a=2" true
-    (Opt.single_label_always_preserves (Gen.clique Undirected 4) ~a:2);
+    (single_label_always_preserves (Gen.clique Undirected 4) ~a:2);
   check_bool "directed K3" true
-    (Opt.single_label_always_preserves (Gen.clique Directed 3) ~a:2);
+    (single_label_always_preserves (Gen.clique Directed 3) ~a:2);
   check_bool "path fails" false
-    (Opt.single_label_always_preserves (Gen.path 3) ~a:3);
+    (single_label_always_preserves (Gen.path 3) ~a:3);
   check_bool "star fails" false
-    (Opt.single_label_always_preserves (Gen.star 4) ~a:2);
+    (single_label_always_preserves (Gen.star 4) ~a:2);
   check_bool "cycle fails" false
-    (Opt.single_label_always_preserves (Gen.cycle 4) ~a:2)
+    (single_label_always_preserves (Gen.cycle 4) ~a:2)
 
 let single_label_counterexample_cases () =
   check_bool "clique has none" true
-    (Opt.single_label_counterexample (Gen.clique Undirected 5) = None);
-  (match Opt.single_label_counterexample (Gen.star 5) with
+    (single_label_counterexample (Gen.clique Undirected 5) = None);
+  (match single_label_counterexample (Gen.star 5) with
   | None -> Alcotest.fail "star must have a counterexample"
   | Some net ->
     check_bool "counterexample indeed breaks Treach" false
@@ -235,13 +269,13 @@ let single_label_counterexample_cases () =
   (* No statically-connected non-adjacent pair: nothing to break. *)
   let isolated = Graph.create Undirected ~n:3 [] in
   check_bool "edgeless graph has none" true
-    (Opt.single_label_counterexample isolated = None)
+    (single_label_counterexample isolated = None)
 
 let single_label_guard () =
   Alcotest.check_raises "a^m blow-up guarded"
-    (Invalid_argument "Opt.single_label_always_preserves: a^m too large")
+    (Invalid_argument "single_label_always_preserves: a^m too large")
     (fun () ->
-      ignore (Opt.single_label_always_preserves (Gen.clique Undirected 8) ~a:10))
+      ignore (single_label_always_preserves (Gen.clique Undirected 8) ~a:10))
 
 let single_label_matches_is_clique =
   qcase ~count:40 "exhaustive check agrees with is_clique (a = 2)"
@@ -250,7 +284,10 @@ let single_label_matches_is_clique =
       let g = random_graph ~n ~seed in
       if Graph.m g > 12 then true
       else if not (Sgraph.Components.is_connected g) then true
-      else Opt.single_label_always_preserves g ~a:2 = Opt.is_clique g)
+      else single_label_always_preserves g ~a:2 = Opt.is_clique g)
+
+(* --------------------------------------------------------------- *)
+(* Bounds *)
 
 let opt_bounds () =
   let g = Gen.grid 4 4 in
@@ -270,7 +307,6 @@ let suites =
       [
         case "clique single label" clique_single_works;
         case "clique single undirected" clique_single_undirected;
-        case "clique single rejects" clique_single_rejects;
         case "star two labels" star_two_works;
         case "star two rejects" star_two_rejects;
         case "star one label insufficient" star_one_label_insufficient;
@@ -279,7 +315,6 @@ let suites =
         case "tree scheme on binary tree" tree_scheme_binary;
         case "tree scheme off-root" tree_scheme_off_root;
         tree_scheme_random_trees;
-        case "tree scheme rejects non-tree" tree_scheme_rejects_non_tree;
         case "spanning tree families" spanning_tree_upper_families;
         case "spanning tree rejects disconnected"
           spanning_tree_upper_rejects_disconnected;

@@ -62,11 +62,6 @@ let isolated_vertex_rejected () =
     (Invalid_argument "Rumor.spread: vertex without neighbours") (fun () ->
       ignore (Rumor.spread (rng ()) g Push ~source:0))
 
-let strategy_names () =
-  Alcotest.(check string) "push" "push" (Rumor.strategy_name Push);
-  Alcotest.(check string) "pull" "pull" (Rumor.strategy_name Pull);
-  Alcotest.(check string) "push-pull" "push-pull" (Rumor.strategy_name Push_pull)
-
 let mean_rounds_sane () =
   let mean, sd = Rumor.mean_rounds (rng ()) (Gen.clique Undirected 32) Push ~trials:10 in
   check_bool "mean in a plausible band" true (mean > 4. && mean < 40.);
@@ -93,7 +88,6 @@ let suites =
         case "max rounds cap" max_rounds_cap;
         case "bad source" bad_source;
         case "isolated vertex rejected" isolated_vertex_rejected;
-        case "strategy names" strategy_names;
         case "mean_rounds" mean_rounds_sane;
         case "push-pull competitive" push_pull_not_slower_much;
       ] );

@@ -122,11 +122,6 @@ let prefix_connectivity_none () =
   check_bool "disconnected underlying graph" true
     (Lifetime.prefix_connectivity_time net = None)
 
-let prefix_probability () =
-  check_float ~eps:1e-12 "k/a" 0.25
-    (Lifetime.expected_prefix_edge_probability ~a:8 ~k:2);
-  check_float "clamped" 1. (Lifetime.expected_prefix_edge_probability ~a:4 ~k:9)
-
 let lifetime_bound () =
   check_float ~eps:1e-9 "(a/n) ln n" (2. *. log 16.)
     (Lifetime.lower_bound ~n:16 ~a:32)
@@ -164,7 +159,6 @@ let suites =
         case "prefix graph filters" prefix_graph_filters;
         case "prefix connectivity witness" prefix_connectivity_witness;
         case "prefix connectivity none" prefix_connectivity_none;
-        case "prefix probability" prefix_probability;
         case "bound value" lifetime_bound;
         prefix_time_lower_bounds_diameter;
       ] );

@@ -16,32 +16,10 @@ let splitmix_deterministic () =
       (Prng.Splitmix64.next b)
   done
 
-let splitmix_copy_replays () =
-  let a = Prng.Splitmix64.create 7 in
-  ignore (Prng.Splitmix64.next a);
-  let b = Prng.Splitmix64.copy a in
-  for _ = 1 to 50 do
-    Alcotest.(check int64) "copy replays" (Prng.Splitmix64.next a)
-      (Prng.Splitmix64.next b)
-  done
-
 let splitmix_seeds_differ () =
   let a = Prng.Splitmix64.create 1 and b = Prng.Splitmix64.create 2 in
   check_bool "different seeds diverge" false
     (Prng.Splitmix64.next a = Prng.Splitmix64.next b)
-
-let splitmix_next_in_bounds () =
-  let g = Prng.Splitmix64.create 5 in
-  for _ = 1 to 1000 do
-    let v = Prng.Splitmix64.next_in g 7 in
-    check_bool "in [0,7)" true (v >= 0 && v < 7)
-  done
-
-let splitmix_next_in_invalid () =
-  let g = Prng.Splitmix64.create 5 in
-  Alcotest.check_raises "bound 0" (Invalid_argument
-    "Splitmix64.next_in: bound must be positive") (fun () ->
-      ignore (Prng.Splitmix64.next_in g 0))
 
 let xoshiro_deterministic () =
   let a = Prng.Xoshiro256.create 9 and b = Prng.Xoshiro256.create 9 in
@@ -54,17 +32,6 @@ let xoshiro_zero_state_rejected () =
   Alcotest.check_raises "all-zero"
     (Invalid_argument "Xoshiro256.of_state: all-zero state") (fun () ->
       ignore (Prng.Xoshiro256.of_state 0L 0L 0L 0L))
-
-let xoshiro_jump_diverges () =
-  let a = Prng.Xoshiro256.create 3 in
-  let b = Prng.Xoshiro256.copy a in
-  Prng.Xoshiro256.jump b;
-  let overlap = ref false in
-  let first_a = Prng.Xoshiro256.next a in
-  for _ = 1 to 1000 do
-    if Prng.Xoshiro256.next b = first_a then overlap := true
-  done;
-  check_bool "jumped stream avoids the original prefix" false !overlap
 
 (* --------------------------------------------------------------- *)
 (* Rng *)
@@ -91,26 +58,6 @@ let rng_int_covers_range () =
   done;
   check_bool "all values hit" true (Array.for_all Fun.id seen)
 
-let rng_int_in () =
-  let g = rng () in
-  let lo = ref max_int and hi = ref min_int in
-  for _ = 1 to 2000 do
-    let v = Rng.int_in g 3 9 in
-    check_bool "in [3,9]" true (v >= 3 && v <= 9);
-    lo := min !lo v;
-    hi := max !hi v
-  done;
-  check_int "min attained" 3 !lo;
-  check_int "max attained" 9 !hi
-
-let rng_int_in_singleton () =
-  check_int "degenerate range" 4 (Rng.int_in (rng ()) 4 4)
-
-let rng_int_in_invalid () =
-  Alcotest.check_raises "empty range"
-    (Invalid_argument "Rng.int_in: empty range") (fun () ->
-      ignore (Rng.int_in (rng ()) 5 4))
-
 let rng_float_range () =
   let g = rng () in
   for _ = 1 to 2000 do
@@ -127,14 +74,6 @@ let rng_float_mean () =
   done;
   let mean = !total /. float_of_int n in
   check_bool "mean near 0.5" true (abs_float (mean -. 0.5) < 0.02)
-
-let rng_bool_both () =
-  let g = rng () in
-  let t = ref 0 in
-  for _ = 1 to 1000 do
-    if Rng.bool g then incr t
-  done;
-  check_bool "roughly balanced" true (!t > 400 && !t < 600)
 
 let rng_bernoulli_extremes () =
   let g = rng () in
@@ -227,18 +166,6 @@ let xoshiro_known_answer () =
     [ 11520L; 0L; 1509978240L; 1215971899390074240L ]
     (fun () -> Prng.Xoshiro256.next x)
 
-let xoshiro_jump_pinned () =
-  let x = Prng.Xoshiro256.of_state 1L 2L 3L 4L in
-  Prng.Xoshiro256.jump x;
-  check_stream "jumped (1,2,3,4)"
-    [ -4912596984176294952L; 7126240192422241655L; 3805973808039778091L ]
-    (fun () -> Prng.Xoshiro256.next x);
-  let x = Prng.Xoshiro256.create 42 in
-  Prng.Xoshiro256.jump x;
-  check_stream "jumped seed 42"
-    [ 5766981335298035530L; -5032668395946387709L; 6818771422820058410L ]
-    (fun () -> Prng.Xoshiro256.next x)
-
 let rng_copy_pinned () =
   let g = Rng.create 42 in
   check_stream "seed 42"
@@ -265,14 +192,10 @@ let rng_draws_pinned () =
   let g = Rng.create 7 in
   Alcotest.(check (list int)) "int 1000"
     [ 998; 668; 909; 416; 166; 930; 429; 799; 352; 904 ]
-    (List.init 10 (fun _ -> Rng.int g 1000));
-  Alcotest.(check (list bool)) "bool"
-    (List.map (( = ) 1) [ 1; 0; 1; 1; 0; 1; 1; 0; 1; 1; 1; 0; 1; 0; 0; 0 ])
-    (List.init 16 (fun _ -> Rng.bool g))
+    (List.init 10 (fun _ -> Rng.int g 1000))
 
-(* [Rng.int] and [Rng.bool] transcribed directly on Int64 over raw
-   [bits64] outputs: the reference the allocation-free versions must
-   match draw for draw. *)
+(* [Rng.int] transcribed directly on Int64 over raw [bits64] outputs:
+   the reference the allocation-free version must match draw for draw. *)
 let int_reference_of next bound =
   let range = Int64.of_int bound in
   let limit = Int64.mul (Int64.div 0x3FFF_FFFF_FFFF_FFFFL range) range in
@@ -283,8 +206,6 @@ let int_reference_of next bound =
   draw ()
 
 let int_reference g bound = int_reference_of (fun () -> Rng.bits64 g) bound
-
-let bool_reference g = Int64.logand (Rng.bits64 g) 1L = 1L
 
 (* Bounds of every magnitude: small ones, any positive int, ones
    above 2^61, where about half of all outputs fall in the rejected
@@ -310,11 +231,7 @@ let rng_matches_int64_reference =
     (fun (seed, bounds) ->
       let g = Rng.create seed in
       let twin = Rng.copy g in
-      List.for_all
-        (fun bound ->
-          Rng.int g bound = int_reference twin bound
-          && Rng.bool g = bool_reference twin)
-        bounds
+      List.for_all (fun bound -> Rng.int g bound = int_reference twin bound) bounds
       && Rng.bits64 g = Rng.bits64 twin)
 
 let rng_draws_allocate_nothing () =
@@ -323,8 +240,7 @@ let rng_draws_allocate_nothing () =
     for _ = 1 to k do
       ignore (Sys.opaque_identity (Rng.int g 1000));
       ignore (Sys.opaque_identity (Rng.int g 1024));
-      ignore (Sys.opaque_identity (Rng.int g ((1 lsl 61) + 1)));
-      ignore (Sys.opaque_identity (Rng.bool g))
+      ignore (Sys.opaque_identity (Rng.int g ((1 lsl 61) + 1)))
     done
   in
   let (), small = allocated_words (draws 1_000) in
@@ -744,13 +660,6 @@ let shuffle_is_permutation =
       Sample.shuffle (rng ()) a;
       sorted_copy a = sorted_copy (Array.of_list l))
 
-let permutation_is_permutation =
-  qcase "permutation of 0..n-1" ~print:string_of_int
-    QCheck2.Gen.(int_range 1 50)
-    (fun n ->
-      let p = Sample.permutation (rng ~seed:n ()) n in
-      sorted_copy p = Array.init n Fun.id)
-
 let shuffle_varies () =
   let g = rng () in
   let a = Array.init 20 Fun.id in
@@ -804,27 +713,6 @@ let geometric_invalid () =
   Alcotest.check_raises "p = 0"
     (Invalid_argument "Sample.geometric: need 0 < p <= 1") (fun () ->
       ignore (Sample.geometric (rng ()) ~p:0.))
-
-let binomial_bounds () =
-  let g = rng () in
-  for _ = 1 to 500 do
-    let v = Sample.binomial g ~n:20 ~p:0.4 in
-    check_bool "0 <= v <= n" true (v >= 0 && v <= 20)
-  done
-
-let binomial_extremes () =
-  check_int "p=0" 0 (Sample.binomial (rng ()) ~n:50 ~p:0.);
-  check_int "p=1" 50 (Sample.binomial (rng ()) ~n:50 ~p:1.);
-  check_int "n=0" 0 (Sample.binomial (rng ()) ~n:0 ~p:0.5)
-
-let binomial_mean () =
-  let g = rng () in
-  let total = ref 0 in
-  for _ = 1 to 5000 do
-    total := !total + Sample.binomial g ~n:10 ~p:0.3
-  done;
-  let mean = float_of_int !total /. 5000. in
-  check_bool "mean near np = 3" true (abs_float (mean -. 3.) < 0.15)
 
 let zipf_range () =
   let g = rng () in
@@ -899,22 +787,14 @@ let suites =
     ( "prng.core",
       [
         case "splitmix deterministic" splitmix_deterministic;
-        case "splitmix copy replays" splitmix_copy_replays;
         case "splitmix seeds differ" splitmix_seeds_differ;
-        case "splitmix next_in bounds" splitmix_next_in_bounds;
-        case "splitmix next_in invalid" splitmix_next_in_invalid;
         case "xoshiro deterministic" xoshiro_deterministic;
         case "xoshiro zero state rejected" xoshiro_zero_state_rejected;
-        case "xoshiro jump diverges" xoshiro_jump_diverges;
         case "rng int bounds" rng_int_bounds;
         case "rng int invalid" rng_int_invalid;
         case "rng int covers range" rng_int_covers_range;
-        case "rng int_in" rng_int_in;
-        case "rng int_in singleton" rng_int_in_singleton;
-        case "rng int_in invalid" rng_int_in_invalid;
         case "rng float range" rng_float_range;
         case "rng float mean" rng_float_mean;
-        case "rng bool balanced" rng_bool_both;
         case "rng bernoulli extremes" rng_bernoulli_extremes;
         case "rng split independent" rng_split_independent;
         case "rng split reproducible" rng_split_reproducible;
@@ -925,7 +805,6 @@ let suites =
     ( "prng.pinned",
       [
         case "xoshiro known answer" xoshiro_known_answer;
-        case "xoshiro jump" xoshiro_jump_pinned;
         case "rng copy" rng_copy_pinned;
         case "rng split" rng_split_pinned;
         case "rng int and bool" rng_draws_pinned;
@@ -944,7 +823,6 @@ let suites =
     ( "prng.sample",
       [
         shuffle_is_permutation;
-        permutation_is_permutation;
         case "shuffle varies" shuffle_varies;
         case "choose_distinct basic" choose_distinct_basic;
         case "choose_distinct all" choose_distinct_all;
@@ -954,9 +832,6 @@ let suites =
         case "geometric p = 1" geometric_p1;
         case "geometric mean" geometric_mean;
         case "geometric invalid" geometric_invalid;
-        case "binomial bounds" binomial_bounds;
-        case "binomial extremes" binomial_extremes;
-        case "binomial mean" binomial_mean;
         case "zipf range" zipf_range;
         case "zipf head heavy" zipf_head_heavy;
       ] );

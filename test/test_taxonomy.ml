@@ -66,7 +66,6 @@ let gen_small =
 let reverse_fixture () =
   let net = fixture () in
   let r = Reverse_foremost.run net 2 in
-  check_int "target" 2 (Reverse_foremost.target r);
   check_int "deadline defaults to lifetime" 8 (Reverse_foremost.deadline r);
   (* Journeys into 2 must end on {1,2}@5 or {2,4}@{2,8}. *)
   check_int_option "latest presence of 4 (direct @8)" (Some 7)
@@ -734,11 +733,6 @@ let robustness_invalid () =
     (Invalid_argument "Robustness: steps must be >= 0") (fun () ->
       ignore (Robustness.targeted_attack (fixture ()) ~by:`Degree ~steps:(-1)))
 
-let robustness_names () =
-  Alcotest.(check string) "degree" "degree" (Robustness.target_name `Degree);
-  Alcotest.(check string) "betweenness" "betweenness"
-    (Robustness.target_name `Betweenness)
-
 let robustness_removed_are_original_ids =
   qcase ~count:30 "removed ids are distinct original vertices"
     ~print:print_params gen_small_nets
@@ -822,7 +816,6 @@ let suites =
         case "random failures" robustness_random_failures;
         case "stops at two" robustness_stops_at_two;
         case "invalid" robustness_invalid;
-        case "target names" robustness_names;
         robustness_removed_are_original_ids;
       ] );
   ]

@@ -38,22 +38,6 @@ let label_mem () =
   check_bool "not mem 1" false (Label.mem l 1);
   check_bool "not mem 10" false (Label.mem l 10)
 
-let label_first_after () =
-  let l = Label.of_list [ 2; 4; 9 ] in
-  check_int_option "after 0" (Some 2) (Label.first_after l 0);
-  check_int_option "after 2" (Some 4) (Label.first_after l 2);
-  check_int_option "after 4" (Some 9) (Label.first_after l 4);
-  check_int_option "after 9" None (Label.first_after l 9)
-
-let label_count_in () =
-  let l = Label.of_list [ 2; 4; 9 ] in
-  (* Intervals are (lo, hi]. *)
-  check_int "whole" 3 (Label.count_in l ~lo:0 ~hi:9);
-  check_int "excludes lo" 2 (Label.count_in l ~lo:2 ~hi:9);
-  check_int "includes hi" 1 (Label.count_in l ~lo:2 ~hi:4);
-  check_int "empty interval" 0 (Label.count_in l ~lo:4 ~hi:4);
-  check_int "reversed" 0 (Label.count_in l ~lo:9 ~hi:2)
-
 let label_any_in () =
   let l = Label.of_list [ 2; 4; 9 ] in
   check_int_option "smallest in (1,9]" (Some 2) (Label.any_in l ~lo:1 ~hi:9);
@@ -146,7 +130,6 @@ let j steps = List.map (fun (src, dst, label) -> { Journey.src; dst; label }) st
 
 let journey_accessors () =
   let journey = j [ (0, 1, 2); (1, 3, 3); (3, 4, 4) ] in
-  check_int_option "source" (Some 0) (Journey.source journey);
   check_int_option "target" (Some 4) (Journey.target journey);
   check_int_option "arrival" (Some 4) (Journey.arrival journey);
   check_int_option "departure" (Some 2) (Journey.departure journey);
@@ -155,7 +138,6 @@ let journey_accessors () =
     (Journey.vertices journey)
 
 let journey_empty () =
-  check_int_option "no source" None (Journey.source []);
   check_int_option "no arrival" None (Journey.arrival []);
   check_int "length" 0 (Journey.length []);
   Alcotest.(check (list int)) "no vertices" [] (Journey.vertices [])
@@ -225,8 +207,6 @@ let suites =
         case "empty" label_empty;
         case "range" label_range;
         case "mem" label_mem;
-        case "first_after" label_first_after;
-        case "count_in half-open" label_count_in;
         case "any_in" label_any_in;
         case "union" label_union;
         case "within lifetime" label_lifetime;
