@@ -14,9 +14,9 @@ the bare name anywhere past its definition, except as a record field
 (declared, initialised or punned inside `{ }`) or a `~v`/`?v` label: an
 accessor `let v t = t.v` does not use itself through its field.
 
-Limit: a local binding with the value's name still counts as a use.  A
-parameter named `start_time` or `deadline` keeps `Foremost.start_time`
-and `Reverse_foremost.deadline` passing whatever calls them.
+Limit: a local binding with the value's name still counts as a use, so
+an export whose own .ml binds a parameter or local of the same name
+passes whatever calls it; check such a value's callers by hand.
 
 Each failing value is printed as `Lib.Module.value: class`, the class
 being "nowhere", "own module only" or "tests only".  The exit status is

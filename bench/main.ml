@@ -383,12 +383,12 @@ let run_batch_bench () =
 
    One trial = realise a derived normalized-uniform directed-clique
    instance from a fresh 64-bit seed and compute its exact all-pairs
-   temporal diameter.  The implicit leg keeps the instance lazy
-   (arithmetic topology, labels rolled on demand behind the prefix
-   stream); the dense leg materializes the same instance (CSR clique,
-   stored label array, full counting-sorted stream) first.  Identical
-   seeds per trial, so the diameters must agree — the backend
-   equivalence oracle, run as a bench.
+   temporal diameter on the arithmetic clique, the topology both legs
+   share.  The implicit leg keeps the instance lazy (labels rolled on
+   demand behind the prefix stream); the dense leg materializes the
+   same instance (stored label array, counting-sorted stream) first.
+   Identical seeds per trial, so the diameters must agree — the
+   backend equivalence oracle, run as a bench.
 
    Peak RSS comes from /proc/self/status VmHWM, which is a monotone
    high-water mark for the whole process: the implicit leg therefore
@@ -442,7 +442,7 @@ let run_implicit_bench () =
       let impl_out, impl_ns, _ =
         measure ~trials (fun () ->
             let rng = Rng.create seed in
-            let g = Sgraph.Gen.clique_implicit Directed n in
+            let g = Sgraph.Gen.clique Directed n in
             Distance.instance_diameter
               (Assignment.uniform_single_implicit rng g ~a:n))
       in

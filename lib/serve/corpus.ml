@@ -108,15 +108,11 @@ let parse_spec line =
             | (Error _ as e), _, _ | _, (Error _ as e), _ | _, _, (Error _ as e)
               -> e)))))
 
-(* On the implicit backend a family with an arithmetic shape gets it, so
-   a large clique holds no O(n^2) topology; its numbering is the CSR's,
-   so the labels, and every reply, are the dense backend's. *)
+(* The backend decides only how labels are stored: the topology is
+   [Family.build]'s on both (an arithmetic shape for the clique, star
+   and grid, so a large clique holds no O(n^2) topology either way). *)
 let build_spec backend s =
-  let g =
-    match ((backend : Sim.Backend.t), Sim.Family.shape s.family ~n:s.n) with
-    | Sim.Backend.Implicit, Some g -> g
-    | _ -> Sim.Family.build s.family (Prng.Rng.create s.seed) ~n:s.n
-  in
+  let g = Sim.Family.build s.family (Prng.Rng.create s.seed) ~n:s.n in
   let net =
     Temporal.Tgraph.of_derived g ~a:s.a ~seed:(Int64.of_int s.seed) ~r:s.r
   in

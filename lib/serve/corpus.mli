@@ -5,10 +5,10 @@
 
     ([id], [family], [n] required; [a] defaults to [n], [r] to [1],
     [seed] to [1]).  The realised instance is the experiment
-    pipeline's: topology from {!Sim.Family.build}, labels the derived
-    draws of {!Temporal.Tgraph.of_derived} — so dense and implicit
-    backends serve label-identical instances and replies byte-compare
-    across backends.
+    pipeline's: topology from {!Sim.Family.build} on either backend,
+    labels the derived draws of {!Temporal.Tgraph.of_derived} — so
+    dense and implicit backends serve label-identical instances and
+    replies byte-compare across backends.
 
     Loading is degraded-tolerant: a malformed line or a build failure
     yields a [Failed] instance the server answers [Unavailable] for,

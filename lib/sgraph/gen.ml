@@ -1,59 +1,16 @@
-(* Dense generators emit straight into preallocated endpoint arrays and
-   hand them to the trusted [Graph.of_arrays] constructor: no O(n²)
-   cons-list, no Hashtbl re-validation of edges that are distinct by
-   construction.  The historical list-based path pushed edges and let
-   [Array.of_list] reverse them, so edge id 0 was the *last* pair
-   emitted; [reversed] reproduces that id order exactly — label
-   assignments draw per edge id, so the order is part of the output
-   contract. *)
-let reversed a =
-  let m = Array.length a in
-  for i = 0 to (m / 2) - 1 do
-    let tmp = a.(i) in
-    a.(i) <- a.(m - 1 - i);
-    a.(m - 1 - i) <- tmp
-  done;
-  a
-
-let of_emitter kind ~n ~m emit =
-  let src = Array.make m 0 and dst = Array.make m 0 in
-  let fill = ref 0 in
-  emit (fun u v ->
-      src.(!fill) <- u;
-      dst.(!fill) <- v;
-      incr fill);
-  assert (!fill = m);
-  Graph.of_arrays kind ~n (reversed src) (reversed dst)
-
+(* The clique, star and grid are arithmetic shapes: O(1) memory, every
+   adjacency query answered by arithmetic on n (or rows and cols).
+   Their edge numbering is part of the output contract, since label
+   draws go by edge id; [Graph]'s shape section states it. *)
 let clique kind n =
   if n < 1 then invalid_arg "Gen.clique: need n >= 1";
-  let m =
-    match kind with
-    | Graph.Directed -> n * (n - 1)
-    | Graph.Undirected -> n * (n - 1) / 2
-  in
-  of_emitter kind ~n ~m (fun push ->
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          let keep =
-            match kind with
-            | Graph.Directed -> u <> v
-            | Graph.Undirected -> u < v
-          in
-          if keep then push u v
-        done
-      done)
+  Graph.implicit_clique kind n
+
+let clique_implicit = clique
 
 let star n =
   if n < 2 then invalid_arg "Gen.star: need n >= 2";
-  Graph.create Undirected ~n (List.init (n - 1) (fun i -> (0, i + 1)))
-
-(* O(1)-memory twins of [clique]/[star]/[grid]: same vertex and edge
-   numbering, arithmetic adjacency instead of CSR arrays.  These are the
-   topologies the implicit temporal backend scales to n = 10^5..10^6. *)
-let clique_implicit kind n = Graph.implicit_clique kind n
-let star_implicit n = Graph.implicit_star n
-let grid_implicit rows cols = Graph.implicit_grid ~rows ~cols
+  Graph.implicit_star n
 
 let path n =
   if n < 1 then invalid_arg "Gen.path: need n >= 1";
@@ -66,26 +23,21 @@ let cycle n =
 
 let grid rows cols =
   if rows < 1 || cols < 1 then invalid_arg "Gen.grid: empty grid";
-  let id r c = (r * cols) + c in
-  let m = (rows * (cols - 1)) + (cols * (rows - 1)) in
-  of_emitter Undirected ~n:(rows * cols) ~m (fun push ->
-      for r = 0 to rows - 1 do
-        for c = 0 to cols - 1 do
-          if c + 1 < cols then push (id r c) (id r (c + 1));
-          if r + 1 < rows then push (id r c) (id (r + 1) c)
-        done
-      done)
+  Graph.implicit_grid ~rows ~cols
 
 let hypercube d =
   if d < 1 then invalid_arg "Gen.hypercube: need d >= 1";
   let n = 1 lsl d in
-  of_emitter Undirected ~n ~m:(n * d / 2) (fun push ->
-      for v = 0 to n - 1 do
-        for bit = 0 to d - 1 do
-          let w = v lxor (1 lsl bit) in
-          if v < w then push v w
-        done
-      done)
+  (* Consed, so edge 0 is the last pair emitted; label draws go by edge
+     id, so this order is part of the output. *)
+  let edges = ref [] in
+  for v = 0 to n - 1 do
+    for bit = 0 to d - 1 do
+      let w = v lxor (1 lsl bit) in
+      if v < w then edges := (v, w) :: !edges
+    done
+  done;
+  Graph.create Undirected ~n !edges
 
 let binary_tree n =
   if n < 1 then invalid_arg "Gen.binary_tree: need n >= 1";

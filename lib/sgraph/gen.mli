@@ -6,24 +6,19 @@
 
 val clique : Graph.kind -> int -> Graph.t
 (** [clique kind n]: the complete graph [K_n]; directed means both arcs
-    [(u,v)] and [(v,u)] exist, as in the paper's §3 model.
+    [(u,v)] and [(v,u)] exist, as in the paper's §3 model.  An
+    O(1)-memory arithmetic shape ({!Graph.implicit_clique}).
     @raise Invalid_argument if [n < 1]. *)
 
-val star : int -> Graph.t
-(** [star n]: undirected [K_{1,n-1}] with centre [0] (Theorem 6's graph).
-    @raise Invalid_argument if [n < 2]. *)
-
 val clique_implicit : Graph.kind -> int -> Graph.t
-(** [clique_implicit kind n]: {!clique} as an O(1)-memory implicit
-    shape — identical numbering, no CSR arrays.  See
-    {!Graph.implicit_clique}. *)
+(** [clique_implicit] is {!clique}, under the name perfbench's traced
+    implicit trial calls. *)
 
-val star_implicit : int -> Graph.t
-(** [star_implicit n]: {!star} as an O(1)-memory implicit shape. *)
-
-val grid_implicit : int -> int -> Graph.t
-(** [grid_implicit rows cols]: {!grid} as an O(1)-memory implicit
-    shape. *)
+val star : int -> Graph.t
+(** [star n]: undirected [K_{1,n-1}] with centre [0] (Theorem 6's
+    graph), edge [e] joining [0] and [e + 1].  An O(1)-memory
+    arithmetic shape ({!Graph.implicit_star}).
+    @raise Invalid_argument if [n < 2]. *)
 
 val path : int -> Graph.t
 (** [path n]: undirected path [0 - 1 - ... - n-1]. *)
@@ -33,7 +28,9 @@ val cycle : int -> Graph.t
 
 val grid : int -> int -> Graph.t
 (** [grid rows cols]: undirected 2-d lattice, vertex [(r,c)] at
-    [r*cols + c]. *)
+    [r*cols + c].  An O(1)-memory arithmetic shape
+    ({!Graph.implicit_grid}).
+    @raise Invalid_argument if either dimension is [< 1]. *)
 
 val hypercube : int -> Graph.t
 (** [hypercube d]: the [d]-dimensional binary hypercube on [2^d]

@@ -18,21 +18,19 @@ type csr = {
   in_vert : int array;  (* arc row -> source vertex *)
 }
 
-(* Besides the materialized CSR, a few regular topologies exist as
-   *shapes*: O(1)-memory values whose adjacency, edge ids and endpoint
-   decode are pure arithmetic on (n, rows, cols).  They replicate the
-   generator's edge numbering exactly — [Gen.of_emitter] reverses the
-   emission order, so edge id 0 is the LAST pair emitted — and their
-   iterators visit arcs in the same edge-id-ascending order the CSR
-   build produces.  That numbering is part of the output contract
-   (label assignments draw per edge id), so the shape and CSR forms of
-   the same topology are interchangeable everywhere, including under
-   derived-label (implicit backend) instances at n far beyond what a
-   CSR can materialize. *)
+(* Besides the CSR, three regular topologies exist as *shapes*:
+   O(1)-memory values whose adjacency, edge ids and endpoint decode are
+   pure arithmetic on (n, rows, cols).  A shape is numbered as [create]
+   numbers the list of its pairs consed in emission order, so edge id 0
+   is the LAST pair emitted (the star excepted: its list is built in
+   order).  Its iterators visit arcs in the edge-id-ascending order a
+   CSR of that list appends them in.  That numbering is part of the
+   output contract (label assignments draw per edge id); the tests
+   check each shape against the CSR [create] makes of that list. *)
 type shape =
   | Csr of csr
   | Clique of { transposed : bool }  (* directed unless t.kind says otherwise *)
-  | Star  (* undirected; centre 0; edge e = (0, e+1); not reversed *)
+  | Star  (* undirected; centre 0; edge e = (0, e+1) *)
   | Grid of { rows : int; cols : int }  (* undirected; row-major cells *)
 
 type t = { kind : kind; n : int; shape : shape }
@@ -55,9 +53,9 @@ let arc_count t =
   match t.kind with Directed -> m t | Undirected -> 2 * m t
 
 (* ---------------------------------------------------------------- *)
-(* Clique arithmetic.  Emission order (see Gen.clique): u ascending,
-   v ascending (skipping u if directed, v > u if undirected); edge id
-   e = m - 1 - k where k is the emission index. *)
+(* Clique arithmetic.  Emission order: u ascending, v ascending
+   (skipping u if directed, v > u if undirected); edge id e = m - 1 - k
+   where k is the emission index. *)
 
 (* Directed: k = u*(n-1) + idx with idx = v when v < u else v - 1. *)
 let clique_dir_edge ~n ~m u v =
@@ -91,12 +89,12 @@ let clique_und_endpoints ~n ~m e f =
   f e !u (!u + 1 + (k - clique_und_off ~n !u))
 
 (* ---------------------------------------------------------------- *)
-(* Grid arithmetic.  Emission order (see Gen.grid): per cell (r, c) in
-   row-major order, the rightward edge then the downward edge.  A cell
-   in a non-final row therefore owns 2 emission slots when c < cols-1
-   (h then v) and 1 otherwise (v); final-row cells own 1 horizontal
-   slot.  [grid_cell_start] is the emission index of cell (r, c)'s
-   first slot. *)
+(* Grid arithmetic.  Emission order: per cell (r, c) in row-major
+   order, the rightward edge then the downward edge.  A cell in a
+   non-final row therefore owns 2 emission slots when c < cols-1 (h
+   then v) and 1 otherwise (v); final-row cells own 1 horizontal slot.
+   [grid_cell_start] is the emission index of cell (r, c)'s first
+   slot. *)
 let grid_cell_start ~rows ~cols r c =
   (r * ((2 * cols) - 1)) + (c * (1 + if r < rows - 1 then 1 else 0))
 
@@ -203,24 +201,6 @@ let build kind n e_src e_dst =
   in
   { kind; n; shape = Csr csr }
 
-let of_arrays kind ~n e_src e_dst =
-  if n < 0 then invalid_arg "Graph.of_arrays: negative vertex count";
-  let m = Array.length e_src in
-  if Array.length e_dst <> m then
-    invalid_arg "Graph.of_arrays: endpoint arrays differ in length";
-  for e = 0 to m - 1 do
-    let u = e_src.(e) and v = e_dst.(e) in
-    if u < 0 || u >= n || v < 0 || v >= n then
-      invalid_arg
-        (Printf.sprintf "Graph.of_arrays: endpoint out of range (%d,%d)" u v);
-    if u = v then invalid_arg "Graph.of_arrays: self-loop";
-    if kind = Undirected && u > v then begin
-      e_src.(e) <- v;
-      e_dst.(e) <- u
-    end
-  done;
-  build kind n e_src e_dst
-
 let create kind ~n edges =
   if n < 0 then invalid_arg "Graph.create: negative vertex count";
   let normalise (u, v) =
@@ -242,8 +222,8 @@ let create kind ~n edges =
   build kind n (Array.map fst edges) (Array.map snd edges)
 
 (* ---------------------------------------------------------------- *)
-(* Shape constructors: same vertex/edge numbering as the corresponding
-   Gen generators, O(1) memory. *)
+(* Shape constructors, O(1) memory: the only form [Gen] builds the
+   clique, star and grid in. *)
 
 let implicit_clique kind n =
   if n < 1 then invalid_arg "Graph.implicit_clique: need n >= 1";
@@ -318,7 +298,7 @@ let iter_edges t f =
     let cell r c = (r * cols) + c in
     for r = rows - 1 downto 0 do
       for c = cols - 1 downto 0 do
-        (* Per-cell emission was h then v; reversed order is v then h. *)
+        (* Per cell, edge ids run against emission (h then v): v then h. *)
         if r + 1 < rows then begin
           f !e (cell r c) (cell (r + 1) c);
           incr e

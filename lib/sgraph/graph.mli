@@ -8,20 +8,23 @@
     (paper §2).  Self-loops and parallel edges are rejected: neither
     occurs in any construction of the paper.
 
-    Adjacency is stored in CSR form (per-vertex offsets into flat int
-    arrays), so the non-allocating {!iter_out}/{!iter_in} scans are the
-    fast path; the tuple-array accessors {!out_arcs}/{!in_arcs} build a
-    fresh boxed copy per call and are kept for convenience and tests.
+    A graph from {!create} stores its adjacency in CSR form (per-vertex
+    offsets into flat int arrays), so the non-allocating
+    {!iter_out}/{!iter_in} scans are the fast path; the tuple-array
+    accessors {!out_arcs}/{!in_arcs} build a fresh boxed copy per call
+    and are kept for convenience and tests.
 
-    A few regular topologies also exist as {e implicit shapes}
-    ({!implicit_clique}, {!implicit_star}, {!implicit_grid}): O(1)-memory
-    values whose adjacency and edge-id decode are pure arithmetic.  They
-    use the exact vertex and edge numbering of the corresponding
-    {!Gen} generators and their iterators visit arcs in the same
-    edge-id-ascending order as the CSR build, so the two forms are
-    observationally identical — the implicit form just has no O(n + m)
-    arrays behind it, which is what lets derived-label temporal
-    instances scale past the CSR memory wall. *)
+    The clique, the star and the grid are instead {e arithmetic shapes}
+    ({!implicit_clique}, {!implicit_star}, {!implicit_grid}), the only
+    form {!Gen} builds them in: O(1)-memory values whose adjacency and
+    edge-id decode are pure arithmetic.  Each is numbered as {!create}
+    numbers the list of its pairs consed in emission order, so edge 0
+    is the last pair emitted (the star's edge [e] joins [0] and
+    [e + 1]), and its iterators visit arcs in the order that CSR would:
+    edge id ascending.  A shape and the CSR of its edge list are
+    therefore observationally identical, and label draws, which go by
+    edge id, are the same on either; a shape just has no O(n + m)
+    arrays behind it. *)
 
 type kind = Directed | Undirected
 
@@ -33,36 +36,30 @@ val create : kind -> n:int -> (int * int) list -> t
     @raise Invalid_argument on out-of-range endpoints, self-loops, or
     duplicate edges (including [(u,v)] vs [(v,u)] when undirected). *)
 
-val of_arrays : kind -> n:int -> int array -> int array -> t
-(** [of_arrays kind ~n src dst] is the trusted constructor for
-    generator-produced edge sets: edge id [e] runs from [src.(e)] to
-    [dst.(e)].  Endpoints are range- and self-loop-checked (O(m)), and
-    undirected pairs are normalised in place, but {e duplicates are not
-    detected} — the caller vouches for distinctness.  Takes ownership
-    of both arrays; do not reuse them.
-    @raise Invalid_argument on out-of-range endpoints, self-loops, or
-    mismatched array lengths. *)
-
 val implicit_clique : kind -> int -> t
 (** [implicit_clique kind n] is the complete graph on [n] vertices as an
-    O(1)-memory shape, numbered exactly like [Gen.clique kind n].
+    O(1)-memory shape.  Its pairs are emitted [u] ascending, then [v]
+    ascending ([v <> u] if directed, [v > u] if undirected).
     @raise Invalid_argument if [n < 1]. *)
 
 val implicit_star : int -> t
 (** [implicit_star n] is the undirected star with centre [0] as an
-    O(1)-memory shape, numbered exactly like [Gen.star n].
+    O(1)-memory shape; edge [e] joins [0] and [e + 1].
     @raise Invalid_argument if [n < 2]. *)
 
 val implicit_grid : rows:int -> cols:int -> t
 (** [implicit_grid ~rows ~cols] is the undirected grid as an O(1)-memory
-    shape, numbered exactly like [Gen.grid rows cols].
+    shape, vertex [(r,c)] at [r*cols + c].  Its pairs are emitted cell
+    by cell in row-major order, the edge right of a cell before the
+    edge below it.
     @raise Invalid_argument if either dimension is [< 1]. *)
 
 val is_implicit : t -> bool
 (** True when the graph is an arithmetic shape rather than a CSR.
 
     Test support: test_serve and test_implicit check through it that the
-    implicit backend builds shapes and the dense one CSRs. *)
+    clique, star and grid load as shapes on either backend and other
+    families as CSRs. *)
 
 val kind : t -> kind
 val is_directed : t -> bool

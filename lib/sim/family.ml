@@ -87,15 +87,3 @@ let build family rng ~n =
   | Gnp c ->
     let p = Float.min 1. (c *. log (float_of_int n) /. float_of_int n) in
     Gen.gnp rng ~n ~p
-
-(* Only where [build] would succeed: an invalid size is left to [build],
-   so both forms fail with the same message. *)
-let shape family ~n =
-  match family with
-  | Clique_directed when n >= 1 -> Some (Gen.clique_implicit Directed n)
-  | Clique_undirected when n >= 1 -> Some (Gen.clique_implicit Undirected n)
-  | Star when n >= 2 -> Some (Gen.star_implicit n)
-  | Grid when n >= 1 ->
-    let rows, cols = grid_dims n in
-    Some (Gen.grid_implicit rows cols)
-  | _ -> None

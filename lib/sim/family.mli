@@ -28,10 +28,6 @@ val to_string : t -> string
 (** Inverse of {!of_string} (canonical spelling). *)
 
 val build : t -> Prng.Rng.t -> n:int -> Sgraph.Graph.t
-(** Materialise the family at (roughly) [n] vertices. *)
-
-val shape : t -> n:int -> Sgraph.Graph.t option
-(** The family's O(1)-memory arithmetic shape at [n] vertices, where it
-    has one ([clique], [uclique], [star], [grid]): the graph {!build}
-    returns, with the same vertex and edge numbering, but no CSR arrays.
-    [None] for the other families, and for sizes {!build} rejects. *)
+(** The family's graph at (roughly) [n] vertices: an O(1)-memory
+    arithmetic shape for [clique], [uclique], [star] and [grid] (see
+    {!Sgraph.Gen}), a CSR for the others. *)

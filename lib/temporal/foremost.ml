@@ -1,6 +1,5 @@
 type result = {
   source : int;
-  start_time : int;
   arrival : int array;
   pred : int array;  (* index into the time-edge stream, or -1 *)
 }
@@ -137,15 +136,13 @@ let run ?(start_time = 1) net s =
   let arrival = Array.make n max_int in
   let pred = Array.make n (-1) in
   sweep net ~start_time ~s ~arrival ~pred;
-  { source = s; start_time; arrival; pred }
+  { source = s; arrival; pred }
 
 let arrivals_borrowed ?(start_time = 1) net s =
   check_args ~start_time net s;
   let ws = Workspace.get ~n:(Tgraph.n net) in
   sweep net ~start_time ~s ~arrival:ws.arrival ~pred:ws.pred;
   ws.arrival
-
-let start_time r = r.start_time
 
 let distance r v =
   if v = r.source then Some 0

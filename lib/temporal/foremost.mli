@@ -28,8 +28,6 @@ val arrivals_borrowed : ?start_time:int -> Tgraph.t -> int -> int array
     zero per-source allocation.
     @raise Invalid_argument on a bad source or [start_time < 1]. *)
 
-val start_time : result -> int
-
 val distance : result -> int -> int option
 (** Temporal distance δ(s, v): [Some 0] for the source itself, [Some l]
     for the earliest arrival label otherwise, [None] if unreachable. *)

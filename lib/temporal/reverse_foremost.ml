@@ -1,6 +1,5 @@
 type result = {
   target : int;
-  deadline : int;
   latest : int array;  (* L(v); -1 = unreachable *)
   succ : int array;  (* stream index of the edge realising L(v), or -1 *)
 }
@@ -29,9 +28,7 @@ let run ?deadline net t =
       end
     done
   done;
-  { target = t; deadline; latest; succ }
-
-let deadline r = r.deadline
+  { target = t; latest; succ }
 
 let latest_presence r v = if r.latest.(v) < 0 then None else Some r.latest.(v)
 

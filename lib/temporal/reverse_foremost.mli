@@ -19,8 +19,6 @@ val run : ?deadline:int -> Tgraph.t -> int -> result
     the deadline defaults to the network's lifetime.
     @raise Invalid_argument on a bad target or non-positive deadline. *)
 
-val deadline : result -> int
-
 val latest_presence : result -> int -> int option
 (** [L(v)]; [None] when no journey from [v] reaches [t] by the deadline
     at all.  [Some deadline] for [t] itself.

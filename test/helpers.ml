@@ -71,6 +71,38 @@ let directed_line () =
   Tgraph.create g ~lifetime:5
     [| Label.singleton 1; Label.singleton 3; Label.singleton 2 |]
 
+(* CSR references for the clique, star and grid shapes: each topology's
+   pairs in emission order, consed (so edge 0 is the last pair emitted;
+   the star's list is built in order) and handed to [Graph.create].
+   This is the numbering the shapes promise, derived independently of
+   them; label draws go by edge id, so it is part of the output. *)
+
+let csr_clique kind n =
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      let keep =
+        match kind with Graph.Directed -> u <> v | Graph.Undirected -> u < v
+      in
+      if keep then edges := (u, v) :: !edges
+    done
+  done;
+  Graph.create kind ~n !edges
+
+let csr_star n =
+  Graph.create Undirected ~n (List.init (n - 1) (fun i -> (0, i + 1)))
+
+let csr_grid rows cols =
+  let id r c = (r * cols) + c in
+  let edges = ref [] in
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      if c + 1 < cols then edges := (id r c, id r (c + 1)) :: !edges;
+      if r + 1 < rows then edges := (id r c, id (r + 1) c) :: !edges
+    done
+  done;
+  Graph.create Undirected ~n:(rows * cols) !edges
+
 (* QCheck generators.  Graphs are generated through our own deterministic
    generators driven by a generated seed: simple, and every failure is
    reproducible from the printed parameters. *)

@@ -57,7 +57,8 @@ let foremost_bad_source () =
 let foremost_accessors () =
   let net = fixture () in
   let res = Foremost.run net 0 in
-  check_int "start_time" 1 (Foremost.start_time res);
+  check_int "default start time 1: source holds 0" 0
+    (Foremost.arrival_array res).(0);
   check_int "all reachable" 5 (Foremost.reachable_count res);
   check_int_option "max distance" (Some 3) (Foremost.max_distance res)
 

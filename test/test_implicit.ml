@@ -1,9 +1,9 @@
-(* Implicit-backend suite: arithmetic shapes against their CSR twins,
-   the QCheck equivalence oracle (derived-label instances byte-identical
-   to their materialized twins across Foremost / reachability /
-   diameter), prefix-stream completeness, boundary cases, the
-   clear-error contract of the whole-stream accessors, and the
-   workspace sizing contract (no n×k arrival matrix on implicit
+(* Implicit-backend suite: arithmetic shapes against CSRs built from
+   their emission order, the QCheck equivalence oracle (derived-label
+   instances byte-identical to their materialized twins across Foremost
+   / reachability / diameter), prefix-stream completeness, boundary
+   cases, the clear-error contract of the whole-stream accessors, and
+   the workspace sizing contract (no n×k arrival matrix on implicit
    networks). *)
 
 module Graph = Sgraph.Graph
@@ -14,7 +14,8 @@ open Helpers
 
 (* ------------------------------------------------------------------ *)
 (* Topology: implicit shapes = CSR twins, observable by every accessor
-   a kernel uses. *)
+   a kernel uses, against the emission-order references of [Helpers]
+   ([csr_clique], [csr_star], [csr_grid]). *)
 
 let neighbors_of iter g v =
   let acc = ref [] in
@@ -25,6 +26,7 @@ let check_same_graph name dense implicit =
   check_int (name ^ ": n") (Graph.n dense) (Graph.n implicit);
   check_int (name ^ ": m") (Graph.m dense) (Graph.m implicit);
   check_bool (name ^ ": kind") true (Graph.kind dense = Graph.kind implicit);
+  check_bool (name ^ ": reference is a CSR") false (Graph.is_implicit dense);
   check_bool (name ^ ": implicit flag") true (Graph.is_implicit implicit);
   for e = 0 to Graph.m dense - 1 do
     check_bool
@@ -42,7 +44,13 @@ let check_same_graph name dense implicit =
       (Printf.sprintf "%s: in arcs of %d" name v)
       true
       (neighbors_of Graph.iter_in dense v
-      = neighbors_of Graph.iter_in implicit v)
+      = neighbors_of Graph.iter_in implicit v);
+    check_int
+      (Printf.sprintf "%s: out degree of %d" name v)
+      (Graph.out_degree dense v) (Graph.out_degree implicit v);
+    check_int
+      (Printf.sprintf "%s: in degree of %d" name v)
+      (Graph.in_degree dense v) (Graph.in_degree implicit v)
   done;
   for u = 0 to Graph.n dense - 1 do
     for v = 0 to Graph.n dense - 1 do
@@ -61,21 +69,22 @@ let check_same_graph name dense implicit =
   let rd = Graph.reverse dense and ri = Graph.reverse implicit in
   for v = 0 to Graph.n dense - 1 do
     check_bool
-      (Printf.sprintf "%s: reversed out arcs of %d" name v)
+      (Printf.sprintf "%s: reverse, out arcs of %d" name v)
       true
       (neighbors_of Graph.iter_out rd v = neighbors_of Graph.iter_out ri v)
   done
 
 let shapes_match_csr () =
-  check_same_graph "directed clique" (Gen.clique Directed 7)
-    (Gen.clique_implicit Directed 7);
-  check_same_graph "undirected clique" (Gen.clique Undirected 6)
-    (Gen.clique_implicit Undirected 6);
-  check_same_graph "star" (Gen.star 9) (Gen.star_implicit 9);
-  check_same_graph "grid" (Gen.grid 3 4) (Gen.grid_implicit 3 4);
-  check_same_graph "degenerate grid row" (Gen.grid 1 5) (Gen.grid_implicit 1 5);
-  check_same_graph "single vertex clique" (Gen.clique Directed 1)
-    (Gen.clique_implicit Directed 1)
+  check_same_graph "directed clique" (csr_clique Directed 7)
+    (Gen.clique Directed 7);
+  check_same_graph "undirected clique" (csr_clique Undirected 7)
+    (Gen.clique Undirected 7);
+  check_same_graph "star" (csr_star 9) (Gen.star 9);
+  check_same_graph "grid" (csr_grid 3 4) (Gen.grid 3 4);
+  check_same_graph "degenerate grid row" (csr_grid 1 5) (Gen.grid 1 5);
+  check_same_graph "degenerate grid column" (csr_grid 5 1) (Gen.grid 5 1);
+  check_same_graph "single vertex clique" (csr_clique Directed 1)
+    (Gen.clique Directed 1)
 
 (* ------------------------------------------------------------------ *)
 (* The equivalence oracle.  A derived instance and its materialized
@@ -100,9 +109,9 @@ let print_derived (n, seed, a, r, shape) =
 
 let graph_of_shape ~n ~seed = function
   | 0 -> random_graph ~n ~seed
-  | 1 -> Gen.clique_implicit Directed n
-  | 2 -> Gen.star_implicit n
-  | _ -> Gen.grid_implicit 2 ((n + 1) / 2)
+  | 1 -> Gen.clique Directed n
+  | 2 -> Gen.star n
+  | _ -> Gen.grid 2 ((n + 1) / 2)
 
 let derived_pair (n, seed, a, r, shape) =
   let g = graph_of_shape ~n ~seed shape in
@@ -364,7 +373,7 @@ let boundary_cases () =
     (Distance.instance_diameter one);
   (* n = 1: empty edge set, diameter of the single vertex. *)
   let solo =
-    Tgraph.of_derived (Gen.clique_implicit Directed 1) ~a:3 ~seed:9L ~r:1
+    Tgraph.of_derived (Gen.clique Directed 1) ~a:3 ~seed:9L ~r:1
   in
   check_int_option "n = 1: diameter" (Distance.instance_diameter
       (Tgraph.materialize solo))
@@ -391,9 +400,9 @@ let vertex_bound () =
   check_bool "2^arc_shift vertices accepted" true
     (Tgraph.is_implicit
        (Tgraph.of_derived
-          (Gen.star_implicit (1 lsl shift))
+          (Gen.star (1 lsl shift))
           ~a:2 ~seed:1L ~r:1));
-  let big = Gen.star_implicit ((1 lsl shift) + 1) in
+  let big = Gen.star ((1 lsl shift) + 1) in
   let rejected name f =
     Alcotest.check_raises name
       (Invalid_argument
@@ -411,7 +420,7 @@ let vertex_bound () =
    names the fix. *)
 let whole_stream_errors () =
   let net =
-    Tgraph.of_derived (Gen.clique_implicit Directed 5) ~a:5 ~seed:3L ~r:1
+    Tgraph.of_derived (Gen.clique Directed 5) ~a:5 ~seed:3L ~r:1
   in
   let expect_materialize_error name f =
     match f () with
@@ -467,7 +476,7 @@ let workspace_planes_sizing () =
   (* And the arrival-free consumers really do run on an instance of
      that character without touching the matrix. *)
   let net =
-    Tgraph.of_derived (Gen.clique_implicit Directed 128) ~a:128 ~seed:11L ~r:1
+    Tgraph.of_derived (Gen.clique Directed 128) ~a:128 ~seed:11L ~r:1
   in
   ignore (Distance.instance_diameter net);
   let ws = Workspace.get_batch_planes ~n in

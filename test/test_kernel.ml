@@ -55,17 +55,7 @@ let stream_matches_raw_arrays () =
     (actual_stream net)
 
 (* ------------------------------------------------------------------ *)
-(* Graph.of_arrays = Graph.create *)
-
-let gen_arrays_params =
-  QCheck2.Gen.(
-    let* n = int_range 2 10 in
-    let* seed = int_range 0 10_000 in
-    let* directed = bool in
-    return (n, seed, directed))
-
-let print_arrays_params (n, seed, directed) =
-  Printf.sprintf "(n=%d, seed=%d, directed=%b)" n seed directed
+(* Edge-id iteration *)
 
 (* Distinct random edges as (src, dst) pairs. *)
 let random_edge_list ~n ~seed ~directed =
@@ -97,67 +87,31 @@ let graphs_agree g1 g2 =
          && Graph.in_degree g1 v = Graph.in_degree g2 v)
        (List.init (Graph.n g1) Fun.id)
 
-let of_arrays_matches_create =
-  qcase ~count:200 ~print:print_arrays_params "of_arrays = create"
-    gen_arrays_params (fun (n, seed, directed) ->
-      let kind = if directed then Graph.Directed else Graph.Undirected in
-      let edges = random_edge_list ~n ~seed ~directed in
-      let by_list = Graph.create kind ~n edges in
-      let by_arrays =
-        Graph.of_arrays kind ~n
-          (Array.of_list (List.map fst edges))
-          (Array.of_list (List.map snd edges))
-      in
-      graphs_agree by_list by_arrays)
-
-let of_arrays_validates () =
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Graph.of_arrays: endpoint out of range (0,3)")
-    (fun () -> ignore (Graph.of_arrays Directed ~n:3 [| 0 |] [| 3 |]));
-  Alcotest.check_raises "self-loop"
-    (Invalid_argument "Graph.of_arrays: self-loop") (fun () ->
-      ignore (Graph.of_arrays Directed ~n:3 [| 1 |] [| 1 |]));
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Graph.of_arrays: endpoint arrays differ in length")
-    (fun () -> ignore (Graph.of_arrays Directed ~n:3 [| 0; 1 |] [| 1 |]))
-
+(* The generators must produce the same graphs (same edge ids, same
+   adjacency through the array accessors) as the list-based
+   construction of [Helpers]. *)
 let trusted_generators_match_list_path () =
-  (* The converted generators must produce the same graphs (same edge
-     ids, same adjacency) as the historical list-based construction. *)
-  let list_clique kind n =
-    let edges = ref [] in
-    for u = 0 to n - 1 do
-      for v = 0 to n - 1 do
-        let keep = match kind with
-          | Graph.Directed -> u <> v
-          | Graph.Undirected -> u < v
-        in
-        if keep then edges := (u, v) :: !edges
-      done
-    done;
-    Graph.create kind ~n !edges
-  in
   check_bool "directed clique" true
-    (graphs_agree (list_clique Graph.Directed 7)
-       (Sgraph.Gen.clique Directed 7));
+    (graphs_agree (csr_clique Directed 7) (Sgraph.Gen.clique Directed 7));
   check_bool "undirected clique" true
-    (graphs_agree (list_clique Graph.Undirected 7)
-       (Sgraph.Gen.clique Undirected 7))
+    (graphs_agree (csr_clique Undirected 7) (Sgraph.Gen.clique Undirected 7));
+  check_bool "star" true (graphs_agree (csr_star 9) (Sgraph.Gen.star 9));
+  check_bool "grid" true (graphs_agree (csr_grid 3 4) (Sgraph.Gen.grid 3 4))
 
 (* [Graph.iter_edge_ids] visits exactly the listed ids, in list order,
    with the endpoints [iter_edges] gives them, on a CSR graph and on
-   every shape (a reversed directed clique too), and allocates nothing. *)
+   every shape (a transposed directed clique too), and allocates nothing. *)
 let iter_edge_ids_matches_iter_edges () =
   let graphs =
     [
       ("csr directed", Graph.create Directed ~n:9 (random_edge_list ~n:9 ~seed:3 ~directed:true));
-      ("csr undirected", Sgraph.Gen.clique Undirected 9);
-      ("clique directed", Sgraph.Gen.clique_implicit Directed 9);
-      ("clique reversed", Graph.reverse (Sgraph.Gen.clique_implicit Directed 9));
-      ("clique undirected", Sgraph.Gen.clique_implicit Undirected 9);
-      ("star", Sgraph.Gen.star_implicit 9);
-      ("grid", Sgraph.Gen.grid_implicit 3 4);
-      ("column", Sgraph.Gen.grid_implicit 5 1);
+      ("csr undirected", Graph.create Undirected ~n:9 (random_edge_list ~n:9 ~seed:3 ~directed:false));
+      ("clique directed", Sgraph.Gen.clique Directed 9);
+      ("clique transposed", Graph.reverse (Sgraph.Gen.clique Directed 9));
+      ("clique undirected", Sgraph.Gen.clique Undirected 9);
+      ("star", Sgraph.Gen.star 9);
+      ("grid", Sgraph.Gen.grid 3 4);
+      ("column", Sgraph.Gen.grid 5 1);
     ]
   in
   List.iter
@@ -471,10 +425,10 @@ let print_stored (n, seed, a, shape, cap) =
 let stored_graph ~n ~seed = function
   | 0 -> Graph.create Directed ~n (random_edge_list ~n ~seed ~directed:true)
   | 1 -> Graph.create Undirected ~n (random_edge_list ~n ~seed ~directed:false)
-  | 2 -> Sgraph.Gen.clique_implicit Directed n
-  | 3 -> Sgraph.Gen.clique_implicit Undirected n
-  | 4 -> Sgraph.Gen.star_implicit n
-  | _ -> Sgraph.Gen.grid_implicit 2 ((n + 1) / 2)
+  | 2 -> Sgraph.Gen.clique Directed n
+  | 3 -> Sgraph.Gen.clique Undirected n
+  | 4 -> Sgraph.Gen.star n
+  | _ -> Sgraph.Gen.grid 2 ((n + 1) / 2)
 
 let stored_labels (n, seed, a, shape, cap) =
   let g = stored_graph ~n ~seed shape in
@@ -1019,8 +973,6 @@ let suites =
       ] );
     ( "kernel.csr",
       [
-        of_arrays_matches_create;
-        case "of_arrays validations" of_arrays_validates;
         case "trusted generators" trusted_generators_match_list_path;
         case "iter_edge_ids = iter_edges" iter_edge_ids_matches_iter_edges;
       ] );

@@ -122,6 +122,21 @@ let gen_star () =
     check_int "leaf degree" 1 (Graph.out_degree g leaf)
   done
 
+(* The clique, star and grid are arithmetic shapes: building one at any
+   size allocates a few words, not an O(n + m) CSR.  Cheapest first, so
+   a CSR build fails before it reaches the directed clique's ~800 MB. *)
+let gen_shapes_allocate_constant () =
+  List.iter
+    (fun (name, build) ->
+      let _, words = allocated_words build in
+      check_bool (Printf.sprintf "%s: %.0f words" name words) true (words <= 64.))
+    [
+      ("grid 1000x1000", fun () -> Gen.grid 1000 1000);
+      ("star 1_000_000", fun () -> Gen.star 1_000_000);
+      ("clique undirected 4096", fun () -> Gen.clique Undirected 4096);
+      ("clique directed 4096", fun () -> Gen.clique Directed 4096);
+    ]
+
 let gen_path_cycle () =
   let p = Gen.path 5 in
   check_int "path m" 4 (Graph.m p);
@@ -147,7 +162,11 @@ let gen_hypercube () =
   for v = 0 to 15 do
     check_int "regular" 4 (Graph.out_degree g v)
   done;
-  check_int "diameter = d" 4 (Metrics.diameter g)
+  check_int "diameter = d" 4 (Metrics.diameter g);
+  (* Edge 0 is the last pair emitted (v ascending, then bit ascending),
+     the numbering label draws go by. *)
+  Alcotest.(check (pair int int)) "edge 0" (14, 15) (Graph.edge_endpoints g 0);
+  Alcotest.(check (pair int int)) "last edge" (0, 1) (Graph.edge_endpoints g 31)
 
 let gen_binary_tree () =
   let g = Gen.binary_tree 7 in
@@ -436,6 +455,7 @@ let suites =
         case "clique undirected" gen_clique_undirected;
         case "clique trivial" gen_clique_trivial;
         case "star" gen_star;
+        case "clique, star and grid allocate O(1)" gen_shapes_allocate_constant;
         case "path and cycle" gen_path_cycle;
         case "grid" gen_grid;
         case "hypercube" gen_hypercube;

@@ -66,14 +66,13 @@ let gen_small =
 let reverse_fixture () =
   let net = fixture () in
   let r = Reverse_foremost.run net 2 in
-  check_int "deadline defaults to lifetime" 8 (Reverse_foremost.deadline r);
   (* Journeys into 2 must end on {1,2}@5 or {2,4}@{2,8}. *)
   check_int_option "latest presence of 4 (direct @8)" (Some 7)
     (Reverse_foremost.latest_presence r 4);
   check_int_option "latest departure of 4" (Some 8)
     (Reverse_foremost.latest_departure r 4);
-  check_int_option "target presence = deadline" (Some 8)
-    (Reverse_foremost.latest_presence r 2);
+  check_int_option "target presence = deadline, by default the lifetime"
+    (Some 8) (Reverse_foremost.latest_presence r 2);
   check_bool "target has no departure" true
     (Reverse_foremost.latest_departure r 2 = None)
 
@@ -138,7 +137,7 @@ let reverse_journeys_valid =
             if Journey.departure journey <> Reverse_foremost.latest_departure r s
             then ok := false;
             (match Journey.arrival journey with
-            | Some a -> if a > Reverse_foremost.deadline r then ok := false
+            | Some a -> if a > Tgraph.lifetime net then ok := false
             | None -> ok := false)
         done
       done;
