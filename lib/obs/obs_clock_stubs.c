@@ -15,6 +15,7 @@ CAMLprim value obs_clock_monotonic_ns(value unit)
 {
   static LARGE_INTEGER freq;
   LARGE_INTEGER now;
+  (void)unit;
   if (freq.QuadPart == 0) QueryPerformanceFrequency(&freq);
   QueryPerformanceCounter(&now);
   return caml_copy_int64((int64_t)(now.QuadPart * (1000000000.0 / freq.QuadPart)));
@@ -26,6 +27,7 @@ CAMLprim value obs_clock_monotonic_ns(value unit)
 
 CAMLprim value obs_clock_monotonic_ns(value unit)
 {
+  (void)unit;
 #if defined(CLOCK_MONOTONIC)
   struct timespec ts;
   clock_gettime(CLOCK_MONOTONIC, &ts);

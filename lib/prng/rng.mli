@@ -38,11 +38,11 @@ val fill_int : t -> base:int -> int -> cut:int -> Cells.t -> int array * int
     value is [<= cut], ascending, and [pos] may be longer than [k].  A
     [cut] below [base] lists nothing and allocates no list.
 
-    The bulk form for fills such as one label per edge: the generator
-    state stays in registers for the whole fill instead of a load and
-    store per draw, each value takes two bytes, and a caller that
-    needs the small values again (the first label band) gets their
-    positions without a second pass.  With [len = Cells.length c], the
+    The bulk form for fills such as one label per edge: the draws run
+    in a C kernel ({!Xoshiro256.fill_in}) with the generator state in
+    registers instead of a load and store per draw, each value takes
+    two bytes, and a caller that needs the small values again (the
+    first label band) gets their positions without a second pass.  With [len = Cells.length c], the
     list starts at the expected count, [len * (cut - base + 1) /
     bound] rounded up, plus a sixteenth, capped at [len], and doubles
     when it fills with draws left.  The fill allocates that list and

@@ -1,10 +1,10 @@
 (* The four state words live in 32 bytes of unboxed storage, read and
-   written with the unchecked 64-bit bytes primitives.  Mutable [int64]
-   record fields would box a fresh Int64 on every store.  Under dune's
-   default -opaque build nothing inlines across modules, so the bounded
-   draw and the coin flip step the state here, in the same function
-   that consumes the output: no [int64] crosses a call on those paths,
-   and a draw allocates nothing. *)
+   written with the unchecked 64-bit bytes primitives, and as native
+   [uint64_t]s by the fill kernel.  Mutable [int64] record fields would
+   box a fresh Int64 on every store.  Under dune's default -opaque
+   build nothing inlines across modules, so the bounded draw steps the
+   state here, in the same function that consumes the output: no
+   [int64] crosses a call on that path, and a draw allocates nothing. *)
 type t = Bytes.t
 
 external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -83,63 +83,46 @@ let first_capacity ~len ~top bound =
     let e = Float.to_int (Float.ceil expected) in
     Stdlib.min len (e + (e lsr 4))
 
-(* [next_in] over a whole cell array, the state held in four local
-   [int64] refs that the compiler keeps unboxed in registers: one load
-   and one store of the state per run of draws instead of per draw.
-   The step is [step]'s, and the rule is [next_in]'s: accepting exactly
-   [v < limit] is the same test, since [limit > max_int - bound]; the
-   limit is computed once per fill, and so is whether the bound is a
-   power of two, which the loop then tests per draw to take the mask
-   instead of the divide.
+(* [next_in] over a whole cell array, the draws in C
+   ([xoshiro256_stubs.c]): the same step, rule and remainder, with the
+   state loaded once per call and stored back after it.  [v < limit]
+   is [next_in]'s test, since [limit > max_int - bound].  A draw [r] is
+   listed iff [r <= top = cut - base].
 
-   The same loop lists the draws at or below [cut]: a draw [r] is
-   listed iff [r <= top = cut - base].  A run of draws stops at [stop],
-   where the list cannot have filled yet (each draw adds at most one
-   position), so the inner loop never checks for room and calls
-   nothing.  Growing the list is a call, and a call inside the loop
-   would spill the four state words to the stack on every draw; it
-   happens between runs, after the state is stored back. *)
+   A call draws one stretch.  The kernel writes each kept draw's index
+   to the list's next slot, listed or not, so a stretch ends where the
+   list cannot have filled yet (a draw adds at most one position):
+   every slot it writes exists, and the list grows here, between
+   stretches.  A stretch is also at most [stretch] draws (about
+   0.3 ms): a [noalloc] call does not poll, so a longer one would hold
+   up the stop-the-world collections of other domains.
+
+   [fill_stretch t cells pos bound limit base top i stop count] draws
+   cells [i .. stop - 1] and returns the new list count. *)
+external fill_stretch :
+  t -> Cells.t -> int array -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "prng_fill_stretch_byte" "prng_fill_stretch"
+[@@noalloc]
+
+let stretch = 1 lsl 16
+
 let fill_in t bound ~base ~cut cells =
   if bound <= 0 then invalid_arg "Xoshiro256.fill_in: bound must be positive";
   if base < 0 || bound - 1 > Cells.max_value - base then
     invalid_arg "Xoshiro256.fill_in: values must fit a cell";
   let limit = max_int / bound * bound in
-  let mask = bound - 1 in
-  let pow2 = bound land mask = 0 in
   let n = Cells.length cells in
   let top = if cut < base then -1 else cut - base in
   let pos = ref (Array.make (first_capacity ~len:n ~top bound) 0) in
   let count = ref 0 and i = ref 0 in
   while !i < n do
     let p = !pos in
-    let room = if top < 0 then n else Array.length p - !count in
-    let stop = if room >= n - !i then n else !i + room in
-    let s0 = ref (get t 0) and s1 = ref (get t 8) in
-    let s2 = ref (get t 16) and s3 = ref (get t 24) in
-    while !i < stop do
-      let x0 = !s0 and x1 = !s1 in
-      let result = Int64.mul (rotl (Int64.mul x1 5L) 7) 9L in
-      let x2 = Int64.logxor !s2 x0 in
-      let x3 = Int64.logxor !s3 x1 in
-      s0 := Int64.logxor x0 x3;
-      s1 := Int64.logxor x1 x2;
-      s2 := Int64.logxor x2 (Int64.shift_left x1 17);
-      s3 := rotl x3 45;
-      let v = Int64.to_int (Int64.shift_right_logical result 2) in
-      if v < limit then begin
-        let r = if pow2 then v land mask else v mod bound in
-        Cells.unsafe_set cells (2 * !i) (base + r);
-        if r <= top then begin
-          Array.unsafe_set p !count !i;
-          incr count
-        end;
-        incr i
-      end
-    done;
-    set t 0 !s0;
-    set t 8 !s1;
-    set t 16 !s2;
-    set t 24 !s3;
+    let room = if top < 0 then stretch else Array.length p - !count in
+    let stop = !i + Stdlib.min (Stdlib.min room stretch) (n - !i) in
+    count := fill_stretch t cells p bound limit base top !i stop !count;
+    i := stop;
     if !i < n && top >= 0 && !count = Array.length p then begin
       let grown = Array.make (Stdlib.min n (2 * Array.length p)) 0 in
       Array.blit p 0 grown 0 !count;

@@ -35,13 +35,16 @@ val fill_in :
   t -> int -> base:int -> cut:int -> Cells.t -> int array * int
 (** [fill_in t bound ~base ~cut c] sets cell [i] of [c] to [base +
     next_in t bound] for [i] ascending: the same draws, and the same
-    final state, as that loop, with the state kept in registers across
-    runs of draws instead of loaded and stored per draw, and the mask
-    taken at a power-of-two bound as in {!next_in}.  It also lists the
-    indices whose value is at most [cut], ascending, as [(pos, k)]:
-    the list is [pos.(0 .. k - 1)] ({!Rng.fill_int} gives its sizing).
-    The list grows between runs, never inside the draw loop, so the
-    loop calls nothing.  Allocates the list and its result pair, and
-    nothing else.
+    final state, as that loop.  It also lists the indices whose value
+    is at most [cut], ascending, as [(pos, k)]: the list is [pos.(0
+    .. k - 1)] ({!Rng.fill_int} gives its sizing).
+
+    The draws run in a C kernel, in stretches of at most 2^16: the
+    xoshiro256** step, {!next_in}'s rejection rule and remainder (the
+    mask at a power-of-two bound), the state in registers for the
+    whole stretch, and the list written without a branch.  A stretch
+    ends before the list can fill, and the list grows between
+    stretches.  Allocates the list and its result pair, and nothing
+    else.
     @raise Invalid_argument if [bound <= 0], or unless every value
     fits a cell: [0 <= base] and [base + bound - 1 <= Cells.max_value]. *)

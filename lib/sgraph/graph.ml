@@ -76,17 +76,21 @@ let clique_und_edge ~n ~m u v =
   let u, v = if u < v then (u, v) else (v, u) in
   m - 1 - (clique_und_off ~n u + v - u - 1)
 
-let clique_und_endpoints ~n ~m e f =
-  let k = m - 1 - e in
-  (* Float guess for the block, exact for k < 2^53, then an integer
-     fixup absorbs the sqrt rounding. *)
+(* The block [u] holding emission index [k]: a float guess, exact for
+   k < 2^53, then an integer fixup absorbs the sqrt rounding. *)
+let clique_und_block ~n k =
   let fn = float_of_int ((2 * n) - 1) in
   let disc = (fn *. fn) -. (8.0 *. float_of_int k) in
   let disc = if disc > 0. then disc else 0. in
   let u = ref (Stdlib.max 0 (Stdlib.min (n - 2) (int_of_float ((fn -. sqrt disc) /. 2.0)))) in
   while !u < n - 2 && clique_und_off ~n (!u + 1) <= k do incr u done;
   while !u > 0 && clique_und_off ~n !u > k do decr u done;
-  f e !u (!u + 1 + (k - clique_und_off ~n !u))
+  !u
+
+let clique_und_endpoints ~n ~m e f =
+  let k = m - 1 - e in
+  let u = clique_und_block ~n k in
+  f e u (u + 1 + (k - clique_und_off ~n u))
 
 (* ---------------------------------------------------------------- *)
 (* Grid arithmetic.  Emission order: per cell (r, c) in row-major
@@ -312,7 +316,17 @@ let iter_edges t f =
 
 (* The edges a caller listed, in its order: on a CSR two array reads
    per id, on a shape the arithmetic decode; a visit allocates nothing,
-   and an edge that is not listed is not touched. *)
+   and an edge that is not listed is not touched.  On a clique each
+   source [u] owns a block of consecutive emission indices,
+   [lo, lo + size); the loop keeps the block of the last id and
+   decodes afresh only for an id outside it (the empty block at the
+   start holds none), so a sorted list pays one decode per block
+   instead of one per id. *)
+let[@inline always] listed_id ids ~m j =
+  let e = Array.unsafe_get ids j in
+  if e < 0 || e >= m then invalid_arg "Graph.iter_edge_ids: bad edge id";
+  e
+
 let iter_edge_ids t ids ~len f =
   if len < 0 || len > Array.length ids then
     invalid_arg "Graph.iter_edge_ids: length outside the id array";
@@ -320,15 +334,31 @@ let iter_edge_ids t ids ~len f =
   match t.shape with
   | Csr c ->
     for j = 0 to len - 1 do
-      let e = Array.unsafe_get ids j in
-      if e < 0 || e >= m then invalid_arg "Graph.iter_edge_ids: bad edge id";
+      let e = listed_id ids ~m j in
       f e (Array.unsafe_get c.e_src e) (Array.unsafe_get c.e_dst e)
     done
-  | Clique _ | Star | Grid _ ->
+  | Clique { transposed } ->
+    (* Only a directed clique is ever transposed ([reverse]). *)
+    let n = t.n and directed = t.kind = Directed in
+    let u = ref 0 and lo = ref 0 and size = ref 0 in
     for j = 0 to len - 1 do
-      let e = Array.unsafe_get ids j in
-      if e < 0 || e >= m then invalid_arg "Graph.iter_edge_ids: bad edge id";
-      with_endpoints t e f
+      let e = listed_id ids ~m j in
+      let k = m - 1 - e in
+      if k < !lo || k >= !lo + !size then begin
+        u := if directed then k / (n - 1) else clique_und_block ~n k;
+        lo := if directed then !u * (n - 1) else clique_und_off ~n !u;
+        size := if directed then n - 1 else n - 1 - !u
+      end;
+      let i = k - !lo in
+      if not directed then f e !u (!u + 1 + i)
+      else begin
+        let v = if i < !u then i else i + 1 in
+        if transposed then f e v !u else f e !u v
+      end
+    done
+  | Star | Grid _ ->
+    for j = 0 to len - 1 do
+      with_endpoints t (listed_id ids ~m j) f
     done
 
 (* Arcs out of / into a vertex, in edge-id-ascending order — exactly

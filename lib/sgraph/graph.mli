@@ -89,8 +89,11 @@ val iter_edge_ids :
     [e = ids.(j)], [j] ascending from [0] to [len - 1], [(u, v)] being
     the endpoints {!iter_edges} gives [e].  A visit allocates nothing
     and reads only the listed edges: two array reads on a CSR graph,
-    the arithmetic decode on a shape.  For passes that touch a known
-    few of the [m] edges, such as placing the arcs of one label band.
+    the arithmetic decode on a shape.  On a clique the decode finds the
+    id's source block, whose ids share a source, and is skipped while
+    the next id stays in that block: a sorted list pays about one
+    decode per block.  For passes that touch a known few of the [m]
+    edges, such as placing the arcs of one label band.
     @raise Invalid_argument if [len] is outside [0 .. Array.length ids]
     or a listed id is not an edge. *)
 

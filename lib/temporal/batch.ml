@@ -85,26 +85,30 @@ let check_args name ~start_time ~n sources =
    into [delta] and stacking each vertex's first touch on [dirty].
    Returns the dirty count.  The shift and mask are bound here, once
    per group: nothing inlines across modules, so [Implicit.Stream]'s
-   decoders would cost a call per arc. *)
+   decoders would cost a call per arc.
+
+   The loop has no branch: whether an arc adds bits depends on the
+   random labels, so a test mispredicts often.  Every arc writes
+   [delta.(dst)] (unchanged when it adds nothing) and puts [dst] on top
+   of the stack, and the count moves past it only when the arc is the
+   vertex's first touch: it adds bits ([add <> 0]) to a clean delta
+   ([d = 0]).  Each vertex is stacked at most once, so after [n] first
+   touches a write lands in the stack's spare slot [n]. *)
 let scan_group (arcs : int array) ~lo ~hi ~(reached : int array)
     ~(delta : int array) ~(dirty : int array) =
   let shift = Implicit.Stream.arc_shift and mask = Implicit.Stream.arc_mask in
   let ndirty = ref 0 in
   for i = lo to hi - 1 do
     let a = Array.unsafe_get arcs i in
-    let g = Array.unsafe_get reached (a lsr shift) in
-    if g <> 0 then begin
-      let dst = a land mask in
-      let d = Array.unsafe_get delta dst in
-      let add = g land lnot (Array.unsafe_get reached dst lor d) in
-      if add <> 0 then begin
-        if d = 0 then begin
-          Array.unsafe_set dirty !ndirty dst;
-          incr ndirty
-        end;
-        Array.unsafe_set delta dst (d lor add)
-      end
-    end
+    let dst = a land mask in
+    let d = Array.unsafe_get delta dst in
+    let add =
+      Array.unsafe_get reached (a lsr shift)
+      land lnot (Array.unsafe_get reached dst lor d)
+    in
+    Array.unsafe_set delta dst (d lor add);
+    Array.unsafe_set dirty !ndirty dst;
+    ndirty := !ndirty + (Bool.to_int (add <> 0) land Bool.to_int (d = 0))
   done;
   !ndirty
 
@@ -245,13 +249,15 @@ let arrivals_into t ~lane out =
    arrival — and the second IS the batch's worst eccentricity, because
    arrivals commit in strictly increasing label order, so the final new
    (vertex, lane) pair carries the maximum arrival.  That reduces the
-   per-group commit to one popcount per dirty vertex against a single
-   remaining-pairs counter: no n*k fill, no per-bit lane walk, no
-   per-lane counts.  The walk's cost collapses to the edge scan, which
-   is what makes exact all-pairs diameters cheap enough for E1b's
-   n = 2048, and its scratch stays at O(n) words — what the implicit
-   backend needs at n = 10^5+.  Returns [None] when some pair is
-   unreached; the reached plane stays in the workspace for
+   per-group commit to one compare per dirty vertex against a single
+   counter of vertices some lane has not reached: a dirty vertex gained
+   bits, so its word was not full before, and it leaves the count when
+   its word becomes the full lane mask.  No n*k fill, no per-bit lane
+   walk, no per-lane counts.  The walk's cost collapses to the edge
+   scan, which is what makes exact all-pairs diameters cheap enough
+   for E1b's n = 2048, and its scratch stays at O(n) words — what the
+   implicit backend needs at n = 10^5+.  Returns [None] when some pair
+   is unreached; the reached plane stays in the workspace for
    [sweep_reach] to read. *)
 let plane_walk name ~start_time net ~sources =
   let n = Tgraph.n net in
@@ -263,21 +269,22 @@ let plane_walk name ~start_time net ~sources =
   let dirty = ws.Workspace.lane_dirty in
   Array.fill reached 0 n 0;
   Array.fill delta 0 n 0;
-  (* Unreached (vertex, lane) pairs left; each lane's own source counts
-     as reached from the start (even under duplicate sources the pairs
-     are distinct, one per lane). *)
-  let remaining = ref ((n * k) - k) in
   for lane = 0 to k - 1 do
     let s = Array.unsafe_get sources lane in
     reached.(s) <- reached.(s) lor (1 lsl lane)
   done;
+  (* Each lane's own source counts as reached from the start, so a word
+     is full at the start only when every lane shares one source, which
+     is then [sources.(0)]. *)
+  let full = full_mask k in
+  let unfull = ref (if reached.(sources.(0)) = full then n - 1 else n) in
   let worst = ref 0 in
   let next = ref start_time in
   let view = ref (Tgraph.stream_prefix net) in
   let continue_ = ref true in
   while !continue_ do
     let { Implicit.Stream.arcs; off; bound; _ } = !view in
-    while !next <= bound && !remaining > 0 do
+    while !next <= bound && !unfull > 0 do
       let l = !next in
       let ndirty =
         scan_group arcs ~lo:(Array.unsafe_get off l)
@@ -289,15 +296,15 @@ let plane_walk name ~start_time net ~sources =
         worst := l;
         for j = 0 to ndirty - 1 do
           let v = Array.unsafe_get dirty j in
-          let add = Array.unsafe_get delta v in
+          let r = Array.unsafe_get reached v lor Array.unsafe_get delta v in
           Array.unsafe_set delta v 0;
-          Array.unsafe_set reached v (Array.unsafe_get reached v lor add);
-          remaining := !remaining - popcount add
+          Array.unsafe_set reached v r;
+          unfull := !unfull - Bool.to_int (r = full)
         done
       end;
       incr next
     done;
-    if !remaining = 0 || not (Tgraph.stream_extend net ~past:bound) then
+    if !unfull = 0 || not (Tgraph.stream_extend net ~past:bound) then
       continue_ := false
     else view := Tgraph.stream_prefix net
   done;
@@ -305,7 +312,7 @@ let plane_walk name ~start_time net ~sources =
     Obs.Metrics.incr sweeps_c;
     Obs.Metrics.add scanned_c (scan_stop !view !next);
     let sat =
-      if !remaining = 0 then k
+      if !unfull = 0 then k
       else begin
         (* Lane j saturated iff bit j survives an AND over every
            vertex's word; only the incomplete path pays this O(n). *)
@@ -318,7 +325,7 @@ let plane_walk name ~start_time net ~sources =
     in
     Obs.Metrics.add sat_c sat
   end;
-  if !remaining = 0 then Some !worst else None
+  if !unfull = 0 then Some !worst else None
 
 let sweep_diameter ?(start_time = 1) net ~sources =
   plane_walk "Batch.sweep_diameter" ~start_time net ~sources

@@ -3,7 +3,10 @@
     at once, each owning one bit lane of a per-vertex machine word.
     The pass walks the stream's label groups by their offsets
     ({!Implicit.Stream.view}), from label [start_time] on, and takes
-    its arcs and bound from one view per grab.
+    its arcs and bound from one view per grab.  Its edge scan has no
+    branch per arc: each arc writes its target's new bits and the top
+    of the group's dirty stack, so the stack takes [n + 1] words of the
+    {!Workspace}.
 
     {b Lane layout.}  For a batch of [k] sources, bit [j] (LSB first)
     of [reached v] belongs to lane [j] — source [sources.(j)] — and
@@ -60,9 +63,10 @@ val sweep_diameter : ?start_time:int -> Tgraph.t -> sources:int array -> int opt
     has no journey.  The arrival-free plane walk: the same
     group-phased walk as {!sweep}, but it never allocates or writes
     the arrival matrix (arrivals commit in strictly increasing label
-    order, so the last committed pair's label is the answer), so the
-    edge scan is the whole cost and scratch stays at O(n) words.  This
-    is the kernel behind {!Distance.instance_diameter}.
+    order, so the last committed pair's label is the answer), and its
+    commit only counts the vertices whose reached word is not yet
+    full, so the edge scan is the whole cost and scratch stays at O(n)
+    words.  This is the kernel behind {!Distance.instance_diameter}.
     @raise Invalid_argument as {!sweep}. *)
 
 val sweep_reach : ?start_time:int -> Tgraph.t -> sources:int array -> t

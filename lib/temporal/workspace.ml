@@ -17,7 +17,7 @@ type t = {
      lane-strided arrival matrix, and the two per-lane vectors. *)
   mutable lane_reached : int array;  (* one lane-mask word per vertex *)
   mutable lane_delta : int array;  (* current label group's new bits *)
-  mutable lane_dirty : int array;  (* vertices touched this group *)
+  mutable lane_dirty : int array;  (* vertices touched this group, + 1 spare *)
   mutable lane_arrival : int array;  (* arrival.(v * lanes + lane) *)
   mutable lane_counts : int array;  (* per-lane reached counts *)
   mutable lane_ecc : int array;  (* per-lane saturation labels *)
@@ -87,7 +87,7 @@ let get_batch ~n ~lanes =
       let c = capacity_for n in
       ws.lane_reached <- Array.make c 0;
       ws.lane_delta <- Array.make c 0;
-      ws.lane_dirty <- Array.make c 0
+      ws.lane_dirty <- Array.make (c + 1) 0
     end;
     if Array.length ws.lane_arrival < matrix_words then
       ws.lane_arrival <- Array.make (capacity_for matrix_words) 0;
@@ -114,7 +114,7 @@ let get_batch_planes ~n =
       let c = capacity_for n in
       ws.lane_reached <- Array.make c 0;
       ws.lane_delta <- Array.make c 0;
-      ws.lane_dirty <- Array.make c 0
+      ws.lane_dirty <- Array.make (c + 1) 0
     end;
     if Array.length ws.lane_counts < Sys.int_size then begin
       ws.lane_counts <- Array.make Sys.int_size 0;

@@ -26,7 +26,8 @@
     lane-mask word per vertex and the arrival matrix [lanes] words per
     vertex; each slot is grown to the next power of two of its own
     {e word} count (never [pow2 vertices * lanes], which is not a
-    power of two).  Growths increment the per-domain
+    power of two).  The dirty stack has one spare word beyond the
+    bitset capacity.  Growths increment the per-domain
     ["kernel.workspace_growths"] counter exactly like the scalar
     slots — each domain grows on its own schedule, so run ledgers file
     the counter under the volatile section. *)
@@ -41,7 +42,9 @@ type t = {
   mutable lane_delta : int array;
       (** per-vertex new bits accumulated in the current label group *)
   mutable lane_dirty : int array;
-      (** stack of vertices touched in the current label group *)
+      (** stack of vertices touched in the current label group, one
+          word longer than the bitset slots: the batch scan writes
+          the slot above the top on every arc *)
   mutable lane_arrival : int array;
       (** lane-strided arrival matrix: entry [v * lanes + lane] *)
   mutable lane_counts : int array;  (** per-lane reached-vertex counts *)
@@ -55,10 +58,11 @@ val get : n:int -> t
     @raise Invalid_argument if [n < 0]. *)
 
 val get_batch : n:int -> lanes:int -> t
-(** Like {!get} but growing the batch slots instead: bitset/dirty
-    slots to at least [n] words, the arrival matrix to at least
-    [n * lanes] words (both rounded to a power of two of the word
-    count), and the per-lane vectors to the full word width.  Scalar
+(** Like {!get} but growing the batch slots instead: bitset slots to
+    at least [n] words, the arrival matrix to at least [n * lanes]
+    words (both rounded to a power of two of the word count), the
+    dirty stack to one word more than the bitset slots, and the
+    per-lane vectors to the full word width.  Scalar
     slots are left untouched — batch users that also need a static
     BFS call {!get} separately.
     @raise Invalid_argument if [n < 0] or [lanes < 1]. *)

@@ -183,7 +183,7 @@ let workspace_pow2_words () =
         (is_pow2 words && words >= n);
       check_int "delta matches bitset capacity" words
         (Array.length ws.Workspace.lane_delta);
-      check_int "dirty matches bitset capacity" words
+      check_int "dirty holds bitset capacity + 1" (words + 1)
         (Array.length ws.Workspace.lane_dirty);
       let matrix = Array.length ws.Workspace.lane_arrival in
       let lanes = Stdlib.min n Batch.lane_width in
@@ -220,6 +220,102 @@ let workspace_growth_counted () =
       let before, after_small, after_large = Domain.join d in
       check_bool "first batch sweep grows" true (after_small > before);
       check_bool "larger n grows again" true (after_large > after_small))
+
+(* ------------------------------------------------------------------ *)
+(* The dirty stack's limit.  [scan_group] writes the stack's top on
+   every arc, so in a group that dirties every vertex the arcs after
+   the last first touch write slot [n], the spare one.  Each kernel
+   must still give the scalar sweep's answers, with repeated sources
+   and at n = 1 too. *)
+
+(* [sweep], [sweep_diameter] and [sweep_reach] on one source batch,
+   each against the lanes' scalar [Foremost.arrivals_borrowed] rows. *)
+let kernels_match_scalar what net sources =
+  let n = Tgraph.n net in
+  let rows =
+    Array.map (fun s -> Array.sub (Foremost.arrivals_borrowed net s) 0 n) sources
+  in
+  let complete row = not (Array.mem max_int row) in
+  let t = Batch.sweep net ~sources in
+  Array.iteri
+    (fun lane row ->
+      let what = Printf.sprintf "%s, lane %d" what lane in
+      let out = Array.make n 0 in
+      Batch.arrivals_into t ~lane out;
+      Alcotest.(check (array int)) (what ^ ": sweep arrivals") row out;
+      Alcotest.(check (option int))
+        (what ^ ": sweep eccentricity")
+        (if complete row then Some (Array.fold_left max 0 row) else None)
+        (Batch.eccentricity t ~lane))
+    rows;
+  Alcotest.(check (option int))
+    (what ^ ": sweep_diameter")
+    (if Array.for_all complete rows then
+       Some (Array.fold_left (Array.fold_left max) 0 rows)
+     else None)
+    (Batch.sweep_diameter net ~sources);
+  let r = Batch.sweep_reach net ~sources in
+  Array.iteri
+    (fun lane row ->
+      let what = Printf.sprintf "%s, lane %d" what lane in
+      for v = 0 to n - 1 do
+        check_bool
+          (Printf.sprintf "%s: sweep_reach reaches %d" what v)
+          (row.(v) < max_int)
+          (Batch.reached_word r v land (1 lsl lane) <> 0)
+      done;
+      check_int (what ^ ": sweep_reach count")
+        (Array.fold_left (fun c a -> if a < max_int then c + 1 else c) 0 row)
+        (Batch.reached_count r ~lane))
+    rows
+
+let constant_clique kind n =
+  let g = Sgraph.Gen.clique kind n in
+  Tgraph.of_flat_arcs g ~lifetime:1 (Array.make (Graph.m g) 1)
+
+(* One label on every edge dirties every vertex in the one group, and
+   a fresh domain's stack holds [capacity_for n + 1] slots, exactly
+   [n + 1] at n = 16 and 64: the spare slot is written.  The stack's
+   length is checked before any kernel runs on it. *)
+let dirty_stack_limit () =
+  List.iter
+    (fun n ->
+      Domain.join
+        (Domain.spawn (fun () ->
+             check_int
+               (Printf.sprintf "n=%d: the stack has n + 1 slots" n)
+               (n + 1)
+               (Array.length (Workspace.get_batch_planes ~n).Workspace.lane_dirty);
+             List.iter
+               (fun (name, kind) ->
+                 let net = constant_clique kind n in
+                 for b = 0 to Batch.batch_count ~n - 1 do
+                   kernels_match_scalar
+                     (Printf.sprintf "%s clique n=%d, batch %d" name n b)
+                     net (Batch.batch_sources ~n b)
+                 done)
+               [ ("directed", Graph.Directed); ("undirected", Graph.Undirected) ])))
+    [ 16; 64 ]
+
+let repeated_sources () =
+  let g = Sgraph.Gen.clique Directed 16 in
+  let random = Assignment.normalized_uniform (rng ~seed:77 ()) g in
+  let all_on v = Array.make Batch.lane_width v in
+  List.iter
+    (fun (what, net, sources) -> kernels_match_scalar what net sources)
+    [
+      ("random clique, twins", random, [| 3; 3; 7; 3 |]);
+      ("random clique, every lane on one vertex", random, all_on 5);
+      ("constant clique, every lane on one vertex", constant_clique Directed 16, all_on 5);
+      ("constant clique, two vertices", constant_clique Undirected 16, [| 2; 9; 2; 9 |]);
+      ("directed line, twins", directed_line (), [| 2; 2; 0 |]);
+      ("directed line, every lane on one vertex", directed_line (), all_on 1);
+    ]
+
+let single_vertex () =
+  let net = Tgraph.of_flat_arcs (Sgraph.Gen.clique Directed 1) ~lifetime:1 [||] in
+  kernels_match_scalar "n = 1" net [| 0 |];
+  kernels_match_scalar "n = 1, every lane" net (Array.make Batch.lane_width 0)
 
 (* ------------------------------------------------------------------ *)
 (* Consumers: batched results = per-source Foremost references, and
@@ -347,6 +443,9 @@ let suites =
         case "fixture oracle" oracle_fixture;
         case "argument checks" sweep_argument_checks;
         case "duplicate sources share results" duplicate_lanes;
+        case "every vertex dirty: the spare stack slot" dirty_stack_limit;
+        case "repeated sources = scalar" repeated_sources;
+        case "one vertex = scalar" single_vertex;
         case "workspace rounds to pow2 words" workspace_pow2_words;
         case "workspace growth counted per domain" workspace_growth_counted;
         consumers_match;

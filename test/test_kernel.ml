@@ -152,6 +152,52 @@ let iter_edge_ids_matches_iter_edges () =
         (fun () -> Graph.iter_edge_ids g [| 0 |] ~len:2 (fun _ _ _ -> ())))
     graphs
 
+(* A clique's [iter_edge_ids] decodes an id's source block once and
+   reuses it while the ids stay inside: every listed id must still get
+   [Graph.edge_endpoints]' pair, in list order, whatever the order.
+   Ascending lists (a first band's) at several densities, descending
+   ones, and random ids with repeats, on the directed, transposed and
+   undirected clique; n = 2 has one-edge blocks. *)
+let iter_edge_ids_clique_qc =
+  qcase ~count:300 "clique iter_edge_ids = edge_endpoints"
+    ~print:(fun (shape, n, order, seed) ->
+      Printf.sprintf "(shape=%d, n=%d, order=%d, seed=%d)" shape n order seed)
+    QCheck2.Gen.(
+      let* shape = int_range 0 2 in
+      let* n = int_range 2 40 in
+      let* order = int_range 0 2 in
+      let* seed = int in
+      return (shape, n, order, seed))
+    (fun (shape, n, order, seed) ->
+      let g =
+        match shape with
+        | 0 -> Sgraph.Gen.clique Directed n
+        | 1 -> Graph.reverse (Sgraph.Gen.clique Directed n)
+        | _ -> Sgraph.Gen.clique Undirected n
+      in
+      let m = Graph.m g in
+      let r = Rng.create seed in
+      let ascending () =
+        let keep = 1 + Rng.int r 8 in
+        List.filter (fun _ -> Rng.int r keep = 0) (List.init m Fun.id)
+      in
+      let ids =
+        Array.of_list
+          (match order with
+          | 0 -> ascending ()
+          | 1 -> List.rev (ascending ())
+          | _ -> List.init (2 * m) (fun _ -> Rng.int r m))
+      in
+      let seen = ref [] in
+      Graph.iter_edge_ids g ids ~len:(Array.length ids) (fun e u v ->
+          seen := (e, u, v) :: !seen);
+      List.rev !seen
+      = List.map
+          (fun e ->
+            let u, v = Graph.edge_endpoints g e in
+            (e, u, v))
+          (Array.to_list ids))
+
 (* ------------------------------------------------------------------ *)
 (* Single-label fast path *)
 
@@ -975,6 +1021,7 @@ let suites =
       [
         case "trusted generators" trusted_generators_match_list_path;
         case "iter_edge_ids = iter_edges" iter_edge_ids_matches_iter_edges;
+        iter_edge_ids_clique_qc;
       ] );
     ( "kernel.single-label",
       [

@@ -536,6 +536,66 @@ let fill_int_list_grows () =
     (Printf.sprintf "%d of 200 fills outgrew their first capacity" !grown)
     true (!grown >= 10)
 
+(* The kernel writes no byte past the arrays it fills.  Each fill below
+   ends on the last cell, and its list on the last slot; then a full
+   major collection walks the heap the fill wrote into, and the cells,
+   the list and their lengths are checked again against the loop.  A
+   length of 3 mod 4 leaves the cells' last cell next to the byte that
+   holds the [Bytes.t]'s length, so a cell written one past the end
+   changes [Cells.length].  Fills of more than 2^16 draws take several
+   kernel calls. *)
+let fill_to_last_slot () =
+  let fill what ~base bound ~cut ~len g =
+    let twin = Rng.copy g in
+    let cells = poisoned_cells ~base bound len in
+    let pos, k = Rng.fill_int g ~base bound ~cut cells in
+    Gc.full_major ();
+    let looped = Array.init len (fun _ -> base + Rng.int twin bound) in
+    let what = Printf.sprintf "%s: bound %d, cut %d, %d draws" what bound cut len in
+    check_int (what ^ ": cell count") len (Cells.length cells);
+    Alcotest.(check (array int)) what looped (cells_contents cells);
+    Alcotest.(check (array int)) (what ^ ": list")
+      (listed_reference looped ~cut) (Array.sub pos 0 k);
+    check_bool (what ^ ": same state after") true (Rng.bits64 g = Rng.bits64 twin);
+    (pos, k)
+  in
+  List.iter
+    (fun len ->
+      List.iter
+        (fun bound ->
+          let pos, k =
+            fill "every draw listed" ~base:1 bound ~cut:bound ~len (Rng.create len)
+          in
+          check_int "list full" len k;
+          check_int "list exactly as long" len (Array.length pos);
+          ignore (fill "no list" ~base:0 bound ~cut:(-1) ~len (Rng.create len)))
+        [ 1000; 1024 ])
+    [ 3; 7; 1023; (1 lsl 16) + 3; (2 lsl 16) + 7 ];
+  List.iter
+    (fun bound ->
+      List.iter
+        (fun cut -> ignore (fill "one cell" ~base:0 bound ~cut ~len:1 (Rng.create bound)))
+        [ -1; 0; bound - 1 ])
+    [ 1; 2; 7; 1000; 1024; 65535 ];
+  (* At bound 2 with one value of two listed, the first capacity of [len]
+     draws is below [len]; a seed that lists every draw outgrows it with
+     draws left, and its last draw goes to the grown list's last slot. *)
+  List.iter
+    (fun len ->
+      let first = first_capacity ~len ~base:0 2 ~cut:0 in
+      let rec find seed =
+        let g = Rng.create seed in
+        if snd (Rng.fill_int (Rng.copy g) ~base:0 2 ~cut:0 (Cells.create len)) = len
+        then g
+        else find (seed + 1)
+      in
+      let pos, _ = fill "grown at the last draw" ~base:0 2 ~cut:0 ~len (find 0) in
+      check_bool
+        (Printf.sprintf "%d draws: first capacity %d < %d" len first len)
+        true (first < len);
+      check_int "grown list exactly as long" len (Array.length pos))
+    [ 2; 3; 5 ]
+
 (* No fill above rejects a draw: up to the cell limit a raw output is
    rejected with probability below 2^-46.  A crafted state makes one.
    A state's output is [rotl (5 s1) 7 * 9], so [s1 = 5^-1 rotr (9^-1
@@ -818,6 +878,7 @@ let suites =
         case "fill_int list outgrows its first capacity" fill_int_list_grows;
         case "fill_in rejects as next_in (crafted state)"
           fill_in_rejects_as_next_in;
+        case "fills end on their last cell and list slot" fill_to_last_slot;
         case "label rolls allocate nothing" label_rolls_allocate_nothing;
       ] );
     ( "prng.sample",
