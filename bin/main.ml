@@ -387,7 +387,10 @@ let chaos_cmd =
   in
   let serve_dir_term =
     let doc = "Scratch directory for the --serve soak (socket, manifest, \
-               store, ledger)." in
+               store, ledger), kept afterwards.  Without it the soak uses \
+               $(b,ephemeral-soak-PID) under the temporary directory, \
+               removed after a passing soak and kept (its path printed) \
+               after a failing one." in
     Arg.(value & opt (some string) None & info [ "dir" ] ~docv:"DIR" ~doc)
   in
   let soak_shards_term =
@@ -408,6 +411,13 @@ let chaos_cmd =
           (Filename.get_temp_dir_name ())
           (Printf.sprintf "ephemeral-soak-%d" (Unix.getpid ()))
     in
+    (* A directory of our own making goes after a passing soak; after a
+       failing one it stays, for its ledger and store. *)
+    let settle passed =
+      if serve_dir <> None then ()
+      else if passed then Store.Fsio.remove_tree dir
+      else Printf.printf "  kept %s\n" dir
+    in
     let jobs = Option.value jobs ~default:2 in
     match
       Serve.Soak.run ~exe:Sys.executable_name ~dir ~seed ~quick
@@ -415,6 +425,7 @@ let chaos_cmd =
     with
     | Error m ->
       Printf.eprintf "chaos --serve: %s\n" m;
+      settle false;
       1
     | Ok o ->
       Printf.printf "chaos --serve: %d checks, %d violation%s\n" o.Serve.Soak.checks
@@ -431,7 +442,9 @@ let chaos_cmd =
       List.iter
         (fun v -> Printf.printf "  FAIL %s\n" v)
         o.Serve.Soak.violations;
-      if o.Serve.Soak.violations = [] then begin
+      let passed = o.Serve.Soak.violations = [] in
+      settle passed;
+      if passed then begin
         print_endline "chaos serve soak passed";
         0
       end

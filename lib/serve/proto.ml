@@ -14,8 +14,13 @@
    Frame reads take a deadline: a peer that trickles bytes (slow
    loris) ties up one connection for at most [deadline_s] seconds,
    after which the read reports [`Timeout] and the server closes the
-   connection.  Writes are plain blocking writes; a dead peer
-   surfaces as EPIPE, which the connection loop treats as a drop. *)
+   connection.  A long-lived connection reads through a [reader], one
+   4 KiB buffer per connection: a request already in the socket costs
+   one select(2) and one read(2), and pipelined frames come out of one
+   read.  One-shot [read_frame] is the same loop with a buffer one
+   header long, so it never takes a byte past its frame.  Writes are
+   plain blocking writes; a dead peer surfaces as EPIPE, which the
+   connection loop treats as a drop. *)
 
 let max_frame = 1 lsl 20 (* 1 MiB *)
 let none_u32 = 0xFFFFFFFF
@@ -345,53 +350,88 @@ type read_result =
   | Timeout
   | Oversized of int
 
-(* Read exactly [k] bytes with an absolute deadline enforced by
-   select(2) before every read(2): a peer can stall between bytes for
-   at most the remaining window.  A peer that closed with our bytes
-   unread resets the stream (ECONNRESET): that is its end too.  A
-   handled signal interrupts either call with EINTR; both are retried,
-   select with the time that remains. *)
-let read_exact fd buf ~off ~len ~deadline =
-  let rec go off len =
-    if len = 0 then `Done
+(* A frame reader: its descriptor and a fixed buffer whose bytes
+   [pos, lim) were read but not yet returned. *)
+type reader = {
+  fd : Unix.file_descr;
+  buf : Bytes.t;
+  mutable pos : int;
+  mutable lim : int;
+}
+
+let reader fd = { fd; buf = Bytes.create 4096; pos = 0; lim = 0 }
+let reader_fd r = r.fd
+
+(* The one read loop: fill [dst] from [off] until it holds [need]
+   bytes, each step one select(2) bounded by the frame's absolute
+   deadline, then one read(2) of whatever has arrived, up to [cap].  A
+   peer can stall between bytes for at most the remaining window.  A
+   peer that closed with our bytes unread resets the stream
+   (ECONNRESET): that is its end too.  A handled signal interrupts
+   either call with EINTR; both are retried, select with the time that
+   remains. *)
+let fill fd dst ~off ~need ~cap ~deadline =
+  let rec go off =
+    if off >= need then `Filled off
     else begin
       let remaining = deadline -. Obs.Clock.wall_s () in
       if remaining <= 0. then `Timeout
       else begin
         match Unix.select [ fd ] [] [] remaining with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off len
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
         | [], _, _ -> `Timeout
         | _ -> (
-          match Unix.read fd buf off len with
+          match Unix.read fd dst off (cap - off) with
           | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> `Eof
-          | k -> go (off + k) (len - k)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off len)
+          | k -> go (off + k)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off)
       end
     end
   in
-  go off len
+  go off
 
-let read_frame ?(deadline_s = 30.) fd =
+(* The header comes through the buffer: when fewer than 4 bytes are
+   left, they move to its front and the fill asks for all the room
+   behind them.  The payload takes what the buffer holds of it and
+   reads the rest straight into itself, never past its end, so the
+   buffer never grows.  With a buffer one header long ([read_frame])
+   both fills are exact: a select and a read for the header, then for
+   the payload. *)
+let next_frame ?(deadline_s = 30.) r =
   let deadline = Obs.Clock.wall_s () +. deadline_s in
-  let hdr = Bytes.create 4 in
-  match read_exact fd hdr ~off:0 ~len:4 ~deadline with
+  let held = r.lim - r.pos in
+  if held < 4 then begin
+    Bytes.blit r.buf r.pos r.buf 0 held;
+    r.pos <- 0;
+    r.lim <- held
+  end;
+  match
+    fill r.fd r.buf ~off:r.lim ~need:(r.pos + 4) ~cap:(Bytes.length r.buf)
+      ~deadline
+  with
   | `Eof -> Eof
   | `Timeout -> Timeout
-  | `Done ->
+  | `Filled lim ->
+    r.lim <- lim;
     let len =
-      (Char.code (Bytes.get hdr 0) lsl 24)
-      lor (Char.code (Bytes.get hdr 1) lsl 16)
-      lor (Char.code (Bytes.get hdr 2) lsl 8)
-      lor Char.code (Bytes.get hdr 3)
+      (Bytes.get_uint16_be r.buf r.pos lsl 16)
+      lor Bytes.get_uint16_be r.buf (r.pos + 2)
     in
+    r.pos <- r.pos + 4;
     if len > max_frame then Oversized len
     else begin
       let payload = Bytes.create len in
-      match read_exact fd payload ~off:0 ~len ~deadline with
+      let have = min len (r.lim - r.pos) in
+      Bytes.blit r.buf r.pos payload 0 have;
+      r.pos <- r.pos + have;
+      match fill r.fd payload ~off:have ~need:len ~cap:len ~deadline with
       | `Eof -> Eof
       | `Timeout -> Timeout
-      | `Done -> Frame (Bytes.unsafe_to_string payload)
+      | `Filled _ -> Frame (Bytes.unsafe_to_string payload)
     end
+
+let read_frame ?deadline_s fd =
+  next_frame ?deadline_s { fd; buf = Bytes.create 4; pos = 0; lim = 0 }
 
 let write_frame fd payload =
   let len = String.length payload in

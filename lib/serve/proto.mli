@@ -7,9 +7,14 @@
     u16-length-prefixed.  Encoding is a pure function of the value —
     scripted sessions byte-diff across job counts and backends.
 
-    Frame reads take a wall-clock deadline enforced with select(2)
-    before every read(2), so a slow-loris peer occupies one connection
-    for a bounded time. *)
+    Frame reads take a deadline enforced with select(2) before every
+    read(2), so a slow-loris peer occupies one connection for a
+    bounded time.  A long-lived connection reads through a {!reader}:
+    one read(2) takes whatever has arrived, up to its 4 KiB buffer, so
+    a request already in the socket costs one select and one read,
+    and pipelined frames come out of one read.  {!read_frame} is the
+    same loop for one-shot callers; it never takes a byte past its
+    frame. *)
 
 val max_frame : int
 (** Maximum payload size (1 MiB). *)
@@ -78,9 +83,31 @@ type read_result =
   | Timeout  (** deadline elapsed mid-frame (slow loris) *)
   | Oversized of int  (** declared length exceeded {!max_frame} *)
 
+type reader
+(** A connection's frame reader: its descriptor and a fixed 4 KiB
+    buffer of bytes read but not yet returned.  One thread reads
+    through it at a time. *)
+
+val reader : Unix.file_descr -> reader
+val reader_fd : reader -> Unix.file_descr
+
+val next_frame : ?deadline_s:float -> reader -> read_result
+(** The next frame, from the buffer when it holds one whole.  Each
+    fill is one select(2), bounded by the deadline, and one read(2) of
+    whatever has arrived.  [deadline_s] (default 30) bounds the whole
+    frame, header included, from this call: bytes already buffered do
+    not extend it.  [Oversized] comes from the header alone.  The
+    header comes through the buffer; the payload takes what the buffer
+    holds of it, and the rest is read straight into the payload — the
+    buffer never grows.  After anything but [Frame] the stream is out
+    of sync: close it. *)
+
 val read_frame : ?deadline_s:float -> Unix.file_descr -> read_result
-(** Read one frame.  [deadline_s] (default 30) bounds the whole frame,
-    header included. *)
+(** Read one frame with a reader whose buffer is one header long: a
+    select and a read for the header, then a select and a read for
+    the payload, and never a byte past the frame, so the next call
+    (or another reader) starts at the next frame.  For callers that
+    hold one request in flight. *)
 
 val write_frame : Unix.file_descr -> string -> unit
 (** Write one frame (blocking).  @raise Invalid_argument if the

@@ -202,14 +202,15 @@ let unavailable k =
   Proto.encode_response
     (Proto.Error (Proto.Unavailable, Printf.sprintf "shard %d unavailable" k))
 
-(* Per-connection shard links, connected on first use and dropped on
-   any stream error (a reply stream that timed out or died mid-frame
-   is out of sync — the only safe move is a fresh connection). *)
-type links = (int, Unix.file_descr) Hashtbl.t
+(* Per-connection shard links, each a frame reader over its socket,
+   connected on first use and dropped on any stream error (a reply
+   stream that timed out or died mid-frame is out of sync — the only
+   safe move is a fresh connection). *)
+type links = (int, Proto.reader) Hashtbl.t
 
-let link_fd t (links : links) k =
+let link t (links : links) k =
   match Hashtbl.find_opt links k with
-  | Some fd -> Some fd
+  | Some r -> Some r
   | None when not (live t t.slots.(k)) -> None
   | None -> (
     match
@@ -217,30 +218,32 @@ let link_fd t (links : links) k =
     with
     | Error _ -> None
     | Ok c ->
-      let fd = Client.fd c in
-      Hashtbl.replace links k fd;
-      Some fd)
+      let r = Proto.reader (Client.fd c) in
+      Hashtbl.replace links k r;
+      Some r)
+
+let close_link r = try Unix.close (Proto.reader_fd r) with _ -> ()
 
 let drop_link (links : links) k =
   match Hashtbl.find_opt links k with
-  | Some fd ->
+  | Some r ->
     Hashtbl.remove links k;
-    (try Unix.close fd with _ -> ())
+    close_link r
   | None -> ()
 
 (* Forward one request payload to shard [k] and relay the raw reply
    bytes.  Every failure mode answers a typed UNAVAILABLE — a dead
    shard must never hang the client or leave it a torn frame. *)
 let forward t links k payload =
-  match link_fd t links k with
+  match link t links k with
   | None -> unavailable k
-  | Some fd -> (
-    match Proto.write_frame fd payload with
+  | Some r -> (
+    match Proto.write_frame (Proto.reader_fd r) payload with
     | exception _ ->
       drop_link links k;
       unavailable k
     | () -> (
-      match Proto.read_frame ~deadline_s:shard_call_timeout_s fd with
+      match Proto.next_frame ~deadline_s:shard_call_timeout_s r with
       | Proto.Frame bytes -> bytes
       | Proto.Eof | Proto.Timeout | Proto.Oversized _ ->
         drop_link links k;
@@ -257,7 +260,7 @@ let session t () =
         in
         Obs.Metrics.observe t.h_latency ((Obs.Clock.wall_s () -. t0) *. 1000.);
         r);
-    close = (fun () -> Hashtbl.iter (fun _ fd -> try Unix.close fd with _ -> ()) links);
+    close = (fun () -> Hashtbl.iter (fun _ r -> close_link r) links);
   }
 
 (* ------------------------------------------------------------------ *)

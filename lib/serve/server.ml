@@ -6,8 +6,9 @@
 
    Listening address: a filesystem path (Unix domain socket) or
    ["tcp:HOST:PORT"].  Each accepted connection gets one systhread
-   that reads frames under the per-frame deadline (slow-loris bound)
-   and writes one reply per frame; connection count is bounded
+   that reads frames through its own {!Proto.reader} under the
+   per-frame deadline (slow-loris bound) and writes one reply per
+   frame, in order; connection count is bounded
    ([max_conns] — an over-limit accept is answered with one
    [Resource_exhausted] frame and closed, never queued).
 
@@ -173,8 +174,9 @@ let reply fd response = Proto.write_frame fd (Proto.encode_response response)
 
 let conn_loop t conn =
   let session = t.handler.session () in
+  let frames = Proto.reader conn.c_fd in
   let rec loop () =
-    match Proto.read_frame ~deadline_s:t.cfg.read_timeout_s conn.c_fd with
+    match Proto.next_frame ~deadline_s:t.cfg.read_timeout_s frames with
     | Proto.Eof -> ()
     | Proto.Timeout ->
       (* Slow loris: the peer stalled mid-frame.  The stream is not at

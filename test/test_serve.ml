@@ -141,6 +141,34 @@ let with_socketpair f =
       try Unix.close b with Unix.Unix_error _ -> ())
     (fun () -> f a b)
 
+let frame_bytes payload =
+  let len = String.length payload in
+  let b = Bytes.create (4 + len) in
+  Bytes.set_int32_be b 0 (Int32.of_int len);
+  Bytes.blit_string payload 0 b 4 len;
+  Bytes.to_string b
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let expect_frame what want = function
+  | Proto.Frame s -> check_string what want s
+  | _ -> Alcotest.failf "%s: expected a frame" what
+
+(* Both ways of reading: one-shot, and through a connection's reader. *)
+let readers =
+  [
+    ("read_frame", fun fd () -> Proto.read_frame ~deadline_s:2. fd);
+    ( "reader",
+      fun fd ->
+        let r = Proto.reader fd in
+        fun () -> Proto.next_frame ~deadline_s:2. r );
+  ]
+
 let frame_roundtrip () =
   with_socketpair (fun a b ->
       Proto.write_frame a "hello";
@@ -148,16 +176,36 @@ let frame_roundtrip () =
       (match Proto.read_frame ~deadline_s:2. b with
       | Proto.Frame s -> check_string "payload" "hello" s
       | _ -> Alcotest.fail "expected a frame");
-      match Proto.read_frame ~deadline_s:2. b with
+      (match Proto.read_frame ~deadline_s:2. b with
       | Proto.Frame s -> check_string "empty payload" "" s
-      | _ -> Alcotest.fail "expected the empty frame")
+      | _ -> Alcotest.fail "expected the empty frame");
+      (* One-shot reads take nothing past their frame: two frames in
+         one write come out of two calls. *)
+      write_all a (frame_bytes "one" ^ frame_bytes "two");
+      expect_frame "first call" "one" (Proto.read_frame ~deadline_s:2. b);
+      expect_frame "second call" "two" (Proto.read_frame ~deadline_s:2. b))
 
+(* A close ends the stream, at a frame boundary or inside a frame: the
+   whole frames before it come back, then [Eof]. *)
 let frame_eof () =
-  with_socketpair (fun a b ->
-      Unix.close a;
-      match Proto.read_frame ~deadline_s:2. b with
-      | Proto.Eof -> ()
-      | _ -> Alcotest.fail "closed peer must read Eof")
+  List.iter
+    (fun (what, reader) ->
+      List.iter
+        (fun (whole, cut) ->
+          with_socketpair (fun a b ->
+              write_all a
+                (String.concat "" (List.map frame_bytes whole)
+                ^ String.sub (frame_bytes "0123456789") 0 cut);
+              Unix.close a;
+              let next = reader b in
+              List.iter (fun want -> expect_frame what want (next ())) whole;
+              check_bool
+                (Printf.sprintf "%s: eof after %d frames and %d bytes" what
+                   (List.length whole) cut)
+                true
+                (next () = Proto.Eof)))
+        [ ([], 0); ([ "a"; ""; "ccc" ], 0); ([ "a" ], 2); ([ "a" ], 4); ([], 9) ])
+    readers
 
 (* A peer that closes with a frame unread resets the stream: the read
    sees ECONNRESET, which is that peer's end of stream like any other
@@ -185,19 +233,189 @@ let frame_timeout () =
       | _ -> Alcotest.fail "stalled frame must time out")
 
 let frame_oversized () =
-  with_socketpair (fun a b ->
-      (* A header declaring max_frame + 1 bytes; the reader must refuse
-         before allocating the payload. *)
-      let declared = Proto.max_frame + 1 in
-      let hdr = Bytes.create 4 in
-      Bytes.set_int32_be hdr 0 (Int32.of_int declared);
-      ignore (Unix.write a hdr 0 4);
-      (match Proto.read_frame ~deadline_s:2. b with
-      | Proto.Oversized n -> check_int "declared length" declared n
-      | _ -> Alcotest.fail "oversized declaration must be refused");
+  (* A header declaring max_frame + 1 bytes, and nothing after it: the
+     reader must refuse from the header alone, before allocating or
+     waiting for a payload. *)
+  List.iter
+    (fun (what, reader) ->
+      with_socketpair (fun a b ->
+          let declared = Proto.max_frame + 1 in
+          let hdr = Bytes.create 4 in
+          Bytes.set_int32_be hdr 0 (Int32.of_int declared);
+          ignore (Unix.write a hdr 0 4);
+          match reader b () with
+          | Proto.Oversized n -> check_int (what ^ ": declared length") declared n
+          | _ -> Alcotest.failf "%s: oversized declaration must be refused" what))
+    readers;
+  with_socketpair (fun a _ ->
       Alcotest.check_raises "oversized write refused"
         (Invalid_argument "Proto.write_frame: payload too large")
         (fun () -> Proto.write_frame a (String.make (Proto.max_frame + 1) 'x')))
+
+(* ------------------------------------------------------------------ *)
+(* The buffered frame reader over a socketpair *)
+
+(* Payload [i]: [size] bytes mixing its index and offsets, so a frame
+   returned shifted, truncated or out of place differs. *)
+let payload_of i size =
+  String.init size (fun k -> Char.chr (((k * 31) + (i * 7) + (k lsr 8)) land 0xFF))
+
+(* How the writer puts one frame on the wire: its first 68 bytes one
+   at a time; the header in one write and the payload in another;
+   joined to the frames after it in one write; or joined and then cut
+   in two at a random point. *)
+type split = Trickle | Apart | Joined | Cut of int
+
+let gen_split_frames =
+  QCheck2.Gen.(
+    let size =
+      frequency
+        [ (6, int_range 0 48); (3, int_range 49 9000); (1, return Proto.max_frame) ]
+    in
+    let split =
+      frequency
+        [
+          (2, return Trickle); (2, return Apart); (3, return Joined);
+          (2, map (fun k -> Cut k) (int_range 0 10_000));
+        ]
+    in
+    list_size (int_range 0 10) (pair size split))
+
+let print_split_frames frames =
+  String.concat "; "
+    (List.map
+       (fun (size, split) ->
+         Printf.sprintf "%d %s" size
+           (match split with
+           | Trickle -> "trickle"
+           | Apart -> "apart"
+           | Joined -> "joined"
+           | Cut k -> Printf.sprintf "cut %d" k))
+       frames)
+
+(* Put the frames of [payloads] on [fd] as [splits] say. *)
+let write_split fd payloads splits =
+  let pending = Buffer.create 64 in
+  let flush () =
+    write_all fd (Buffer.contents pending);
+    Buffer.clear pending
+  in
+  List.iter2
+    (fun payload split ->
+      let f = frame_bytes payload in
+      match split with
+      | Trickle ->
+        flush ();
+        let k = min (String.length f) 68 in
+        String.iteri (fun i c -> if i < k then write_all fd (String.make 1 c)) f;
+        write_all fd (String.sub f k (String.length f - k))
+      | Apart ->
+        flush ();
+        write_all fd (String.sub f 0 4);
+        write_all fd payload
+      | Joined -> Buffer.add_string pending f
+      | Cut k ->
+        Buffer.add_string pending f;
+        let s = Buffer.contents pending in
+        Buffer.clear pending;
+        let k = k mod (String.length s + 1) in
+        write_all fd (String.sub s 0 k);
+        write_all fd (String.sub s k (String.length s - k)))
+    payloads splits;
+  flush ()
+
+(* Whatever the writer's splits, the reader returns every frame, in
+   order and whole, then [Eof] at the close. *)
+let prop_reader_sequences frames =
+  let payloads = List.mapi (fun i (size, _) -> payload_of i size) frames in
+  with_socketpair (fun a b ->
+      let failure = ref None in
+      let writer =
+        Thread.create
+          (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Unix.close a)
+              (fun () ->
+                try write_split a payloads (List.map snd frames)
+                with e -> failure := Some e))
+          ()
+      in
+      let r = Proto.reader b in
+      let rec read acc =
+        match Proto.next_frame ~deadline_s:10. r with
+        | Proto.Frame s -> read (s :: acc)
+        | last -> (List.rev acc, last)
+      in
+      let got, last = read [] in
+      (* A reader that stopped early must not leave the writer blocked
+         on a full socket. *)
+      let rest = Bytes.create 65536 in
+      while Unix.read b rest 0 65536 > 0 do () done;
+      Thread.join writer;
+      Option.iter raise !failure;
+      got = payloads && last = Proto.Eof)
+
+(* A frame whose header and part of whose payload are already in the
+   buffer still times out at its own deadline when the rest stalls. *)
+let reader_stalled_payload_times_out () =
+  with_socketpair (fun a b ->
+      write_all a (frame_bytes "first" ^ String.sub (frame_bytes "0123456789") 0 7);
+      let r = Proto.reader b in
+      expect_frame "first frame" "first" (Proto.next_frame ~deadline_s:2. r);
+      let t0 = Obs.Clock.wall_s () in
+      (match Proto.next_frame ~deadline_s:0.2 r with
+      | Proto.Timeout -> ()
+      | _ -> Alcotest.fail "a stalled payload must time out");
+      let waited = Obs.Clock.wall_s () -. t0 in
+      check_bool "not before its deadline" true (waited >= 0.2);
+      check_bool "at its deadline" true (waited < 1.5))
+
+(* Bytes that keep arriving do not extend a frame's deadline: a frame
+   trickled at one byte per 40 ms needs ~0.7 s, and a 0.2 s deadline
+   ends it. *)
+let reader_deadline_bounds_a_trickle () =
+  with_socketpair (fun a b ->
+      let f = frame_bytes "0123456789abc" in
+      let stop = Atomic.make false in
+      let writer =
+        Thread.create
+          (fun () ->
+            String.iter
+              (fun c ->
+                if not (Atomic.get stop) then begin
+                  write_all a (String.make 1 c);
+                  Thread.delay 0.04
+                end)
+              f)
+          ()
+      in
+      let t0 = Obs.Clock.wall_s () in
+      let got = Proto.next_frame ~deadline_s:0.2 (Proto.reader b) in
+      let waited = Obs.Clock.wall_s () -. t0 in
+      Atomic.set stop true;
+      Thread.join writer;
+      check_bool "trickled frame times out" true (got = Proto.Timeout);
+      check_bool "at its deadline, not the trickle's end" true (waited < 0.6))
+
+(* A fill stops at the 4 KiB buffer's end wherever that falls in the
+   stream: inside the next header, whose bytes then move to the front,
+   or inside its payload, whose rest is read straight into it. *)
+let reader_frames_across_the_buffer_end () =
+  List.iter
+    (fun c ->
+      with_socketpair (fun a b ->
+          let first = String.make (4092 - c) 'x' in
+          let frames = [ first; "second"; "third" ] in
+          write_all a (String.concat "" (List.map frame_bytes frames));
+          let r = Proto.reader b in
+          List.iter
+            (fun want ->
+              expect_frame
+                (Printf.sprintf "%d bytes of the second frame buffered" c)
+                want
+                (Proto.next_frame ~deadline_s:2. r))
+            frames))
+    [ 1; 2; 3; 4; 6 ]
 
 (* ------------------------------------------------------------------ *)
 (* Codec properties: encode∘decode = id over generated values, and no
@@ -1029,6 +1247,56 @@ let server_backend_byte_identical () =
     (session Sim.Backend.Dense)
     (session Sim.Backend.Implicit)
 
+(* The CI scripted session (STATS aside: its counters move) with one
+   malformed frame among it, pipelined: every frame in a single
+   write.  The replies come back in order, byte for byte the ones the
+   same frames get one at a time. *)
+let server_pipelined_session () =
+  let frames =
+    List.map Proto.encode_request
+      [
+        Proto.Ping; Proto.Health; Proto.Ready; Proto.List;
+        Proto.Foremost (q "clq" 0 ~target:5);
+      ]
+    @ [ "\x10\x00" ]
+    @ List.map Proto.encode_request
+        [
+          Proto.Foremost (q "clq" 3 ~target:0 ~deadline_ms:500);
+          Proto.Arrivals (q "clq" 2); Proto.Reach (q "clq" 1); Proto.Ecc (q "clq" 4);
+          Proto.Foremost (q "nope" 0 ~target:1);
+        ]
+  in
+  with_server ~manifest:[ "id=clq,family=clique,n=64,seed=7" ]
+    ~backend:Sim.Backend.Dense (fun _ address _ ->
+      let on_connection f =
+        let c = expect_ok (Client.connect ~timeout_s:5. address) in
+        Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f (Client.fd c))
+      in
+      let reply fd =
+        match Proto.read_frame ~deadline_s:5. fd with
+        | Proto.Frame p -> p
+        | _ -> Alcotest.fail "every request gets a reply frame"
+      in
+      let one_at_a_time =
+        on_connection (fun fd ->
+            List.map
+              (fun p ->
+                Proto.write_frame fd p;
+                reply fd)
+              frames)
+      in
+      let pipelined =
+        on_connection (fun fd ->
+            write_all fd (String.concat "" (List.map frame_bytes frames));
+            List.map (fun _ -> reply fd) frames)
+      in
+      check_bool "the malformed frame answers parse-error" true
+        (match Proto.decode_response (List.nth one_at_a_time 5) with
+        | Stdlib.Ok (Proto.Error (Proto.Parse_error, _)) -> true
+        | _ -> false);
+      Alcotest.(check (list string))
+        "pipelined replies equal one-at-a-time replies" one_at_a_time pipelined)
+
 (* ------------------------------------------------------------------ *)
 (* Fault.Retry: deterministic jitter and the wall-time budget *)
 
@@ -1166,6 +1434,14 @@ let suites =
         case "frame reset by peer is eof" frame_reset_is_eof;
         case "frame timeout (slow loris)" frame_timeout;
         case "frame oversized" frame_oversized;
+        qcase ~count:60 ~print:print_split_frames
+          "reader returns split frames whole, then eof" gen_split_frames
+          prop_reader_sequences;
+        case "reader: stalled payload times out" reader_stalled_payload_times_out;
+        case "reader: arriving bytes do not extend the deadline"
+          reader_deadline_bounds_a_trickle;
+        case "reader: frames across the buffer's end"
+          reader_frames_across_the_buffer_end;
         case "query truncation vectors" query_truncation_vectors;
         qcase ~count:200 "request encode∘decode = id" gen_request
           prop_request_roundtrip;
@@ -1215,6 +1491,7 @@ let suites =
         case "drain publishes ledger" server_drain_publishes_ledger;
         case "ledger contents" server_ledger_contents;
         case "backend byte-identical sessions" server_backend_byte_identical;
+        case "pipelined session" server_pipelined_session;
         case "connection limit" server_connection_limit;
         case "tcp listener" server_tcp;
       ] );
